@@ -39,6 +39,7 @@ from .search import (
     find_root,
     find_root_bisection,
     find_root_decremental,
+    find_root_dynamic,
     find_root_incremental,
     find_root_onepass,
     score_patterns,
@@ -78,6 +79,7 @@ __all__ = [
     "find_root",
     "find_root_bisection",
     "find_root_decremental",
+    "find_root_dynamic",
     "find_root_incremental",
     "find_root_onepass",
     "fisher_pvalue",

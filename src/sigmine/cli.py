@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strategy",
         choices=STRATEGIES,
-        default="incremental",
+        default="dynamic",
         help="root-frequency search strategy (results are identical)",
     )
     parser.add_argument(

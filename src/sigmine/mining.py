@@ -10,14 +10,16 @@ Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 
 The miner supports a hard cap on emitted patterns (``pattern_budget``) used by
 the budgeted search strategies: exceeding the cap aborts the run, reporting
-``emitted_count == budget + 1`` and no patterns.
+``emitted_count == budget + 1`` and no patterns. It also accepts a hook that
+raises the support threshold while the run is in progress; the live threshold
+is miner state, so ``MinerConfig`` stays immutable.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .graphs import GraphDatabase, LabeledGraph
 
@@ -383,10 +385,18 @@ def contains(haystack: LabeledGraph, needle: LabeledGraph) -> bool:
 
 
 class _Miner:
-    def __init__(self, db: GraphDatabase, config: MinerConfig, deadline: float | None):
+    def __init__(
+        self,
+        db: GraphDatabase,
+        config: MinerConfig,
+        deadline: float | None,
+        on_emit: Callable[[int], int] | None,
+    ):
         self.db = db
         self.config = config
         self.deadline = deadline
+        self.on_emit = on_emit
+        self.sigma = config.min_frequency
         self.patterns: list[Pattern] = []
         self.emitted = 0
 
@@ -406,9 +416,14 @@ class _Miner:
             nv = sum(1 for frm, to, *_ in code if frm < to) + 1
             ne = len(code)
         self.patterns.append(Pattern(code, nv, ne, occurrences, x, len(occurrences) - x))
+        if self.on_emit is not None:
+            sigma = self.on_emit(len(occurrences))
+            if sigma > self.sigma:
+                self.sigma = sigma
+                self.patterns = [p for p in self.patterns if p.frequency >= sigma]
 
     def run(self) -> None:
-        db, sigma = self.db, self.config.min_frequency
+        db = self.db
         if self.config.count_singletons:
             by_label: dict[int, set[int]] = {}
             for pos, g in enumerate(db.graphs):
@@ -417,7 +432,7 @@ class _Miner:
             for lbl in sorted(by_label):
                 self._check_deadline()
                 occ = by_label[lbl]
-                if len(occ) >= sigma:
+                if len(occ) >= self.sigma:
                     self._emit(((0, 0, lbl, NO_EDGE, lbl),), frozenset(occ))
         if self.config.max_vertices is not None and self.config.max_vertices < 2:
             return
@@ -432,14 +447,17 @@ class _Miner:
         for quint in sorted(roots):
             self._check_deadline()
             projs = roots[quint]
-            if len({pos for pos, _ in projs}) >= sigma:
+            if len({pos for pos, _ in projs}) >= self.sigma:
                 self._grow((quint,), projs)
 
     def _grow(self, code: tuple[Quint, ...], projs: list[tuple[int, tuple[int, ...]]]) -> None:
         self._check_deadline()
         if len(code) > 1 and not is_canonical(code):
             return
-        self._emit(code, frozenset(pos for pos, _ in projs))
+        occurrences = frozenset(pos for pos, _ in projs)
+        self._emit(code, occurrences)
+        if len(occurrences) < self.sigma:
+            return
 
         rmpath = _rmpath_vertices(code)
         rightmost = rmpath[-1]
@@ -476,20 +494,31 @@ class _Miner:
 
         for quint in sorted(children, key=_extension_key):
             child_projs = children[quint]
-            if len({pos for pos, _ in child_projs}) >= self.config.min_frequency:
+            if len({pos for pos, _ in child_projs}) >= self.sigma:
                 self._grow(code + (quint,), child_projs)
 
 
 def mine(
-    db: GraphDatabase, config: MinerConfig, deadline: float | None = None
+    db: GraphDatabase,
+    config: MinerConfig,
+    deadline: float | None = None,
+    on_emit: Callable[[int], int] | None = None,
 ) -> MiningOutcome:
     """Enumerate all connected patterns with support >= config.min_frequency.
 
     ``deadline`` is an absolute time.monotonic() timestamp; passing it raises
     MiningTimeout. A run that trips config.pattern_budget reports status
     "terminated_early" with emitted_count == budget + 1 and no patterns.
+
+    ``on_emit`` is called with the support of each emitted pattern and returns
+    the support threshold from then on; a return below the current threshold
+    is ignored. Raising the threshold prunes every later child below it, stops
+    growth of the pattern just emitted if it fell below, and drops the
+    patterns kept so far that fell below, so the outcome holds exactly the
+    emitted patterns at or above the final threshold. ``emitted_count`` still
+    counts every emission.
     """
-    miner = _Miner(db, config, deadline)
+    miner = _Miner(db, config, deadline, on_emit)
     try:
         miner.run()
     except _BudgetExceeded:

@@ -58,7 +58,7 @@ class RunConfig:
     labels: str | None = None
     alpha: float = 0.05
     tail: TailMode = "two"
-    strategy: Strategy = "incremental"
+    strategy: Strategy = "dynamic"
     max_vertices: int | None = None
     correction: Correction = "tarone"
     permutations: int = 1000

@@ -4,9 +4,10 @@ The root frequency is the smallest support threshold sigma at which the number
 of frequent patterns fits inside the testability budget alpha / psi(sigma),
 where psi is the frequency-indexed lower bound on attainable p-values. The
 predicate "count fits the budget" is monotone in sigma: raising sigma can only
-shrink the count and grow the budget. Four search strategies exploit that
-monotonicity differently but must return identical results; the cheap ones
-probe with hard pattern budgets so that oversized mining runs abort early.
+shrink the count and grow the budget. Five search strategies exploit that
+monotonicity differently but must return identical results. The budgeted ones
+probe with hard pattern budgets so that oversized mining runs abort early; the
+default, ``dynamic``, mines once and raises its own threshold as it goes.
 
 Because psi plateaus once sigma exceeds the smaller class size n, the root can
 lie above n on degenerate inputs; every strategy escalates upward past n in
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -31,9 +33,9 @@ from .stats import (
     min_testable_frequency,
 )
 
-Strategy = Literal["onepass", "decremental", "incremental", "bisection"]
+Strategy = Literal["dynamic", "onepass", "decremental", "incremental", "bisection"]
 
-STRATEGIES = ("onepass", "decremental", "incremental", "bisection")
+STRATEGIES = ("dynamic", "onepass", "decremental", "incremental", "bisection")
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,17 @@ class _Session:
     def budget(self, sigma: int) -> int | None:
         return _int_budget(self.alpha, self.bound(sigma))
 
-    def mine_at(self, sigma: int, pattern_budget: int | None) -> MiningOutcome:
+    def mine_at(
+        self,
+        sigma: int,
+        pattern_budget: int | None,
+        on_emit: Callable[[int], int] | None = None,
+    ) -> MiningOutcome:
         config = replace(
             self.config, min_frequency=sigma, pattern_budget=pattern_budget
         )
         t0 = time.perf_counter()
-        outcome = mine(self.db, config)
+        outcome = mine(self.db, config, on_emit=on_emit)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         self.invocations += 1
         self.expanded += outcome.emitted_count
@@ -197,6 +204,41 @@ def _scan_up(session: _Session, sigma: int, patterns: Sequence[Pattern], sigma_m
     while not session.fits(count_at(sigma), sigma):
         sigma += 1
     return session.found(sigma_min, sigma, [p for p in patterns if p.frequency >= sigma])
+
+
+def find_root_dynamic(
+    db: GraphDatabase, alpha: float, config: MinerConfig, tail: TailMode = "two"
+) -> RootSearchResult:
+    """Mine once from the minimum testable frequency, raising sigma as it goes.
+
+    A histogram of emitted frequencies gives the count at the live sigma.
+    While that count overflows the budget at sigma, sigma is infeasible: the
+    patterns proving it exist, and raising sigma only drops patterns, so every
+    sigma passed lies below the root. The miner prunes below the live sigma,
+    which loses nothing at or above the root because support is anti-monotone.
+    The final sigma is therefore the root and the patterns kept are the
+    testable set. Above n the budget is flat and the same loop climbs on.
+    """
+    session = _Session(db, alpha, config, tail)
+    sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
+    if sigma_min is None:
+        return session.no_testable()
+    histogram: Counter[int] = Counter()
+    sigma, count, budget = sigma_min, 0, session.budget(sigma_min)
+
+    def raise_sigma(frequency: int) -> int:
+        nonlocal sigma, count, budget
+        # the miner emits nothing below the live sigma
+        histogram[frequency] += 1
+        count += 1
+        while budget is not None and count > budget:
+            count -= histogram.pop(sigma, 0)
+            sigma += 1
+            budget = session.budget(sigma)
+        return sigma
+
+    outcome = session.mine_at(sigma_min, None, raise_sigma)
+    return session.found(sigma_min, sigma, outcome.patterns)
 
 
 def find_root_onepass(
@@ -295,6 +337,7 @@ def find_root_bisection(
 
 
 _FINDERS: dict[str, Callable[..., RootSearchResult]] = {
+    "dynamic": find_root_dynamic,
     "onepass": find_root_onepass,
     "decremental": find_root_decremental,
     "incremental": find_root_incremental,
@@ -307,9 +350,9 @@ def find_root(
     alpha: float,
     config: MinerConfig,
     tail: TailMode = "two",
-    strategy: Strategy = "incremental",
+    strategy: Strategy = "dynamic",
 ) -> RootSearchResult:
-    """Dispatch to one of the four interchangeable strategies."""
+    """Dispatch to one of the five interchangeable strategies."""
     try:
         finder = _FINDERS[strategy]
     except KeyError:

@@ -227,6 +227,13 @@ def min_testable_frequency(
     Comparison is non-strict (bound <= alpha) by default; ``strict`` flips it
     for sensitivity analysis. Returns None when no frequency up to n qualifies,
     which callers report as "no testable frequency".
+
+    The float bound carries rounding error, so a frequency whose float bound
+    misses alpha by a rounding margin is tested again on the exact rational
+    bound C(n, f) / C(n + n', f), doubled for two tails, against the exact
+    binary value of alpha; it qualifies if either test passes. A bound of
+    exactly 1/20 lies below the double nearest 0.05, yet its float equals
+    that double.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -234,4 +241,10 @@ def min_testable_frequency(
         bound = min_attainable_pvalue(sigma, n, n_prime, tail)
         if (bound < alpha) if strict else (bound <= alpha):
             return sigma
+        if math.isclose(bound, alpha, rel_tol=1e-9):
+            top, bottom = alpha.as_integer_ratio()
+            lhs = math.comb(n, sigma) * (2 if tail == "two" else 1) * bottom
+            rhs = top * math.comb(n + n_prime, sigma)
+            if (lhs < rhs) if strict else (lhs <= rhs):
+                return sigma
     return None

@@ -201,7 +201,7 @@ def test_c6_probe_cost_ordering():
             200, seed=100 + seed, background_vertices=8, edge_probability=0.15
         )
         expanded = {}
-        for strategy in ("incremental", "bisection", "decremental"):
+        for strategy in ("dynamic", "incremental", "bisection", "decremental"):
             r = find_root(db, 0.05, CONFIG, "two", strategy)
             assert r.status == "ok"
             expanded[strategy] = r.patterns_expanded
@@ -214,7 +214,12 @@ def test_c6_probe_cost_ordering():
     }
     # soft criterion, so the raw numbers are logged for inspection
     print(f"patterns expanded per seed: {per_seed}; medians: {medians}")
-    assert medians["incremental"] <= medians["bisection"] <= medians["decremental"]
+    assert (
+        medians["dynamic"]
+        <= medians["incremental"]
+        <= medians["bisection"]
+        <= medians["decremental"]
+    )
     assert time.perf_counter() - started < 300.0
 
 

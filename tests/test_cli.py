@@ -14,6 +14,7 @@ from sigmine.report import (
     run_pipeline,
 )
 from sigmine.cli import build_parser, main
+from sigmine.search import STRATEGIES
 from sigmine.synth import planted_database
 
 
@@ -97,7 +98,7 @@ class TestPipeline:
                 render_report(
                     run_pipeline(RunConfig(input=path, strategy=s)), "csv"
                 )
-                for s in ("onepass", "decremental", "incremental", "bisection")
+                for s in STRATEGIES
             }
             assert len(renders) == 1
 
@@ -244,12 +245,17 @@ class TestRendering:
         assert "wall_time" not in json.dumps(payload)
 
     def test_trace_render(self, toy_path):
-        report = run_pipeline(RunConfig(input=toy_path))
+        report = run_pipeline(RunConfig(input=toy_path, strategy="incremental"))
         text = render_trace(report.search.trace)
         lines = text.splitlines()
         assert lines[0] == "sigma,budget,status,emitted,millis"
         assert lines[1].startswith("4,1,terminated_early,2,")
         assert lines[2].startswith("5,6,completed,1,")
+        # the default strategy records its one unbudgeted run
+        report = run_pipeline(RunConfig(input=toy_path))
+        lines = render_trace(report.search.trace).splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("4,,completed,2,")
 
     def test_unknown_format_rejected(self, toy_path):
         report = run_pipeline(RunConfig(input=toy_path))

@@ -12,6 +12,7 @@ from sigmine.search import (
     find_root,
     find_root_bisection,
     find_root_decremental,
+    find_root_dynamic,
     find_root_incremental,
     find_root_onepass,
     significant_set,
@@ -82,6 +83,7 @@ class TestWorkedExample:
 
     def test_invocation_counts(self, toy_db):
         counts = {
+            "dynamic": 1,
             "onepass": 1,
             "decremental": 2,
             "incremental": 2,
@@ -102,6 +104,15 @@ class TestWorkedExample:
             (5, 6, "completed", 1),
         ]
         assert all(t.millis >= 0.0 for t in r.trace)
+
+    def test_dynamic_trace(self, toy_db):
+        r = find_root_dynamic(toy_db, 0.05, CONFIG)
+        # A (5) fits the budget of 1 at sigma = 4; B (4) overflows it, so
+        # sigma rises to 5 and C (4) is never emitted
+        assert [(t.sigma, t.budget, t.status, t.emitted) for t in r.trace] == [
+            (4, None, "completed", 2)
+        ]
+        assert r.patterns_expanded == 2
 
     def test_onepass_trace_is_unbudgeted(self, toy_db):
         r = find_root_onepass(toy_db, 0.05, CONFIG)
@@ -144,8 +155,9 @@ class TestPlateauCorner:
 
     def test_singlepass_strategies_never_remine(self, plateau_db):
         # the sigma = 2 run already holds every pattern the upward scan
-        # needs, so onepass and decremental both stop at one invocation
-        for finder in (find_root_onepass, find_root_decremental):
+        # needs, so onepass and decremental both stop at one invocation;
+        # dynamic climbs past n inside its single run
+        for finder in (find_root_dynamic, find_root_onepass, find_root_decremental):
             r = finder(plateau_db, 0.2, CONFIG)
             assert r.fsm_invocations == 1
 
@@ -398,6 +410,13 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
     completed = [t for t in r.trace if t.status == "completed"]
     assert len(completed) == 1
     assert results["onepass"].fsm_invocations == 1
+    assert results["dynamic"].fsm_invocations == 1
+    # dynamic emits a subset of what onepass emits, and at least the testable set
+    assert (
+        len(r.testable)
+        <= results["dynamic"].patterns_expanded
+        <= results["onepass"].patterns_expanded
+    )
 
     # root property against the full sigma = 1 census: the count fits the
     # budget at the root and overflows it one step below

@@ -187,6 +187,20 @@ def test_min_testable_matches_exact_oracle(n, data, alpha):
             )
 
 
+def test_min_testable_breaks_float_ties_exactly():
+    # psi(2) at n = 3, n' = 13 is exactly 1/20, which lies below the double
+    # nearest 0.05 although its float equals that double; sweep the whole
+    # domain of the property test above so no such tie is left to chance
+    for n in range(1, 11):
+        for n_prime in range(n, 15):
+            for alpha in (0.01, 0.05, 0.123, 0.31):
+                for tail in ("left", "right", "two"):
+                    for strict in (False, True):
+                        assert min_testable_frequency(
+                            alpha, n, n_prime, tail, strict
+                        ) == oracles.min_testable(alpha, n, n_prime, tail, strict)
+
+
 @settings(deadline=None)
 @given(st.sampled_from([480, 500, 513, 560, 650, 800]))
 def test_large_margin_tails_stay_accurate(x):
