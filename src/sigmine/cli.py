@@ -107,6 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    if args.max_vertices < 0:
+        raise ValueError("--max-vertices must be 0 (unlimited) or positive")
     return RunConfig(
         input=args.input,
         labels=args.labels,

@@ -6,6 +6,13 @@ vertex ``to`` and backward edges close a cycle back onto the rightmost path.
 Each pattern is visited exactly once by pruning non-minimal codes. Support is
 the number of distinct transactions containing at least one embedding.
 
+One growth rule serves both the miner and the minimality check: ``_step``
+advances a code's rightmost path, vertex labels and edge set by one quint,
+and ``_extend`` lists one embedding's rightmost-path extensions. The miner
+carries that state from parent to child instead of re-deriving it from the
+code, and walks the search tree with an explicit stack, so pattern depth is
+not bounded by Python's recursion limit.
+
 Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 
 The miner supports a hard cap on emitted patterns (``pattern_budget``) used by
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .graphs import GraphDatabase, LabeledGraph
 
@@ -91,19 +98,71 @@ def _is_singleton(code: Sequence[Quint]) -> bool:
     return len(code) == 1 and code[0][3] == NO_EDGE
 
 
-def _rmpath_vertices(code: Sequence[Quint]) -> tuple[int, ...]:
-    """Vertex ids on the rightmost path, root first, rightmost vertex last."""
-    if _is_singleton(code):
-        return (0,)
-    path: list[int] = []
-    target: int | None = None
-    for frm, to, _, _, _ in reversed(code):
-        if frm < to and (target is None or to == target):
-            path.append(to)
-            target = frm
-    path.append(0)
-    path.reverse()
-    return tuple(path)
+# The state ``_step`` carries: the rightmost path (vertex ids, root first,
+# rightmost vertex last), the vertex labels by id, and the edge set as
+# (smaller id, larger id) pairs.
+_State = tuple[tuple[int, ...], tuple[int, ...], frozenset[tuple[int, int]]]
+
+
+def _root_state(label: int) -> _State:
+    """State of the lone vertex 0 that a code's first quint grows from."""
+    return (0,), (label,), frozenset()
+
+
+def _step(
+    rmpath: tuple[int, ...],
+    labels: tuple[int, ...],
+    edges: frozenset[tuple[int, int]],
+    quint: Quint,
+) -> _State:
+    """The rightmost path, vertex labels and edge set after one more quint.
+
+    A forward quint cuts the rightmost path back to its source and appends
+    the new vertex; a backward quint leaves the path as it is.
+    """
+    frm, to, _, _, tl = quint
+    if frm < to:
+        return rmpath[: rmpath.index(frm) + 1] + (to,), labels + (tl,), edges | {(frm, to)}
+    return rmpath, labels, edges | {(to, frm)}
+
+
+def _extend(
+    children: dict[Quint, list[tuple[int, tuple[int, ...]]]],
+    graph: LabeledGraph,
+    pos: int,
+    assign: tuple[int, ...],
+    rmpath: tuple[int, ...],
+    labels: tuple[int, ...],
+    edges: frozenset[tuple[int, int]],
+    forward: bool,
+) -> None:
+    """Bucket one embedding's rightmost-path extensions by quint.
+
+    ``assign`` maps the pattern's vertex ids to vertices of ``graph``, the
+    transaction at ``pos``. Each extension appends ``(pos, child assignment)``
+    to ``children[quint]``: backward edges from the rightmost vertex to an
+    earlier rightmost-path vertex, then, when ``forward``, edges from any
+    rightmost-path vertex to a vertex the embedding does not use yet.
+    """
+    rightmost = rmpath[-1]
+    r_img = assign[rightmost]
+    for j in rmpath[:-1]:
+        if (j, rightmost) in edges:
+            continue
+        lbl = graph.edge_label(r_img, assign[j])
+        if lbl is not None:
+            quint = (rightmost, j, labels[rightmost], lbl, labels[j])
+            children.setdefault(quint, []).append((pos, assign))
+    if not forward:
+        return
+    in_assign = set(assign)
+    new_id = len(assign)
+    vertex_labels = graph.vertex_labels
+    for i in rmpath:
+        for w, lbl in graph.adjacency[assign[i]]:
+            if w not in in_assign:
+                quint = (i, new_id, labels[i], lbl, vertex_labels[w])
+                children.setdefault(quint, []).append((pos, assign + (w,)))
 
 
 def _validate_code(code: Sequence[Quint]) -> None:
@@ -114,10 +173,9 @@ def _validate_code(code: Sequence[Quint]) -> None:
         if (frm, to, el) != (0, 0, NO_EDGE) or fl != tl or fl < 0:
             raise ValueError(f"malformed singleton code {code[0]!r}")
         return
-    labels: dict[int, int] = {}
-    edges: set[tuple[int, int]] = set()
-    rmpath = [0]
-    for k, (frm, to, fl, el, tl) in enumerate(code):
+    rmpath, labels, edges = _root_state(code[0][2])
+    for k, quint in enumerate(code):
+        frm, to, fl, el, tl = quint
         if el == NO_EDGE:
             raise ValueError(f"quint {k}: edge label missing on a non-singleton code")
         if frm == to:
@@ -125,15 +183,10 @@ def _validate_code(code: Sequence[Quint]) -> None:
         if k == 0 and (frm, to) != (0, 1):
             raise ValueError("code must start with the edge (0, 1)")
         if frm < to:
-            # the first quint introduces vertices 0 and 1, later forward
-            # quints the next unused id
-            expected = 1 if k == 0 else len(labels)
-            if to != expected:
-                raise ValueError(f"quint {k}: forward edge must introduce vertex {expected}")
-            if k > 0 and frm not in rmpath:
+            if to != len(labels):
+                raise ValueError(f"quint {k}: forward edge must introduce vertex {len(labels)}")
+            if frm not in rmpath:
                 raise ValueError(f"quint {k}: forward edge from {frm} off the rightmost path")
-            rmpath = rmpath[: rmpath.index(frm) + 1] if k > 0 else [0]
-            rmpath.append(to)
         else:
             if frm != rmpath[-1]:
                 raise ValueError(f"quint {k}: backward edge must leave the rightmost vertex")
@@ -142,10 +195,10 @@ def _validate_code(code: Sequence[Quint]) -> None:
         pair = (min(frm, to), max(frm, to))
         if pair in edges:
             raise ValueError(f"quint {k}: duplicate edge {pair}")
-        edges.add(pair)
         for vid, lbl in ((frm, fl), (to, tl)):
-            if labels.setdefault(vid, lbl) != lbl:
+            if vid < len(labels) and labels[vid] != lbl:
                 raise ValueError(f"quint {k}: vertex {vid} relabeled")
+        rmpath, labels, edges = _step(rmpath, labels, edges, quint)
 
 
 def _code_labels_edges(
@@ -199,10 +252,12 @@ def _minimum_code_construct(
 ):
     """Greedy minimal-DFS-code builder over a connected labeled graph.
 
-    With ``reference`` given, stops early and returns False the moment the
-    constructed code goes below the reference (the reference is then not
-    minimal); returns True when they match to the end. Without a reference,
-    returns the full minimal code.
+    Grows the code with the miner's rule, keeping at each step only the
+    smallest extension and the embeddings of the graph into itself that
+    produce it. With ``reference`` given, stops early and returns False the
+    moment the constructed code goes below the reference (the reference is
+    then not minimal); returns True when they match to the end. Without a
+    reference, returns the full minimal code.
     """
     if not edges:
         if len(labels) != 1:
@@ -212,91 +267,43 @@ def _minimum_code_construct(
             return code
         return tuple(reference) == code
 
-    adj: list[list[tuple[int, int]]] = [[] for _ in labels]
-    elabel: dict[tuple[int, int], int] = {}
-    for u, v, lbl in edges:
-        adj[u].append((v, lbl))
-        adj[v].append((u, lbl))
-        elabel[(u, v)] = lbl
-        elabel[(v, u)] = lbl
-
     first_key = min(
         (labels[u], lbl, labels[v])
         for u, v, lbl in edges
         for u, v in ((u, v), (v, u))
     )
     code: list[Quint] = [(0, 1, *first_key)]
+    if reference is not None and code[0] != reference[0]:
+        return False
+    # built after the first-quint test, which rejects many codes on its own
+    graph = LabeledGraph(0, tuple(labels), tuple(edges))
     # an embedding maps pattern vertex -> graph vertex; injectivity plus the
     # pattern-level duplicate-edge check make a used-edge set redundant
-    embeds: list[tuple[int, ...]] = []
-    for u, v, lbl in edges:
-        for a, b in ((u, v), (v, u)):
-            if (labels[a], lbl, labels[b]) == first_key:
-                embeds.append((a, b))
-
-    if reference is not None:
-        ref = tuple(reference)
-        if code[0] != ref[0]:
-            return False
-
-    pattern_labels = [first_key[0], first_key[2]]
-    pattern_edges = {(0, 1)}
+    embeds = [
+        (a, b)
+        for u, v, lbl in edges
+        for a, b in ((u, v), (v, u))
+        if (labels[a], lbl, labels[b]) == first_key
+    ]
+    state = _step(*_root_state(first_key[0]), code[0])
     while len(code) < len(edges):
-        rmpath = _rmpath_vertices(code)
-        rightmost = rmpath[-1]
-        best_key: tuple | None = None
-        best_quint: Quint | None = None
-        grown: list[tuple[int, ...]] = []
+        children: dict[Quint, list[tuple[int, tuple[int, ...]]]] = {}
         for assign in embeds:
-            r_img = assign[rightmost]
-            for j in rmpath[:-1]:
-                if (j, rightmost) in pattern_edges:
-                    continue
-                lbl = elabel.get((r_img, assign[j]))
-                if lbl is None:
-                    continue
-                key = (0, j, lbl)
-                if best_key is not None and key > best_key:
-                    continue
-                quint = (rightmost, j, pattern_labels[rightmost], lbl, pattern_labels[j])
-                if key == best_key:
-                    grown.append(assign)
-                else:
-                    best_key, best_quint = key, quint
-                    grown = [assign]
-            in_assign = set(assign)
-            for i in rmpath:
-                u_img = assign[i]
-                for w, lbl in adj[u_img]:
-                    if w in in_assign:
-                        continue
-                    key = (1, -i, lbl, labels[w])
-                    if best_key is not None and key > best_key:
-                        continue
-                    quint = (i, len(assign), pattern_labels[i], lbl, labels[w])
-                    if key == best_key:
-                        grown.append(assign + (w,))
-                    else:
-                        best_key, best_quint = key, quint
-                        grown = [assign + (w,)]
-        if best_quint is None:
+            _extend(children, graph, 0, assign, *state, True)
+        if not children:
             raise ValueError("disconnected graph has no DFS code")
-        code.append(best_quint)
-        embeds = grown
-        frm, to, _, _, tl = best_quint
-        if frm < to:
-            pattern_labels.append(tl)
-            pattern_edges.add((frm, to))
-        else:
-            pattern_edges.add((to, frm))
-        if reference is not None:
-            k = len(code) - 1
-            if code[k] != ref[k]:
-                # quints extending a shared prefix compare by extension order,
-                # not by raw tuple order
-                if _extension_key(code[k]) > _extension_key(ref[k]):
-                    raise AssertionError("greedy construction exceeded a valid code")
-                return False
+        best = min(children, key=_extension_key)
+        if reference is not None and best != reference[len(code)]:
+            # quints extending a shared prefix compare by extension order,
+            # not by raw tuple order
+            if _extension_key(best) > _extension_key(reference[len(code)]):
+                raise AssertionError("greedy construction exceeded a valid code")
+            return False
+        code.append(best)
+        embeds = [assign for _, assign in children[best]]
+        state = _step(*state, best)
+    if len(state[1]) < len(labels):
+        raise ValueError("disconnected graph has no DFS code")
     if reference is None:
         return tuple(code)
     return True
@@ -313,75 +320,6 @@ def is_canonical(code: Sequence[Quint]) -> bool:
         return True
     labels, edges = _code_labels_edges(code)
     return bool(_minimum_code_construct(labels, edges, reference=code))
-
-
-def contains(haystack: LabeledGraph, needle: LabeledGraph) -> bool:
-    """Subgraph isomorphism: does an embedding of needle exist in haystack?"""
-    k = needle.vertex_count
-    if k == 0:
-        return True
-    if k > haystack.vertex_count or needle.edge_count > haystack.edge_count:
-        return False
-    # order needle vertices so every vertex after the first has a prior neighbor
-    order = [0]
-    placed = {0}
-    while len(order) < k:
-        nxt = None
-        for v in order:
-            for w, _ in needle.adjacency[v]:
-                if w not in placed:
-                    nxt = w
-                    break
-            if nxt is not None:
-                break
-        if nxt is None:
-            raise ValueError("needle must be connected")
-        order.append(nxt)
-        placed.add(nxt)
-    anchors: list[list[tuple[int, int]]] = []
-    for idx, v in enumerate(order):
-        prior = []
-        for w, lbl in needle.adjacency[v]:
-            if w in order[:idx]:
-                prior.append((order.index(w), lbl))
-        anchors.append(prior)
-
-    assign: list[int] = []
-    used: set[int] = set()
-
-    def place(idx: int) -> bool:
-        if idx == k:
-            return True
-        v = order[idx]
-        want = needle.vertex_labels[v]
-        if idx == 0:
-            candidates: Iterable[int] = range(haystack.vertex_count)
-        else:
-            anchor_pos, anchor_lbl = anchors[idx][0]
-            candidates = [
-                w
-                for w, lbl in haystack.adjacency[assign[anchor_pos]]
-                if lbl == anchor_lbl
-            ]
-        for w in candidates:
-            if w in used or haystack.vertex_labels[w] != want:
-                continue
-            ok = True
-            for pos, lbl in anchors[idx]:
-                if haystack.edge_label(assign[pos], w) != lbl:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign.append(w)
-            used.add(w)
-            if place(idx + 1):
-                return True
-            assign.pop()
-            used.remove(w)
-        return False
-
-    return place(0)
 
 
 class _Miner:
@@ -444,58 +382,42 @@ class _Miner:
                     if vl[a] <= vl[b]:
                         quint = (0, 1, vl[a], el, vl[b])
                         roots.setdefault(quint, []).append((pos, (a, b)))
-        for quint in sorted(roots):
+        # the roots go on the stack last first, so they pop in sorted order
+        self._grow([
+            ((quint,), roots[quint], _root_state(quint[2]))
+            for quint in sorted(roots, reverse=True)
+        ])
+
+    def _grow(self, stack: list[tuple[tuple[Quint, ...], list, _State]]) -> None:
+        """Grow every code on ``stack`` depth first, popping from its end.
+
+        An entry is (code, projections, state of the code without its last
+        quint). Support is tested when an entry is popped, against the
+        threshold of that moment: ``on_emit`` may have raised it while
+        earlier siblings grew. Children are pushed in reverse extension
+        order, so codes are visited and emitted in gSpan preorder.
+        """
+        graphs = self.db.graphs
+        max_vertices = self.config.max_vertices
+        while stack:
             self._check_deadline()
-            projs = roots[quint]
-            if len({pos for pos, _ in projs}) >= self.sigma:
-                self._grow((quint,), projs)
-
-    def _grow(self, code: tuple[Quint, ...], projs: list[tuple[int, tuple[int, ...]]]) -> None:
-        self._check_deadline()
-        if len(code) > 1 and not is_canonical(code):
-            return
-        occurrences = frozenset(pos for pos, _ in projs)
-        self._emit(code, occurrences)
-        if len(occurrences) < self.sigma:
-            return
-
-        rmpath = _rmpath_vertices(code)
-        rightmost = rmpath[-1]
-        pattern_labels, pattern_edge_list = _code_labels_edges(code)
-        pattern_edges = {(u, v) for u, v, _ in pattern_edge_list}
-        at_cap = (
-            self.config.max_vertices is not None
-            and len(pattern_labels) >= self.config.max_vertices
-        )
-
-        children: dict[Quint, list[tuple[int, tuple[int, ...]]]] = {}
-        for pos, assign in projs:
-            g = self.db.graphs[pos]
-            r_img = assign[rightmost]
-            for j in rmpath[:-1]:
-                if (min(j, rightmost), max(j, rightmost)) in pattern_edges:
-                    continue
-                lbl = g.edge_label(r_img, assign[j])
-                if lbl is None:
-                    continue
-                quint = (rightmost, j, pattern_labels[rightmost], lbl, pattern_labels[j])
-                children.setdefault(quint, []).append((pos, assign))
-            if at_cap:
+            code, projs, state = stack.pop()
+            support = {pos for pos, _ in projs}
+            if len(support) < self.sigma:
                 continue
-            in_assign = set(assign)
-            new_id = len(assign)
-            for i in rmpath:
-                u_img = assign[i]
-                for w, lbl in g.adjacency[u_img]:
-                    if w in in_assign:
-                        continue
-                    quint = (i, new_id, pattern_labels[i], lbl, g.vertex_labels[w])
-                    children.setdefault(quint, []).append((pos, assign + (w,)))
-
-        for quint in sorted(children, key=_extension_key):
-            child_projs = children[quint]
-            if len({pos for pos, _ in child_projs}) >= self.sigma:
-                self._grow(code + (quint,), child_projs)
+            if len(code) > 1 and not is_canonical(code):
+                continue
+            occurrences = frozenset(support)
+            self._emit(code, occurrences)
+            if len(occurrences) < self.sigma:
+                continue
+            state = _step(*state, code[-1])
+            forward = max_vertices is None or len(state[1]) < max_vertices
+            children: dict[Quint, list[tuple[int, tuple[int, ...]]]] = {}
+            for pos, assign in projs:
+                _extend(children, graphs[pos], pos, assign, *state, forward)
+            for quint in sorted(children, key=_extension_key, reverse=True):
+                stack.append((code + (quint,), children[quint], state))
 
 
 def mine(

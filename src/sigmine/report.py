@@ -87,6 +87,8 @@ class RunConfig:
             raise ValueError("permutations must be >= 1")
         if self.fwer_permutations < 0:
             raise ValueError("fwer_permutations must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.bf_timeout is not None and self.bf_timeout <= 0:

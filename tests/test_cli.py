@@ -66,6 +66,7 @@ class TestRunConfigValidation:
             {"threads": 0},
             {"bf_timeout": 0.0},
             {"format": "xml"},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -368,6 +369,10 @@ class TestCommandLine:
         from sigmine.cli import config_from_args
 
         assert config_from_args(args).max_vertices is None
+
+    def test_negative_max_vertices_is_a_usage_error(self, toy_path, capsys):
+        assert main(["--input", toy_path, "--max-vertices", "-1"]) == 1
+        assert "max-vertices" in capsys.readouterr().err
 
     def test_module_entry_point(self, toy_path):
         proc = subprocess.run(

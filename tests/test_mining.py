@@ -1,3 +1,5 @@
+import inspect
+import sys
 import time
 
 import pytest
@@ -10,10 +12,10 @@ from sigmine.mining import (
     NO_EDGE,
     MinerConfig,
     MiningTimeout,
-    _rmpath_vertices,
+    _root_state,
+    _step,
     code_string,
     code_to_graph,
-    contains,
     is_canonical,
     mine,
     minimum_code,
@@ -158,10 +160,36 @@ def test_minimum_code_rejects_disconnected_input():
         minimum_code(LabeledGraph(0, (0, 0, 1, 1), ((0, 1, 0), (2, 3, 0))))
 
 
+def test_minimum_code_rejects_isolated_vertex():
+    # the edges alone are connected, so only the vertex count can tell
+    with pytest.raises(ValueError, match="disconnected"):
+        minimum_code(LabeledGraph(0, (0, 1, 2), ((0, 1, 0),)))
+
+
 def test_rmpath_follows_last_forward_chain():
-    assert _rmpath_vertices(((0, 1, 0, 0, 0), (1, 2, 0, 0, 0))) == (0, 1, 2)
-    assert _rmpath_vertices(((0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (1, 3, 0, 0, 0))) == (0, 1, 3)
-    assert _rmpath_vertices(((0, 0, 5, NO_EDGE, 5),)) == (0,)
+    state = _root_state(0)
+    for quint in ((0, 1, 0, 0, 0), (1, 2, 0, 0, 0)):
+        state = _step(*state, quint)
+    assert state[0] == (0, 1, 2)
+    assert _step(*state, (1, 3, 0, 0, 0))[0] == (0, 1, 3)
+
+
+def test_mines_a_path_deeper_than_the_recursion_limit():
+    # distinct vertex labels make the whole path the only 70-edge pattern;
+    # growing it takes 70 levels, more than the stack has room for
+    n = 71
+    path = LabeledGraph(0, tuple(range(n)), tuple((v, v + 1, 0) for v in range(n - 1)))
+    db = GraphDatabase.from_graphs([path, LabeledGraph(1, (0,), ())], [1, 0])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        outcome = mine(db, MinerConfig(min_frequency=1, count_singletons=False))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert outcome.status == "completed"
+    longest = max(outcome.patterns, key=lambda p: p.edge_count)
+    assert (longest.vertex_count, longest.edge_count) == (n, n - 1)
+    assert longest.occurrences == frozenset({0})
 
 
 def test_code_validation_rejects_malformed_codes():
@@ -183,20 +211,6 @@ def test_code_validation_rejects_malformed_codes():
         code_to_graph(())
 
 
-def test_contains_basic_cases(db):
-    triangle_host = db.graphs[1]
-    path = LabeledGraph(0, (0, 1, 2), ((0, 1, 0), (1, 2, 1)))
-    assert contains(triangle_host, path)
-    wrong_edge_label = LabeledGraph(0, (0, 1), ((0, 1, 2),))
-    assert not contains(triangle_host, wrong_edge_label)
-    assert contains(triangle_host, LabeledGraph(0, (2,), ()))
-    assert not contains(triangle_host, LabeledGraph(0, (5,), ()))
-    too_big = LabeledGraph(0, (0, 1, 2, 0), ((0, 1, 0), (1, 2, 1), (2, 3, 0)))
-    assert not contains(triangle_host, too_big)
-    with pytest.raises(ValueError, match="connected"):
-        contains(triangle_host, LabeledGraph(0, (0, 1), ()))
-
-
 def test_occurrences_verified_by_brute_force_isomorphism(db):
     outcome = mine(db, MinerConfig(min_frequency=1))
     assert len(outcome.patterns) == 10
@@ -205,7 +219,6 @@ def test_occurrences_verified_by_brute_force_isomorphism(db):
         for pos, host in enumerate(db.graphs):
             present = oracles.iso_contains(host, g.vertex_labels, g.edges)
             assert (pos in p.occurrences) == present
-            assert contains(host, g) == present
 
 
 def test_mining_is_deterministic(db):
@@ -263,3 +276,37 @@ def test_miner_matches_exhaustive_enumeration(db, sigma, max_vertices, singleton
         assert p.x == sum(1 for t in p.occurrences if db.is_internal_positive(t))
         assert p.x + p.x_prime == len(p.occurrences)
     assert got == expected
+
+
+@st.composite
+def renumbered_connected_graph(draw):
+    """A connected labeled graph on at most 6 vertices and a renumbering of it."""
+    nv = draw(st.integers(1, 6))
+    labels = tuple(draw(st.integers(0, 2)) for _ in range(nv))
+    # a random spanning tree keeps the graph connected; other pairs add cycles
+    edges = {(draw(st.integers(0, v - 1)), v): draw(st.integers(0, 1)) for v in range(1, nv)}
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            if (u, v) not in edges and draw(st.booleans()):
+                edges[(u, v)] = draw(st.integers(0, 1))
+    perm = draw(st.permutations(range(nv)))
+    graph = LabeledGraph(0, labels, tuple((u, v, lbl) for (u, v), lbl in edges.items()))
+    renumbered = LabeledGraph(
+        0,
+        tuple(labels[perm.index(v)] for v in range(nv)),
+        tuple((perm[u], perm[v], lbl) for (u, v), lbl in edges.items()),
+    )
+    return graph, renumbered
+
+
+@settings(max_examples=200, deadline=None)
+@given(renumbered_connected_graph())
+def test_minimum_code_is_a_canonical_form(graphs):
+    graph, renumbered = graphs
+    code = minimum_code(graph)
+    assert minimum_code(renumbered) == code
+    assert is_canonical(code)
+    back = code_to_graph(code)
+    assert oracles.canonical_key(back.vertex_labels, back.edges) == oracles.canonical_key(
+        graph.vertex_labels, graph.edges
+    )

@@ -1,6 +1,6 @@
 import pytest
 
-from sigmine.mining import contains
+import oracles
 from sigmine.synth import motif_graph, planted_database, random_database
 
 
@@ -32,7 +32,7 @@ def test_planted_database_embeds_motif_in_carriers():
     db = planted_database(40, seed=7, motif_size=3, carrier_rate=1.0, leak_rate=0.0)
     motif = motif_graph(3, 6)
     hits = [
-        1 if contains(g, motif) else 0 for g in db.graphs
+        1 if oracles.iso_contains(g, motif.vertex_labels, motif.edges) else 0 for g in db.graphs
     ]
     for graph, cls, hit in zip(db.graphs, db.original_classes, hits):
         if cls == 1:
@@ -45,12 +45,12 @@ def test_planted_database_enriches_class_one():
     pos = sum(
         1
         for g, c in zip(db.graphs, db.original_classes)
-        if c == 1 and contains(g, motif)
+        if c == 1 and oracles.iso_contains(g, motif.vertex_labels, motif.edges)
     )
     neg = sum(
         1
         for g, c in zip(db.graphs, db.original_classes)
-        if c == 0 and contains(g, motif)
+        if c == 0 and oracles.iso_contains(g, motif.vertex_labels, motif.edges)
     )
     assert pos > neg
 
