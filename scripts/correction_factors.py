@@ -44,7 +44,6 @@ def main() -> int:
     )
     ap.add_argument("--permutations", type=int, default=1000)
     ap.add_argument("--perm-seed", type=int, default=21)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     db = planted_database(
@@ -81,7 +80,7 @@ def main() -> int:
             continue
 
         plan = PermutationPlan(args.permutations, args.perm_seed, (db.n, db.n_prime))
-        samples = min_p_distribution(result.testable, plan, db, args.tail, args.threads)
+        samples = min_p_distribution(result.testable, plan, db, args.tail)
         m_eff = effective_num_tests(samples, args.alpha, testable)
 
         sig_bf = significant_count(full.patterns, db, args.alpha, args.tail, bonferroni)

@@ -34,7 +34,6 @@ def main() -> int:
     ap.add_argument("--max-graph-vertices", type=int, default=5)
     ap.add_argument("--edge-probability", type=float, default=0.5)
     ap.add_argument("--permutations", type=int, default=2000)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     config = MinerConfig(min_frequency=1)
@@ -64,7 +63,7 @@ def main() -> int:
         threshold = args.alpha / len(result.testable)
         plan = PermutationPlan(args.permutations, seed, (db.n, db.n_prime))
         rate = empirical_fwer(
-            result.testable, threshold, plan, db, args.tail, args.threads
+            result.testable, threshold, plan, db, args.tail
         )
         rates.append(rate)
         flag = "" if rate <= bound else "  ABOVE BOUND"

@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads for permutation stages; never changes results",
+        help="kept for compatibility (must be >= 1); changes neither results nor speed",
     )
     parser.add_argument(
         "--bf-timeout",

@@ -1,29 +1,33 @@
 """Class-label permutation machinery for empirical multiplicity estimates.
 
 Occurrence sets never change under permutation, only which transactions count
-as positive. Each pattern's occurrence list is packed into an integer bit
-vector once; a permuted contingency table is then a single popcount against
-the permuted positive-class mask. Masks are derived independently per
-permutation index from a spawned seed sequence, so any subset of permutations
-can be recomputed in any order, on any number of workers, with identical
-results.
+as positive. Each pattern's occurrences are packed once into a row of uint64
+words, one bit per transaction. Permutation masks are drawn a block at a time
+and packed the same way; every permuted positive count in a block is then a
+word-by-word AND and popcount, and one table lookup per margin turns the
+counts into p-values. Each mask comes from its own stream spawned from
+(seed, index), so neither the block size nor the order of evaluation can
+change a result, and any subset of permutations can be recomputed alone.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import GraphDatabase, occurrence_bitvector
+from .graphs import GraphDatabase
 from .mining import Pattern
 from .stats import TailMode, pvalues_over_support
 
-_TAILS = ("left", "right", "two")
+# Pattern x permutation cells evaluated per block. It bounds the count and
+# lookup arrays of a block, and (through the word count) its packed masks, to
+# a few MB whatever the database size or the size of the family.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,18 @@ class PermutationPlan:
             raise ValueError(f"class counts must be positive, got {self.class_counts}")
 
 
+def _shuffled_slots(plan: PermutationPlan, index: int) -> np.ndarray:
+    """0/1 uint8 array over transaction positions, 1 where positive under ``index``."""
+    n, n_prime = plan.class_counts
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=plan.seed, spawn_key=(index,))
+    )
+    slots = np.zeros(n + n_prime, dtype=np.uint8)
+    slots[:n] = 1
+    rng.shuffle(slots)
+    return slots
+
+
 def permutation_mask(plan: PermutationPlan, index: int) -> int:
     """Bit vector of positive positions under permutation ``index``.
 
@@ -50,16 +66,8 @@ def permutation_mask(plan: PermutationPlan, index: int) -> int:
     """
     if not 0 <= index < plan.iterations:
         raise ValueError(f"index {index} outside [0, {plan.iterations})")
-    n, n_prime = plan.class_counts
-    total = n + n_prime
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=plan.seed, spawn_key=(index,))
-    )
-    slots = np.zeros(total, dtype=np.uint8)
-    slots[:n] = 1
-    rng.shuffle(slots)
     mask = 0
-    for position in np.flatnonzero(slots):
+    for position in np.flatnonzero(_shuffled_slots(plan, index)):
         mask |= 1 << int(position)
     return mask
 
@@ -76,6 +84,13 @@ def _check_plan_matches(plan: PermutationPlan, db: GraphDatabase) -> None:
         )
 
 
+def _pack(bits: np.ndarray, width: int) -> np.ndarray:
+    """``width`` uint64 words holding a 0/1 uint8 vector; bit t is position t."""
+    row = np.zeros(width * 64, dtype=np.uint8)
+    row[: bits.size] = bits
+    return np.packbits(row, bitorder="little").view(np.uint64)
+
+
 def min_p_distribution(
     testable: Sequence[Pattern],
     plan: PermutationPlan,
@@ -88,33 +103,49 @@ def min_p_distribution(
     Element j is reproducible from (seed, j) alone. Raises on an empty
     testable set: the minimum over nothing has no meaning and callers must
     treat the estimate as unavailable rather than receive a vacuous one.
+    ``threads`` is kept for compatibility and must be at least 1; it changes
+    neither the result nor the speed.
     """
     if not testable:
         raise ValueError("min-p distribution needs at least one testable pattern")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     _check_plan_matches(plan, db)
     internal_tail = db.internal_tail(tail)
+    total = db.size
+    width = -(-total // 64)
 
-    prepared = []
-    for pattern in testable:
-        lo, pvals = pvalues_over_support(
-            pattern.frequency, db.n, db.n_prime, internal_tail
-        )
-        bits = occurrence_bitvector(db, pattern.occurrences)
-        prepared.append((bits, lo, pvals))
+    # Rows sorted by frequency, so the patterns sharing one p-value table are
+    # a contiguous slice; occ[w] is word w of every row.
+    patterns = sorted(testable, key=lambda p: p.frequency)
+    occ = np.empty((width, len(patterns)), dtype=np.uint64)
+    for row, pattern in enumerate(patterns):
+        membership = np.zeros(total, dtype=np.uint8)
+        membership[list(pattern.occurrences)] = 1
+        occ[:, row] = _pack(membership, width)
+    groups = []
+    start = 0
+    for f, members in groupby(patterns, key=lambda p: p.frequency):
+        stop = start + sum(1 for _ in members)
+        lo, pvals = pvalues_over_support(f, db.n, db.n_prime, internal_tail)
+        groups.append((start, stop, lo, np.array(pvals)))
+        start = stop
 
-    def one(index: int) -> float:
-        mask = permutation_mask(plan, index)
-        best = math.inf
-        for bits, lo, pvals in prepared:
-            p = pvals[permuted_positive_count(bits, mask) - lo]
-            if p < best:
-                best = p
-        return best
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(one, range(plan.iterations)))
-    return tuple(one(j) for j in range(plan.iterations))
+    block = max(1, _BLOCK_CELLS // max(len(patterns), width))
+    minima = np.empty(plan.iterations)
+    for first in range(0, plan.iterations, block):
+        indices = range(first, min(first + block, plan.iterations))
+        masks = np.empty((width, len(indices)), dtype=np.uint64)
+        for col, index in enumerate(indices):
+            masks[:, col] = _pack(_shuffled_slots(plan, index), width)
+        counts = np.zeros((len(patterns), len(indices)), dtype=np.intp)
+        for w in range(width):
+            counts += np.bitwise_count(occ[w][:, None] & masks[w][None, :])
+        best = minima[first : first + len(indices)]
+        best[:] = math.inf
+        for start, stop, lo, pvals in groups:
+            np.minimum(best, pvals[counts[start:stop] - lo].min(axis=0), out=best)
+    return tuple(minima.tolist())
 
 
 def effective_num_tests(

@@ -2,7 +2,10 @@
 
 Slow but transparent: exact rational arithmetic for the statistics,
 exhaustive enumeration for the miner. Nothing here shares code paths with
-the modules under test.
+the modules under test, except ``min_p_reference``: it is the scalar
+permutation loop built from the package's reference definitions (one mask,
+one popcount and one table lookup at a time), against which the vectorised
+engine must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -163,3 +166,28 @@ def iso_contains(graph, labels, edges) -> bool:
 
 def recount_positives(occurrence_positions, class_by_position) -> int:
     return sum(1 for p in occurrence_positions if class_by_position[p] == 1)
+
+
+def min_p_reference(testable, plan, db, tail="two"):
+    """Per-permutation minimum p-value, one mask and one pattern at a time."""
+    from sigmine.graphs import occurrence_bitvector
+    from sigmine.permute import permutation_mask, permuted_positive_count
+    from sigmine.stats import pvalues_over_support
+
+    internal_tail = db.internal_tail(tail)
+    prepared = []
+    for pattern in testable:
+        lo, pvals = pvalues_over_support(
+            pattern.frequency, db.n, db.n_prime, internal_tail
+        )
+        prepared.append((occurrence_bitvector(db, pattern.occurrences), lo, pvals))
+    samples = []
+    for index in range(plan.iterations):
+        mask = permutation_mask(plan, index)
+        best = float("inf")
+        for bits, lo, pvals in prepared:
+            p = pvals[permuted_positive_count(bits, mask) - lo]
+            if p < best:
+                best = p
+        samples.append(best)
+    return tuple(samples)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -375,10 +377,16 @@ class TestCommandLine:
         assert "max-vertices" in capsys.readouterr().err
 
     def test_module_entry_point(self, toy_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "sigmine", "--input", toy_path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("pattern,")

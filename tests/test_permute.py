@@ -1,12 +1,17 @@
 import math
+import random
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from sigmine import permute
 from sigmine.graphs import GraphDatabase, LabeledGraph, occurrence_bitvector
-from sigmine.mining import MinerConfig
+from sigmine.mining import MinerConfig, Pattern
 from sigmine.permute import (
     PermutationPlan,
     effective_num_tests,
@@ -24,6 +29,36 @@ CONFIG = MinerConfig(min_frequency=1)
 
 def edgeless(gid, labels):
     return LabeledGraph(gid, labels, ())
+
+
+def unlabeled_db(classes):
+    return GraphDatabase.from_graphs(
+        tuple(edgeless(i, (0,)) for i in range(len(classes))), classes
+    )
+
+
+def pattern_at(db, positions):
+    """A pattern occurring exactly at ``positions``; only its support matters."""
+    x = sum(1 for t in positions if db.is_internal_positive(t))
+    return Pattern((), 1, 0, frozenset(positions), x, len(positions) - x)
+
+
+def assert_matches_reference(size, positives, tail, iterations, block, seed, rnd):
+    """The engine equals the scalar loop exactly, ``block`` permutations at a time.
+
+    The family always holds a frequency-1 and a frequency-N pattern.
+    """
+    classes = [1] * positives + [0] * (size - positives)
+    rnd.shuffle(classes)
+    db = unlabeled_db(classes)
+    supports = [[rnd.randrange(size)], list(range(size))]
+    supports += [rnd.sample(range(size), rnd.randint(1, size)) for _ in range(8)]
+    testable = [pattern_at(db, s) for s in supports]
+    plan = PermutationPlan(iterations, seed, (db.n, db.n_prime))
+    cells = block * max(len(testable), -(-size // 64))
+    with mock.patch.object(permute, "_BLOCK_CELLS", cells):
+        engine = min_p_distribution(testable, plan, db, tail)
+    assert engine == oracles.min_p_reference(testable, plan, db, tail)
 
 
 @pytest.fixture
@@ -125,6 +160,13 @@ class TestMinPDistribution:
         )
         assert serial == threaded
 
+    def test_threads_below_one_rejected(self, enriched_db, enriched_result):
+        plan = PermutationPlan(8, 21, (10, 10))
+        with pytest.raises(ValueError):
+            min_p_distribution(
+                enriched_result.testable, plan, enriched_db, "right", threads=0
+            )
+
     def test_single_pattern_tracks_its_own_table(self, enriched_db, enriched_result):
         # with one pattern the minimum is that pattern's p-value, which can
         # be recomputed from the mask by explicit membership counting
@@ -140,6 +182,49 @@ class TestMinPDistribution:
             assert x == permuted_positive_count(bits, mask)
             table = ContingencyTable(x=x, x_prime=pattern.frequency - x, n=10, n_prime=10)
             assert sample == fisher_pvalue(table, "right").pvalue
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_reference(self, data):
+        # sizes around word boundaries, both class orientations, every tail,
+        # and blocks that do not divide the permutation count
+        size = data.draw(st.sampled_from([63, 64, 65, 128, 129, 513]), label="size")
+        assert_matches_reference(
+            size,
+            positives=data.draw(st.integers(1, size - 1), label="positives"),
+            tail=data.draw(st.sampled_from(["left", "right", "two"]), label="tail"),
+            iterations=data.draw(st.integers(1, 40), label="iterations"),
+            block=data.draw(st.integers(1, 16), label="block"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            rnd=data.draw(st.randoms(use_true_random=False), label="rnd"),
+        )
+
+    def test_matches_scalar_reference_past_a_byte(self):
+        # swapped classes with n = 256, so a frequency-N pattern counts 256
+        assert_matches_reference(
+            513, 257, "right", iterations=23, block=5, seed=3, rnd=random.Random(0)
+        )
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 20000 graphs, 400 patterns and 1500 permutations (several blocks):
+        # unblocked, the count and AND arrays alone would take about 10 MB
+        rnd = random.Random(5)
+        size = 20000
+        db = unlabeled_db([1] * (size // 2) + [0] * (size // 2))
+        testable = [
+            pattern_at(db, rnd.sample(range(size), rnd.randint(1, 60)))
+            for _ in range(400)
+        ]
+        plan = PermutationPlan(1500, 1, (db.n, db.n_prime))
+        tracemalloc.start()
+        try:
+            samples = min_p_distribution(testable, plan, db, "two")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 1500
+        assert peak < 8 * 2**20
 
 
 class TestEffectiveNumTests:
