@@ -37,11 +37,6 @@ from .search import (
     SignificanceRecord,
     count_m_of_k,
     find_root,
-    find_root_bisection,
-    find_root_decremental,
-    find_root_dynamic,
-    find_root_incremental,
-    find_root_onepass,
     score_patterns,
     significant_set,
 )
@@ -77,11 +72,6 @@ __all__ = [
     "effective_num_tests",
     "empirical_fwer",
     "find_root",
-    "find_root_bisection",
-    "find_root_decremental",
-    "find_root_dynamic",
-    "find_root_incremental",
-    "find_root_onepass",
     "fisher_pvalue",
     "min_attainable_pvalue",
     "min_p_distribution",

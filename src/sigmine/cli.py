@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="kept for compatibility (must be >= 1); changes neither results nor speed",
+        help="accepted for compatibility (must be >= 1) and ignored; "
+        "runs are single-threaded",
     )
     parser.add_argument(
         "--bf-timeout",
@@ -109,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.max_vertices < 0:
         raise ValueError("--max-vertices must be 0 (unlimited) or positive")
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     return RunConfig(
         input=args.input,
         labels=args.labels,
@@ -124,7 +127,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         format=args.format,
         trace=args.trace,
         count_singletons=args.count_singletons == "on",
-        threads=args.threads,
         bf_timeout=args.bf_timeout,
         min_p_out=args.min_p_out,
     )

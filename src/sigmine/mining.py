@@ -15,18 +15,17 @@ not bounded by Python's recursion limit.
 
 Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 
-The miner supports a hard cap on emitted patterns (``pattern_budget``) used by
-the budgeted search strategies: exceeding the cap aborts the run, reporting
-``emitted_count == budget + 1`` and no patterns. It also accepts a hook that
-raises the support threshold while the run is in progress; the live threshold
-is miner state, so ``MinerConfig`` stays immutable.
+A run can be steered through a hook called at every emission. The hook may
+raise the support threshold while the run is in progress (the live threshold
+is miner state, so ``MinerConfig`` stays immutable), and an exception it
+raises ends the run. The root search steers its probes with both.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 from .graphs import GraphDatabase, LabeledGraph
 
@@ -39,23 +38,17 @@ class MiningTimeout(RuntimeError):
     """Raised when a mining deadline passes before enumeration finishes."""
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class MinerConfig:
     """Tuning for one mining run.
 
     min_frequency: support threshold sigma, at least 1.
     max_vertices: largest pattern vertex count, None for unlimited.
-    pattern_budget: abort after emitting this many patterns, None for unlimited.
     count_singletons: include single-vertex patterns.
     """
 
     min_frequency: int
     max_vertices: int | None = None
-    pattern_budget: int | None = None
     count_singletons: bool = True
 
     def __post_init__(self) -> None:
@@ -63,8 +56,6 @@ class MinerConfig:
             raise ValueError("min_frequency must be at least 1")
         if self.max_vertices is not None and self.max_vertices < 1:
             raise ValueError("max_vertices must be at least 1 or None")
-        if self.pattern_budget is not None and self.pattern_budget < 0:
-            raise ValueError("pattern_budget must be non-negative or None")
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,6 @@ class Pattern:
 
 @dataclass(frozen=True)
 class MiningOutcome:
-    status: Literal["completed", "terminated_early"]
     patterns: tuple[Pattern, ...]
     emitted_count: int
 
@@ -344,9 +334,6 @@ class _Miner:
 
     def _emit(self, code: tuple[Quint, ...], occurrences: frozenset[int]) -> None:
         self.emitted += 1
-        budget = self.config.pattern_budget
-        if budget is not None and self.emitted > budget:
-            raise _BudgetExceeded
         x = sum(1 for t in occurrences if self.db.is_internal_positive(t))
         if _is_singleton(code):
             nv, ne = 1, 0
@@ -429,8 +416,7 @@ def mine(
     """Enumerate all connected patterns with support >= config.min_frequency.
 
     ``deadline`` is an absolute time.monotonic() timestamp; passing it raises
-    MiningTimeout. A run that trips config.pattern_budget reports status
-    "terminated_early" with emitted_count == budget + 1 and no patterns.
+    MiningTimeout.
 
     ``on_emit`` is called with the support of each emitted pattern and returns
     the support threshold from then on; a return below the current threshold
@@ -438,11 +424,9 @@ def mine(
     growth of the pattern just emitted if it fell below, and drops the
     patterns kept so far that fell below, so the outcome holds exactly the
     emitted patterns at or above the final threshold. ``emitted_count`` still
-    counts every emission.
+    counts every emission. An exception raised by ``on_emit`` ends the run
+    and propagates to the caller.
     """
     miner = _Miner(db, config, deadline, on_emit)
-    try:
-        miner.run()
-    except _BudgetExceeded:
-        return MiningOutcome("terminated_early", (), miner.emitted)
-    return MiningOutcome("completed", tuple(miner.patterns), miner.emitted)
+    miner.run()
+    return MiningOutcome(tuple(miner.patterns), miner.emitted)

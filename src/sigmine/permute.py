@@ -41,6 +41,8 @@ class PermutationPlan:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         n, n_prime = self.class_counts
         if n < 1 or n_prime < 1:
             raise ValueError(f"class counts must be positive, got {self.class_counts}")
@@ -96,20 +98,15 @@ def min_p_distribution(
     plan: PermutationPlan,
     db: GraphDatabase,
     tail: TailMode = "two",
-    threads: int = 1,
 ) -> tuple[float, ...]:
     """Per-permutation minima of the exact-test p-value over ``testable``.
 
     Element j is reproducible from (seed, j) alone. Raises on an empty
     testable set: the minimum over nothing has no meaning and callers must
     treat the estimate as unavailable rather than receive a vacuous one.
-    ``threads`` is kept for compatibility and must be at least 1; it changes
-    neither the result nor the speed.
     """
     if not testable:
         raise ValueError("min-p distribution needs at least one testable pattern")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     _check_plan_matches(plan, db)
     internal_tail = db.internal_tail(tail)
     total = db.size
@@ -182,7 +179,6 @@ def empirical_fwer(
     plan: PermutationPlan,
     db: GraphDatabase,
     tail: TailMode = "two",
-    threads: int = 1,
 ) -> float:
     """Fraction of permutations whose best p-value beats ``threshold``.
 
@@ -191,7 +187,7 @@ def empirical_fwer(
     """
     if not testable:
         return 0.0
-    samples = min_p_distribution(testable, plan, db, tail, threads)
+    samples = min_p_distribution(testable, plan, db, tail)
     return sum(1 for s in samples if s < threshold) / len(samples)
 
 

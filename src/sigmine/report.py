@@ -68,7 +68,6 @@ class RunConfig:
     format: Literal["csv", "json"] = "csv"
     trace: str | None = None
     count_singletons: bool = True
-    threads: int = 1
     bf_timeout: float | None = None
     min_p_out: str | None = None
 
@@ -89,9 +88,8 @@ class RunConfig:
             raise ValueError("fwer_permutations must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.bf_timeout is not None and self.bf_timeout <= 0:
+        # NaN compares false with everything, so `not > 0` rejects it too
+        if self.bf_timeout is not None and not self.bf_timeout > 0:
             raise ValueError("bf_timeout must be positive or None")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
@@ -182,9 +180,7 @@ def run_pipeline(config: RunConfig) -> Report:
                 plan = PermutationPlan(
                     config.permutations, config.seed, (db.n, db.n_prime)
                 )
-                min_p_samples = min_p_distribution(
-                    result.testable, plan, db, config.tail, config.threads
-                )
+                min_p_samples = min_p_distribution(result.testable, plan, db, config.tail)
                 m_eff = effective_num_tests(
                     min_p_samples, config.alpha, len(result.testable)
                 )
@@ -199,9 +195,7 @@ def run_pipeline(config: RunConfig) -> Report:
         plan = PermutationPlan(
             config.fwer_permutations, config.seed + 1, (db.n, db.n_prime)
         )
-        fwer = empirical_fwer(
-            family, config.alpha / factor, plan, db, config.tail, config.threads
-        )
+        fwer = empirical_fwer(family, config.alpha / factor, plan, db, config.tail)
 
     ones, zeros = _original_class_sizes(db)
     summary = {

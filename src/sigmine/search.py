@@ -4,10 +4,16 @@ The root frequency is the smallest support threshold sigma at which the number
 of frequent patterns fits inside the testability budget alpha / psi(sigma),
 where psi is the frequency-indexed lower bound on attainable p-values. The
 predicate "count fits the budget" is monotone in sigma: raising sigma can only
-shrink the count and grow the budget. Five search strategies exploit that
-monotonicity differently but must return identical results. The budgeted ones
-probe with hard pattern budgets so that oversized mining runs abort early; the
-default, ``dynamic``, mines once and raises its own threshold as it goes.
+shrink the count and grow the budget.
+
+``find_root`` is the one entry point. It finds the minimum testable frequency,
+hands it to a strategy, and assembles the result. A strategy is a policy for
+which mining runs to make; five exploit the monotonicity differently but must
+return identical results. The budgeted probes of ``incremental`` and
+``bisection`` abort a run once it emits one pattern more than the budget at
+its threshold; the default, ``dynamic``, mines once and raises its own
+threshold as it goes. Both steer the miner through its ``on_emit`` hook, so
+the budget is known only here.
 
 Because psi plateaus once sigma exceeds the smaller class size n, the root can
 lie above n on degenerate inputs; every strategy escalates upward past n in
@@ -24,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Literal, Sequence
 
 from .graphs import GraphDatabase
-from .mining import MinerConfig, MiningOutcome, Pattern, code_string, mine
+from .mining import MinerConfig, Pattern, code_string, mine
 from .stats import (
     ContingencyTable,
     TailMode,
@@ -34,8 +40,6 @@ from .stats import (
 )
 
 Strategy = Literal["dynamic", "onepass", "decremental", "incremental", "bisection"]
-
-STRATEGIES = ("dynamic", "onepass", "decremental", "incremental", "bisection")
 
 
 @dataclass(frozen=True)
@@ -100,21 +104,12 @@ def count_m_of_k(
     )
 
 
-def _int_budget(alpha: float, min_p: float) -> int | None:
-    """floor(alpha / min_p) as the largest admissible pattern count.
-
-    None means unlimited (the bound underflowed to zero, so any count fits).
-    """
-    if min_p <= 0.0:
-        return None
-    ratio = alpha / min_p
-    if not math.isfinite(ratio):
-        return None
-    return math.floor(ratio)
+class _BudgetExceeded(Exception):
+    """A probe emitted one pattern more than its budget."""
 
 
 class _Session:
-    """Shared bookkeeping for one search: counts, trace, timing."""
+    """What one search shares between its mining runs: counts and trace."""
 
     def __init__(self, db: GraphDatabase, alpha: float, config: MinerConfig, tail: TailMode):
         self.db = db
@@ -124,91 +119,73 @@ class _Session:
         self.invocations = 0
         self.expanded = 0
         self.trace: list[TraceEntry] = []
-        self.started = time.perf_counter()
 
     def bound(self, sigma: int) -> float:
         return min_attainable_pvalue(sigma, self.db.n, self.db.n_prime, self.tail)
 
     def budget(self, sigma: int) -> int | None:
-        return _int_budget(self.alpha, self.bound(sigma))
+        """floor(alpha / psi(sigma)), the largest admissible pattern count.
 
-    def mine_at(
-        self,
-        sigma: int,
-        pattern_budget: int | None,
-        on_emit: Callable[[int], int] | None = None,
-    ) -> MiningOutcome:
-        config = replace(
-            self.config, min_frequency=sigma, pattern_budget=pattern_budget
-        )
-        t0 = time.perf_counter()
-        outcome = mine(self.db, config, on_emit=on_emit)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        self.invocations += 1
-        self.expanded += outcome.emitted_count
-        self.trace.append(
-            TraceEntry(sigma, pattern_budget, outcome.status, outcome.emitted_count, elapsed_ms)
-        )
-        return outcome
+        None means unlimited (the bound underflowed to zero, so any count fits).
+        """
+        min_p = self.bound(sigma)
+        if min_p <= 0.0:
+            return None
+        ratio = self.alpha / min_p
+        return math.floor(ratio) if math.isfinite(ratio) else None
 
     def fits(self, count: int, sigma: int) -> bool:
         budget = self.budget(sigma)
         return budget is None or count <= budget
 
-    def no_testable(self) -> RootSearchResult:
-        return RootSearchResult(
-            status="no_testable",
-            min_testable_frequency=None,
-            root_frequency=None,
-            root_budget=None,
-            testable=(),
-            fsm_invocations=self.invocations,
-            patterns_expanded=self.expanded,
-            wall_time_s=time.perf_counter() - self.started,
-            trace=tuple(self.trace),
-        )
+    def mine_at(
+        self,
+        sigma: int,
+        budget: int | None = None,
+        raise_sigma: Callable[[int], int] | None = None,
+    ) -> tuple[Pattern, ...] | None:
+        """Mine at ``sigma`` and record the run; None when the budget tripped.
 
-    def found(
-        self, sigma_min: int, sigma_rt: int, testable: Sequence[Pattern]
-    ) -> RootSearchResult:
-        bound = self.bound(sigma_rt)
-        return RootSearchResult(
-            status="ok",
-            min_testable_frequency=sigma_min,
-            root_frequency=sigma_rt,
-            root_budget=(self.alpha / bound) if bound > 0.0 else math.inf,
-            testable=tuple(testable),
-            fsm_invocations=self.invocations,
-            patterns_expanded=self.expanded,
-            wall_time_s=time.perf_counter() - self.started,
-            trace=tuple(self.trace),
-        )
+        The run aborts at its ``budget + 1``-th emission. ``raise_sigma``, when
+        given, sees the support of every emission and returns the miner's
+        threshold from then on.
+        """
+        emitted = 0
 
+        def on_emit(frequency: int) -> int:
+            nonlocal emitted
+            emitted += 1
+            if budget is not None and emitted > budget:
+                raise _BudgetExceeded
+            return sigma if raise_sigma is None else raise_sigma(frequency)
 
-def _suffix_counter(patterns: Sequence[Pattern]) -> Callable[[int], int]:
-    freqs = sorted(p.frequency for p in patterns)
-
-    def count_at(sigma: int) -> int:
-        return len(freqs) - bisect_left(freqs, sigma)
-
-    return count_at
+        config = replace(self.config, min_frequency=sigma)
+        t0 = time.perf_counter()
+        try:
+            patterns = mine(self.db, config, on_emit=on_emit).patterns
+            status = "completed"
+        except _BudgetExceeded:
+            patterns, status = None, "terminated_early"
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        self.invocations += 1
+        self.expanded += emitted
+        self.trace.append(TraceEntry(sigma, budget, status, emitted, elapsed_ms))
+        return patterns
 
 
-def _scan_up(session: _Session, sigma: int, patterns: Sequence[Pattern], sigma_min: int):
+def _scan_up(session: _Session, sigma: int, patterns: Sequence[Pattern]):
     """Walk sigma upward over an already-mined multiset until the count fits.
 
     Requires ``patterns`` to be complete for frequencies >= sigma. Terminates
     because the count reaches zero once sigma passes the largest frequency.
     """
-    count_at = _suffix_counter(patterns)
-    while not session.fits(count_at(sigma), sigma):
+    freqs = sorted(p.frequency for p in patterns)
+    while not session.fits(len(freqs) - bisect_left(freqs, sigma), sigma):
         sigma += 1
-    return session.found(sigma_min, sigma, [p for p in patterns if p.frequency >= sigma])
+    return sigma, [p for p in patterns if p.frequency >= sigma]
 
 
-def find_root_dynamic(
-    db: GraphDatabase, alpha: float, config: MinerConfig, tail: TailMode = "two"
-) -> RootSearchResult:
+def _dynamic(session: _Session, sigma_min: int):
     """Mine once from the minimum testable frequency, raising sigma as it goes.
 
     A histogram of emitted frequencies gives the count at the live sigma.
@@ -219,10 +196,6 @@ def find_root_dynamic(
     The final sigma is therefore the root and the patterns kept are the
     testable set. Above n the budget is flat and the same loop climbs on.
     """
-    session = _Session(db, alpha, config, tail)
-    sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
-    if sigma_min is None:
-        return session.no_testable()
     histogram: Counter[int] = Counter()
     sigma, count, budget = sigma_min, 0, session.budget(sigma_min)
 
@@ -237,112 +210,83 @@ def find_root_dynamic(
             budget = session.budget(sigma)
         return sigma
 
-    outcome = session.mine_at(sigma_min, None, raise_sigma)
-    return session.found(sigma_min, sigma, outcome.patterns)
+    patterns = session.mine_at(sigma_min, raise_sigma=raise_sigma)
+    return sigma, patterns
 
 
-def find_root_onepass(
-    db: GraphDatabase, alpha: float, config: MinerConfig, tail: TailMode = "two"
-) -> RootSearchResult:
+def _onepass(session: _Session, sigma_min: int):
     """Mine once at the minimum testable frequency, then scan upward."""
-    session = _Session(db, alpha, config, tail)
-    sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
-    if sigma_min is None:
-        return session.no_testable()
-    outcome = session.mine_at(sigma_min, None)
-    return _scan_up(session, sigma_min, outcome.patterns, sigma_min)
+    return _scan_up(session, sigma_min, session.mine_at(sigma_min))
 
 
-def find_root_decremental(
-    db: GraphDatabase, alpha: float, config: MinerConfig, tail: TailMode = "two"
-) -> RootSearchResult:
+def _decremental(session: _Session, sigma_min: int):
     """Full mines from sigma = n downward until the budget first fails."""
-    session = _Session(db, alpha, config, tail)
-    sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
-    if sigma_min is None:
-        return session.no_testable()
-    sigma = db.n
-    outcome = session.mine_at(sigma, None)
-    if not session.fits(len(outcome.patterns), sigma):
+    sigma = session.db.n
+    patterns = session.mine_at(sigma)
+    if not session.fits(len(patterns), sigma):
         # the root lies in the plateau above n; the n-run already contains
         # every pattern it could need, so scan upward without mining again
-        return _scan_up(session, sigma + 1, outcome.patterns, sigma_min)
-    good_sigma, good_patterns = sigma, outcome.patterns
+        return _scan_up(session, sigma + 1, patterns)
+    good = sigma, patterns
     while sigma > sigma_min:
         sigma -= 1
-        outcome = session.mine_at(sigma, None)
-        if not session.fits(len(outcome.patterns), sigma):
+        patterns = session.mine_at(sigma)
+        if not session.fits(len(patterns), sigma):
             break
-        good_sigma, good_patterns = sigma, outcome.patterns
-    return session.found(sigma_min, good_sigma, good_patterns)
+        good = sigma, patterns
+    return good
 
 
-def find_root_incremental(
-    db: GraphDatabase, alpha: float, config: MinerConfig, tail: TailMode = "two"
-) -> RootSearchResult:
+def _incremental(session: _Session, sigma_min: int):
     """Budgeted probes from sigma_min upward; first completed run wins.
 
     Exactly one mining run completes (the final one); every earlier probe is
     aborted by its pattern budget.
     """
-    session = _Session(db, alpha, config, tail)
-    sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
-    if sigma_min is None:
-        return session.no_testable()
     sigma = sigma_min
-    while True:
-        outcome = session.mine_at(sigma, session.budget(sigma))
-        if outcome.status == "completed":
-            return session.found(sigma_min, sigma, outcome.patterns)
+    while (patterns := session.mine_at(sigma, session.budget(sigma))) is None:
         sigma += 1
+    return sigma, patterns
 
 
-def find_root_bisection(
-    db: GraphDatabase, alpha: float, config: MinerConfig, tail: TailMode = "two"
-) -> RootSearchResult:
+def _bisection(session: _Session, sigma_min: int):
     """Bisect [sigma_min, n] with memoized budgeted probes.
 
     A terminated probe moves the lower bound, a completed one the upper bound.
     After the interval closes, unprobed endpoints are probed directly; if even
     sigma = n fails, the search escalates above n where the budget is flat.
     """
-    session = _Session(db, alpha, config, tail)
-    sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
-    if sigma_min is None:
-        return session.no_testable()
+    memo: dict[int, tuple[Pattern, ...] | None] = {}
 
-    memo: dict[int, MiningOutcome] = {}
-
-    def probe(sigma: int) -> MiningOutcome:
+    def probe(sigma: int) -> tuple[Pattern, ...] | None:
         if sigma not in memo:
             memo[sigma] = session.mine_at(sigma, session.budget(sigma))
         return memo[sigma]
 
-    lo, hi = sigma_min, db.n
+    lo, hi = sigma_min, session.db.n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if probe(mid).status == "completed":
-            hi = mid
-        else:
+        if probe(mid) is None:
             lo = mid
-    low_probe = probe(lo)
-    if low_probe.status == "completed":
-        return session.found(sigma_min, lo, low_probe.patterns)
-    sigma = hi
-    while True:
-        outcome = probe(sigma)
-        if outcome.status == "completed":
-            return session.found(sigma_min, sigma, outcome.patterns)
+        else:
+            hi = mid
+    sigma = lo if probe(lo) is not None else hi
+    while probe(sigma) is None:
         sigma += 1
+    return sigma, probe(sigma)
 
 
-_FINDERS: dict[str, Callable[..., RootSearchResult]] = {
-    "dynamic": find_root_dynamic,
-    "onepass": find_root_onepass,
-    "decremental": find_root_decremental,
-    "incremental": find_root_incremental,
-    "bisection": find_root_bisection,
+# Each policy takes the session and sigma_min and returns the root frequency
+# with the patterns at or above it.
+_FINDERS: dict[str, Callable[[_Session, int], tuple[int, Sequence[Pattern]]]] = {
+    "dynamic": _dynamic,
+    "onepass": _onepass,
+    "decremental": _decremental,
+    "incremental": _incremental,
+    "bisection": _bisection,
 }
+
+STRATEGIES = tuple(_FINDERS)
 
 
 def find_root(
@@ -352,12 +296,36 @@ def find_root(
     tail: TailMode = "two",
     strategy: Strategy = "dynamic",
 ) -> RootSearchResult:
-    """Dispatch to one of the five interchangeable strategies."""
+    """Search the root frequency with one of the interchangeable strategies.
+
+    ``config`` sets the miner's vertex cap and singleton rule; its
+    ``min_frequency`` is replaced by each run's threshold. Every strategy
+    returns the same root and testable set; they differ only in the mining
+    runs recorded in ``trace``, ``fsm_invocations`` and ``patterns_expanded``.
+    """
     try:
-        finder = _FINDERS[strategy]
+        policy = _FINDERS[strategy]
     except KeyError:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}") from None
-    return finder(db, alpha, config, tail)
+    started = time.perf_counter()
+    session = _Session(db, alpha, config, tail)
+    sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
+    sigma_rt, testable, root_budget = None, (), None
+    if sigma_min is not None:
+        sigma_rt, testable = policy(session, sigma_min)
+        bound = session.bound(sigma_rt)
+        root_budget = alpha / bound if bound > 0.0 else math.inf
+    return RootSearchResult(
+        status="ok" if sigma_min is not None else "no_testable",
+        min_testable_frequency=sigma_min,
+        root_frequency=sigma_rt,
+        root_budget=root_budget,
+        testable=tuple(testable),
+        fsm_invocations=session.invocations,
+        patterns_expanded=session.expanded,
+        wall_time_s=time.perf_counter() - started,
+        trace=tuple(session.trace),
+    )
 
 
 def score_patterns(

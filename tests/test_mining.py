@@ -46,7 +46,6 @@ def db():
 
 def test_frequent_patterns_and_emission_order(db):
     outcome = mine(db, MinerConfig(min_frequency=2))
-    assert outcome.status == "completed"
     assert outcome.emitted_count == 6
     codes = [p.code for p in outcome.patterns]
     assert codes == [
@@ -67,30 +66,8 @@ def test_frequent_patterns_and_emission_order(db):
     assert code_string(codes[0], db) == "A"
 
 
-def test_budget_aborts_enumeration(db):
-    run = mine(db, MinerConfig(min_frequency=2, pattern_budget=4))
-    assert run.status == "terminated_early"
-    assert run.patterns == ()
-    assert run.emitted_count == 5
-
-    run = mine(db, MinerConfig(min_frequency=2, pattern_budget=5))
-    assert run.status == "terminated_early"
-    assert run.emitted_count == 6
-
-    # a budget equal to the true count must not trip
-    run = mine(db, MinerConfig(min_frequency=2, pattern_budget=6))
-    assert run.status == "completed"
-    assert run.emitted_count == 6
-    assert len(run.patterns) == 6
-
-    run = mine(db, MinerConfig(min_frequency=2, pattern_budget=0))
-    assert run.status == "terminated_early"
-    assert run.emitted_count == 1
-
-
 def test_threshold_above_database_size(db):
     run = mine(db, MinerConfig(min_frequency=3))
-    assert run.status == "completed"
     assert run.patterns == ()
     assert run.emitted_count == 0
 
@@ -124,7 +101,6 @@ def test_cycle_counted_once_despite_symmetric_embeddings():
     )
     db = parse_database(text)
     run = mine(db, MinerConfig(min_frequency=2))
-    assert run.status == "completed"
     assert len(run.patterns) == 10
     codes = [p.code for p in run.patterns]
     assert len(set(codes)) == 10
@@ -186,7 +162,6 @@ def test_mines_a_path_deeper_than_the_recursion_limit():
         outcome = mine(db, MinerConfig(min_frequency=1, count_singletons=False))
     finally:
         sys.setrecursionlimit(limit)
-    assert outcome.status == "completed"
     longest = max(outcome.patterns, key=lambda p: p.edge_count)
     assert (longest.vertex_count, longest.edge_count) == (n, n - 1)
     assert longest.occurrences == frozenset({0})
@@ -231,13 +206,30 @@ def test_deadline_in_the_past_raises(db):
         mine(db, MinerConfig(min_frequency=1), deadline=time.monotonic() - 1.0)
 
 
+def test_exception_from_on_emit_ends_the_run(db):
+    # the root search's pattern budgets rely on this: the run stops at the
+    # emission whose hook raised, and the exception reaches the caller
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def on_emit(frequency):
+        seen.append(frequency)
+        if len(seen) == 3:
+            raise Stop
+        return 2
+
+    with pytest.raises(Stop):
+        mine(db, MinerConfig(min_frequency=2), on_emit=on_emit)
+    assert seen == [2, 2, 2]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MinerConfig(min_frequency=0)
     with pytest.raises(ValueError):
         MinerConfig(min_frequency=1, max_vertices=0)
-    with pytest.raises(ValueError):
-        MinerConfig(min_frequency=1, pattern_budget=-1)
 
 
 @st.composite
@@ -263,7 +255,6 @@ def small_db(draw):
 def test_miner_matches_exhaustive_enumeration(db, sigma, max_vertices, singletons):
     config = MinerConfig(sigma, max_vertices=max_vertices, count_singletons=singletons)
     outcome = mine(db, config)
-    assert outcome.status == "completed"
     assert outcome.emitted_count == len(outcome.patterns)
     expected = oracles.mine_exhaustively(db, sigma, max_vertices, singletons)
     got = {}

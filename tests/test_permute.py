@@ -82,6 +82,8 @@ class TestPlan:
             PermutationPlan(0, 1, (4, 4))
         with pytest.raises(ValueError):
             PermutationPlan(10, 1, (0, 4))
+        with pytest.raises(ValueError, match="seed"):
+            PermutationPlan(5, -1, (3, 4))
 
     def test_mask_popcount_and_width(self):
         plan = PermutationPlan(50, 123, (7, 9))
@@ -151,21 +153,6 @@ class TestMinPDistribution:
             enriched_result.testable, PermutationPlan(50, 8, (10, 10)), enriched_db, "right"
         )
         assert a != b
-
-    def test_threads_do_not_change_values(self, enriched_db, enriched_result):
-        plan = PermutationPlan(64, 21, (10, 10))
-        serial = min_p_distribution(enriched_result.testable, plan, enriched_db, "right")
-        threaded = min_p_distribution(
-            enriched_result.testable, plan, enriched_db, "right", threads=4
-        )
-        assert serial == threaded
-
-    def test_threads_below_one_rejected(self, enriched_db, enriched_result):
-        plan = PermutationPlan(8, 21, (10, 10))
-        with pytest.raises(ValueError):
-            min_p_distribution(
-                enriched_result.testable, plan, enriched_db, "right", threads=0
-            )
 
     def test_single_pattern_tracks_its_own_table(self, enriched_db, enriched_result):
         # with one pattern the minimum is that pattern's p-value, which can

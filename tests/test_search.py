@@ -4,17 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sigmine.graphs import GraphDatabase, LabeledGraph
+from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
 from sigmine.mining import MinerConfig, code_string, mine
 from sigmine.search import (
     STRATEGIES,
+    _Session,
     count_m_of_k,
     find_root,
-    find_root_bisection,
-    find_root_decremental,
-    find_root_dynamic,
-    find_root_incremental,
-    find_root_onepass,
     significant_set,
 )
 from sigmine.stats import (
@@ -23,6 +19,7 @@ from sigmine.stats import (
     min_attainable_pvalue,
     min_testable_frequency,
 )
+from test_mining import PATH_AND_TRIANGLE
 
 CONFIG = MinerConfig(min_frequency=1)
 
@@ -95,7 +92,7 @@ class TestWorkedExample:
             assert len(r.trace) == expected
 
     def test_incremental_trace(self, toy_db):
-        r = find_root_incremental(toy_db, 0.05, CONFIG)
+        r = find_root(toy_db, 0.05, CONFIG, "two", "incremental")
         probes = [(t.sigma, t.budget, t.status, t.emitted) for t in r.trace]
         # budget floor(0.05 / psi2(4)) = 1, so the first probe aborts after
         # its second emission; the sigma = 5 probe is the only completed run
@@ -106,7 +103,7 @@ class TestWorkedExample:
         assert all(t.millis >= 0.0 for t in r.trace)
 
     def test_dynamic_trace(self, toy_db):
-        r = find_root_dynamic(toy_db, 0.05, CONFIG)
+        r = find_root(toy_db, 0.05, CONFIG, "two", "dynamic")
         # A (5) fits the budget of 1 at sigma = 4; B (4) overflows it, so
         # sigma rises to 5 and C (4) is never emitted
         assert [(t.sigma, t.budget, t.status, t.emitted) for t in r.trace] == [
@@ -115,13 +112,13 @@ class TestWorkedExample:
         assert r.patterns_expanded == 2
 
     def test_onepass_trace_is_unbudgeted(self, toy_db):
-        r = find_root_onepass(toy_db, 0.05, CONFIG)
+        r = find_root(toy_db, 0.05, CONFIG, "two", "onepass")
         assert [(t.sigma, t.budget, t.status, t.emitted) for t in r.trace] == [
             (4, None, "completed", 3)
         ]
 
     def test_decremental_walks_down(self, toy_db):
-        r = find_root_decremental(toy_db, 0.05, CONFIG)
+        r = find_root(toy_db, 0.05, CONFIG, "two", "decremental")
         assert [(t.sigma, t.status) for t in r.trace] == [
             (5, "completed"),
             (4, "completed"),
@@ -157,13 +154,13 @@ class TestPlateauCorner:
         # the sigma = 2 run already holds every pattern the upward scan
         # needs, so onepass and decremental both stop at one invocation;
         # dynamic climbs past n inside its single run
-        for finder in (find_root_dynamic, find_root_onepass, find_root_decremental):
-            r = finder(plateau_db, 0.2, CONFIG)
+        for strategy in ("dynamic", "onepass", "decremental"):
+            r = find_root(plateau_db, 0.2, CONFIG, "two", strategy)
             assert r.fsm_invocations == 1
 
     def test_budgeted_strategies_escalate(self, plateau_db):
-        for finder in (find_root_incremental, find_root_bisection):
-            r = finder(plateau_db, 0.2, CONFIG)
+        for strategy in ("incremental", "bisection"):
+            r = find_root(plateau_db, 0.2, CONFIG, "two", strategy)
             assert [t.sigma for t in r.trace] == [2, 3, 4]
             assert [t.status for t in r.trace] == [
                 "terminated_early",
@@ -185,7 +182,7 @@ class TestProbeBound:
         return GraphDatabase.from_graphs(tuple(graphs), classes)
 
     def test_bisection_probe_count_is_logarithmic(self, wide_db):
-        r = find_root_bisection(wide_db, 0.05, CONFIG)
+        r = find_root(wide_db, 0.05, CONFIG, "two", "bisection")
         assert r.root_frequency == 6
         assert r.min_testable_frequency == 6
         span = wide_db.n - r.min_testable_frequency
@@ -199,6 +196,28 @@ class TestProbeBound:
         fingerprints = {result_fingerprint(r) for r in results}
         assert len(fingerprints) == 1
         assert results[0].root_frequency == 6
+
+
+def test_budget_aborts_enumeration():
+    # six patterns reach support 2; a probe stops at the emission that
+    # passes its budget and keeps nothing
+    session = _Session(parse_database(PATH_AND_TRIANGLE), 0.05, CONFIG, "two")
+    for budget, status, emitted in (
+        (4, "terminated_early", 5),
+        (5, "terminated_early", 6),
+        # a budget equal to the true count must not trip
+        (6, "completed", 6),
+        (0, "terminated_early", 1),
+    ):
+        patterns = session.mine_at(2, budget)
+        t = session.trace[-1]
+        assert (t.sigma, t.budget, t.status, t.emitted) == (2, budget, status, emitted)
+        if status == "completed":
+            assert len(patterns) == 6
+        else:
+            assert patterns is None
+    assert session.invocations == 4
+    assert session.expanded == 5 + 6 + 6 + 1
 
 
 class TestDegenerateInputs:
