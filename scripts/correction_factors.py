@@ -79,7 +79,7 @@ def main() -> int:
             print(f"{cap:>5} {bonferroni:>10} {'0':>9}  no testable patterns")
             continue
 
-        plan = PermutationPlan(args.permutations, args.perm_seed, (db.n, db.n_prime))
+        plan = PermutationPlan(args.permutations, args.perm_seed)
         samples = min_p_distribution(result.testable, plan, db, args.tail)
         m_eff = effective_num_tests(samples, args.alpha, testable)
 

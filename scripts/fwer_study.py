@@ -61,7 +61,7 @@ def main() -> int:
             print(f"{seed:>6} {'-':>8} {0:>8} {'-':>12} {'-':>8}  (nothing testable)")
             continue
         threshold = args.alpha / len(result.testable)
-        plan = PermutationPlan(args.permutations, seed, (db.n, db.n_prime))
+        plan = PermutationPlan(args.permutations, seed)
         rate = empirical_fwer(
             result.testable, threshold, plan, db, args.tail
         )

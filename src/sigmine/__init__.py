@@ -29,16 +29,13 @@ from .permute import (
     effective_num_tests,
     empirical_fwer,
     min_p_distribution,
-    permutation_mask,
 )
 from .report import Report, RunConfig, run_pipeline, write_report
 from .search import (
     RootSearchResult,
     SignificanceRecord,
-    count_m_of_k,
     find_root,
     score_patterns,
-    significant_set,
 )
 from .stats import (
     ContingencyTable,
@@ -68,7 +65,6 @@ __all__ = [
     "TestResult",
     "ValidityError",
     "code_string",
-    "count_m_of_k",
     "effective_num_tests",
     "empirical_fwer",
     "find_root",
@@ -79,10 +75,8 @@ __all__ = [
     "mine",
     "minimum_code",
     "parse_database",
-    "permutation_mask",
     "run_pipeline",
     "score_patterns",
     "serialize_database",
-    "significant_set",
     "write_report",
 ]

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 for a produced report (including empty ones), 1 for usage
-errors, 2 for I/O or parse failures, 3 when a full-enumeration correction hit
-its time limit and the report carries only the partial summary.
+errors, 2 for I/O or parse failures (input that is not UTF-8 included), 3
+when a full-enumeration correction hit its time limit and the report carries
+only the partial summary, 4 when the run ran out of memory, and 130 when it
+was interrupted. No failure prints a traceback.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--min-p-out",
-        help="dump the permutation min-p samples, one per line",
+        help="dump the permutation min-p samples, one per line "
+        "(efftests only; empty when nothing is testable)",
     )
     return parser
 
@@ -133,6 +136,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except MemoryError:
+        print("sigmine: error: out of memory", file=sys.stderr)
+        return 4
+    except KeyboardInterrupt:
+        print("sigmine: interrupted", file=sys.stderr)
+        return 130
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -158,8 +172,8 @@ def main(argv=None) -> int:
             sys.stdout.write(render_report(report, config.format))
         if config.trace:
             write_trace(report.search.trace, config.trace)
-        if config.min_p_out and report.min_p_samples is not None:
-            write_min_p_samples(config.min_p_out, report.min_p_samples)
+        if config.min_p_out:
+            write_min_p_samples(config.min_p_out, report.min_p_samples or ())
     except OSError as exc:
         print(f"sigmine: error: {exc}", file=sys.stderr)
         return 2

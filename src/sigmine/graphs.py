@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -140,23 +140,9 @@ class GraphDatabase:
     def n_prime(self) -> int:
         return self.size - self.n
 
-    @cached_property
-    def class_of(self) -> Mapping[int, int]:
-        """Original class keyed by graph id, exactly as given in the input."""
-        return {g.graph_id: c for g, c in zip(self.graphs, self.original_classes)}
-
     def is_internal_positive(self, position: int) -> bool:
         wanted = 0 if self.swapped else 1
         return self.original_classes[position] == wanted
-
-    @cached_property
-    def positive_mask(self) -> int:
-        """Bitmask over positions with the internal positive class set."""
-        mask = 0
-        for i in range(self.size):
-            if self.is_internal_positive(i):
-                mask |= 1 << i
-        return mask
 
     def internal_tail(self, tail: str) -> str:
         """Map a user-facing tail onto the internal class orientation.
@@ -377,12 +363,3 @@ def serialize_database(db: GraphDatabase) -> str:
             out.append(f"e {u} {v} {db.edge_tokens[lbl]}")
     return "\n".join(out) + "\n"
 
-
-def occurrence_bitvector(db: GraphDatabase, transaction_ids: Iterable[int]) -> int:
-    """Pack transaction ids into an int bitmask; bit i set iff graph i is present."""
-    bits = 0
-    for tid in transaction_ids:
-        if not 0 <= tid < db.size:
-            raise ValueError(f"transaction id {tid} outside [0, {db.size})")
-        bits |= 1 << tid
-    return bits

@@ -6,8 +6,10 @@ words, one bit per transaction. Permutation masks are drawn a block at a time
 and packed the same way; every permuted positive count in a block is then a
 word-by-word AND and popcount, and one table lookup per margin turns the
 counts into p-values. Each mask comes from its own stream spawned from
-(seed, index), so neither the block size nor the order of evaluation can
+(seed, index) and places the database's n positives among its N
+transactions, so neither the block size nor the order of evaluation can
 change a result, and any subset of permutations can be recomputed alone.
+This packed form is the only occurrence representation in the package.
 """
 
 from __future__ import annotations
@@ -32,58 +34,30 @@ _BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class PermutationPlan:
-    """How many label shuffles to draw and from which seed."""
+    """How many label shuffles to draw and from which seed; the database sets n and N."""
 
     iterations: int
     seed: int
-    class_counts: tuple[int, int]
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        n, n_prime = self.class_counts
-        if n < 1 or n_prime < 1:
-            raise ValueError(f"class counts must be positive, got {self.class_counts}")
 
 
-def _shuffled_slots(plan: PermutationPlan, index: int) -> np.ndarray:
-    """0/1 uint8 array over transaction positions, 1 where positive under ``index``."""
-    n, n_prime = plan.class_counts
+def _shuffled_slots(plan: PermutationPlan, index: int, n: int, total: int) -> np.ndarray:
+    """0/1 uint8 array over ``total`` positions, n of them 1: positive under ``index``.
+
+    Depends only on (seed, index, n, total), never on previously drawn masks.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=plan.seed, spawn_key=(index,))
     )
-    slots = np.zeros(n + n_prime, dtype=np.uint8)
+    slots = np.zeros(total, dtype=np.uint8)
     slots[:n] = 1
     rng.shuffle(slots)
     return slots
-
-
-def permutation_mask(plan: PermutationPlan, index: int) -> int:
-    """Bit vector of positive positions under permutation ``index``.
-
-    Exactly n bits are set among the n + n' transaction positions. The mask
-    depends only on (seed, index), never on previously drawn masks.
-    """
-    if not 0 <= index < plan.iterations:
-        raise ValueError(f"index {index} outside [0, {plan.iterations})")
-    mask = 0
-    for position in np.flatnonzero(_shuffled_slots(plan, index)):
-        mask |= 1 << int(position)
-    return mask
-
-
-def permuted_positive_count(occurrence_bits: int, mask: int) -> int:
-    return (occurrence_bits & mask).bit_count()
-
-
-def _check_plan_matches(plan: PermutationPlan, db: GraphDatabase) -> None:
-    if plan.class_counts != (db.n, db.n_prime):
-        raise ValueError(
-            f"plan counts {plan.class_counts} do not match database "
-            f"({db.n}, {db.n_prime})"
-        )
 
 
 def _pack(bits: np.ndarray, width: int) -> np.ndarray:
@@ -107,7 +81,6 @@ def min_p_distribution(
     """
     if not testable:
         raise ValueError("min-p distribution needs at least one testable pattern")
-    _check_plan_matches(plan, db)
     internal_tail = db.internal_tail(tail)
     total = db.size
     width = -(-total // 64)
@@ -134,7 +107,7 @@ def min_p_distribution(
         indices = range(first, min(first + block, plan.iterations))
         masks = np.empty((width, len(indices)), dtype=np.uint64)
         for col, index in enumerate(indices):
-            masks[:, col] = _pack(_shuffled_slots(plan, index), width)
+            masks[:, col] = _pack(_shuffled_slots(plan, index, db.n, total), width)
         counts = np.zeros((len(patterns), len(indices)), dtype=np.intp)
         for w in range(width):
             counts += np.bitwise_count(occ[w][:, None] & masks[w][None, :])

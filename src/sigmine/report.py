@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence
 
-from .graphs import GraphDatabase, parse_database
+from .graphs import GraphDatabase, ParseError, parse_database
 from .mining import MinerConfig, MiningTimeout, Pattern, code_string, mine
 from .permute import (
     PermutationPlan,
@@ -93,12 +93,13 @@ class RunConfig:
             raise ValueError("bf_timeout must be positive or None")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.min_p_out is not None and self.correction != "efftests":
+            raise ValueError("min_p_out needs the efftests correction")
 
 
 @dataclass(frozen=True)
 class Report:
     summary: dict
-    records: tuple[SignificanceRecord, ...]
     rows: tuple[dict, ...]
     search: RootSearchResult
     wall_time_s: float
@@ -126,6 +127,16 @@ def _original_class_sizes(db: GraphDatabase) -> tuple[int, int]:
     return ones, db.size - ones
 
 
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a parse failure naming it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} in {path} is not UTF-8") from None
+
+
 def run_pipeline(config: RunConfig) -> Report:
     """Execute one full run and assemble the report in memory.
 
@@ -133,10 +144,8 @@ def run_pipeline(config: RunConfig) -> Report:
     successful parse produces a report, possibly with empty records.
     """
     started = time.perf_counter()
-    graph_text = Path(config.input).read_text(encoding="utf-8")
-    labels_text = (
-        Path(config.labels).read_text(encoding="utf-8") if config.labels else None
-    )
+    graph_text = _read_text(config.input)
+    labels_text = _read_text(config.labels) if config.labels else None
     db = parse_database(graph_text, labels_text)
 
     miner_config = MinerConfig(
@@ -177,9 +186,7 @@ def run_pipeline(config: RunConfig) -> Report:
                 status = "bf_timeout"
         else:
             if result.testable:
-                plan = PermutationPlan(
-                    config.permutations, config.seed, (db.n, db.n_prime)
-                )
+                plan = PermutationPlan(config.permutations, config.seed)
                 min_p_samples = min_p_distribution(result.testable, plan, db, config.tail)
                 m_eff = effective_num_tests(
                     min_p_samples, config.alpha, len(result.testable)
@@ -192,9 +199,7 @@ def run_pipeline(config: RunConfig) -> Report:
 
     fwer = None
     if config.fwer_permutations > 0 and factor is not None and family:
-        plan = PermutationPlan(
-            config.fwer_permutations, config.seed + 1, (db.n, db.n_prime)
-        )
+        plan = PermutationPlan(config.fwer_permutations, config.seed + 1)
         fwer = empirical_fwer(family, config.alpha / factor, plan, db, config.tail)
 
     ones, zeros = _original_class_sizes(db)
@@ -221,7 +226,6 @@ def run_pipeline(config: RunConfig) -> Report:
     rows = tuple(_display_row(rec, db) for rec in records)
     return Report(
         summary=summary,
-        records=records,
         rows=rows,
         search=result,
         wall_time_s=time.perf_counter() - started,

@@ -27,7 +27,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .graphs import GraphDatabase
 from .mining import MinerConfig, Pattern, code_string, mine
@@ -81,27 +81,6 @@ class SignificanceRecord:
     min_p: float
     corrected_threshold: float
     significant: bool
-
-
-def count_m_of_k(
-    frequencies: Iterable[int],
-    k: float,
-    alpha: float,
-    n: int,
-    n_prime: int,
-    tail: TailMode = "two",
-) -> int:
-    """Number of patterns whose attainable-p bound clears the level alpha / k.
-
-    Monotone non-increasing in k. The frequencies are the pattern multiset
-    under consideration; class sizes and tail fix the bound function.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    threshold = alpha / k
-    return sum(
-        1 for f in frequencies if min_attainable_pvalue(f, n, n_prime, tail) <= threshold
-    )
 
 
 class _BudgetExceeded(Exception):
@@ -364,13 +343,3 @@ def score_patterns(
     records.sort(key=lambda r: (r.p_value, code_string(r.pattern.code, db)))
     return tuple(records)
 
-
-def significant_set(
-    result: RootSearchResult,
-    db: GraphDatabase,
-    alpha: float,
-    tail: TailMode = "two",
-    correction_factor: float = 1.0,
-) -> tuple[SignificanceRecord, ...]:
-    """Score the testable set of a finished root search."""
-    return score_patterns(result.testable, db, alpha, tail, correction_factor)

@@ -3,7 +3,9 @@
 Everything here derives from the hypergeometric distribution of the
 positive-class count of a pattern: exact tail p-values (left, right, and
 doubled two-sided), and the frequency-indexed lower bound on the attainable
-p-value that drives testability pruning.
+p-value that drives testability pruning. All of it reads one cached table
+per margin, built by the exact ratio recurrence; a point mass is
+``fisher_pvalue(table).q_at_x``.
 
 Tables are oriented so that the positive class is the smaller one
 (``n <= n_prime``); callers that accept user-facing class labels are
@@ -25,8 +27,6 @@ __all__ = [
     "TailMode",
     "ContingencyTable",
     "TestResult",
-    "log_binomial",
-    "hypergeom_mass",
     "fisher_pvalue",
     "pvalues_over_support",
     "min_attainable_pvalue",
@@ -79,28 +79,6 @@ class TestResult:
         if self.tail_used == "right":
             return self.p_right
         return self.p_two
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k); -inf outside the domain."""
-    if k < 0 or k > n:
-        return -math.inf
-    return (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
-
-
-def hypergeom_mass(x: int, f: int, n: int, n_prime: int) -> float:
-    """P(X = x) for X hypergeometric with margin f over classes of size n, n_prime.
-
-    Computed in log space and exponentiated once at the end.
-    """
-    lo, hi = _support(f, n, n_prime)
-    if not lo <= x <= hi:
-        raise ValueError(f"x={x} outside the support [{lo}, {hi}]")
-    return math.exp(
-        log_binomial(n, x) + log_binomial(n_prime, f - x) - log_binomial(n + n_prime, f)
-    )
 
 
 def _support(f: int, n: int, n_prime: int) -> tuple[int, int]:
@@ -220,13 +198,11 @@ def min_testable_frequency(
     n: int,
     n_prime: int,
     tail: TailMode = "two",
-    strict: bool = False,
 ) -> int | None:
     """Smallest frequency whose attainable p-value bound clears alpha.
 
-    Comparison is non-strict (bound <= alpha) by default; ``strict`` flips it
-    for sensitivity analysis. Returns None when no frequency up to n qualifies,
-    which callers report as "no testable frequency".
+    Comparison is non-strict (bound <= alpha). Returns None when no frequency
+    up to n qualifies, which callers report as "no testable frequency".
 
     The float bound carries rounding error, so a frequency whose float bound
     misses alpha by a rounding margin is tested again on the exact rational
@@ -239,12 +215,12 @@ def min_testable_frequency(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     for sigma in range(1, n + 1):
         bound = min_attainable_pvalue(sigma, n, n_prime, tail)
-        if (bound < alpha) if strict else (bound <= alpha):
+        if bound <= alpha:
             return sigma
         if math.isclose(bound, alpha, rel_tol=1e-9):
             top, bottom = alpha.as_integer_ratio()
             lhs = math.comb(n, sigma) * (2 if tail == "two" else 1) * bottom
             rhs = top * math.comb(n + n_prime, sigma)
-            if (lhs < rhs) if strict else (lhs <= rhs):
+            if lhs <= rhs:
                 return sigma
     return None

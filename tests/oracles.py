@@ -2,10 +2,13 @@
 
 Slow but transparent: exact rational arithmetic for the statistics,
 exhaustive enumeration for the miner. Nothing here shares code paths with
-the modules under test, except ``min_p_reference``: it is the scalar
-permutation loop built from the package's reference definitions (one mask,
-one popcount and one table lookup at a time), against which the vectorised
-engine must agree bit for bit.
+the modules under test, except the permutation helpers. They keep the
+int-bitmask form of occurrences and masks, which the package does not have:
+``permutation_mask`` packs the package's own slot stream
+(``permute._shuffled_slots``) into an int, ``occurrence_bits`` packs a
+support set, and ``min_p_reference`` is the scalar permutation loop built on
+them (one mask, one popcount and one table lookup at a time), against which
+the vectorised engine must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -50,10 +53,9 @@ def min_attainable(f: int, n: int, n_prime: int, tail: str) -> Fraction:
     return one
 
 
-def min_testable(alpha, n: int, n_prime: int, tail: str, strict: bool = False):
+def min_testable(alpha, n: int, n_prime: int, tail: str):
     for sigma in range(1, n + 1):
-        bound = min_attainable(sigma, n, n_prime, tail)
-        if (bound < alpha) if strict else (bound <= alpha):
+        if min_attainable(sigma, n, n_prime, tail) <= alpha:
             return sigma
     return None
 
@@ -168,10 +170,21 @@ def recount_positives(occurrence_positions, class_by_position) -> int:
     return sum(1 for p in occurrence_positions if class_by_position[p] == 1)
 
 
+def occurrence_bits(positions) -> int:
+    """Int bitmask with bit t set for every transaction position t."""
+    return sum(1 << t for t in set(positions))
+
+
+def permutation_mask(plan, index: int, n: int, total: int) -> int:
+    """Int bitmask of the n positives among ``total`` positions under shuffle ``index``."""
+    from sigmine.permute import _shuffled_slots
+
+    slots = _shuffled_slots(plan, index, n, total).tolist()
+    return sum(1 << t for t, flag in enumerate(slots) if flag)
+
+
 def min_p_reference(testable, plan, db, tail="two"):
     """Per-permutation minimum p-value, one mask and one pattern at a time."""
-    from sigmine.graphs import occurrence_bitvector
-    from sigmine.permute import permutation_mask, permuted_positive_count
     from sigmine.stats import pvalues_over_support
 
     internal_tail = db.internal_tail(tail)
@@ -180,13 +193,13 @@ def min_p_reference(testable, plan, db, tail="two"):
         lo, pvals = pvalues_over_support(
             pattern.frequency, db.n, db.n_prime, internal_tail
         )
-        prepared.append((occurrence_bitvector(db, pattern.occurrences), lo, pvals))
+        prepared.append((occurrence_bits(pattern.occurrences), lo, pvals))
     samples = []
     for index in range(plan.iterations):
-        mask = permutation_mask(plan, index)
+        mask = permutation_mask(plan, index, db.n, db.size)
         best = float("inf")
         for bits, lo, pvals in prepared:
-            p = pvals[permuted_positive_count(bits, mask) - lo]
+            p = pvals[(bits & mask).bit_count() - lo]
             if p < best:
                 best = p
         samples.append(best)

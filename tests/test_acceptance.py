@@ -165,7 +165,7 @@ def test_c4_null_fwer_within_binomial_bound():
         )
         result = find_root(db, alpha, CONFIG, "two")
         assert result.status == "ok" and result.testable
-        plan = PermutationPlan(iterations, 7000 + i, (db.n, db.n_prime))
+        plan = PermutationPlan(iterations, 7000 + i)
         rate = empirical_fwer(
             result.testable, alpha / len(result.testable), plan, db, "two"
         )
@@ -183,7 +183,7 @@ def test_c5_correction_factor_ordering_and_gap():
         assert result.testable
         full = mine(db, MinerConfig(2, max_vertices=max_vertices))
         bonferroni = len(full.patterns)
-        plan = PermutationPlan(1000, 21, (db.n, db.n_prime))
+        plan = PermutationPlan(1000, 21)
         samples = min_p_distribution(result.testable, plan, db, "two")
         m_eff = effective_num_tests(samples, 0.05, len(result.testable))
         assert bonferroni > len(result.testable) >= m_eff

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from sigmine.report import (
     render_trace,
     run_pipeline,
 )
+from sigmine import cli
 from sigmine.cli import build_parser, main
 from sigmine.search import STRATEGIES
 from sigmine.synth import planted_database
@@ -299,6 +301,30 @@ class TestCommandLine:
         assert code == 0
         assert len(dump.read_text().splitlines()) == 50
 
+    def test_min_p_out_needs_efftests(self, toy_path, tmp_path, capsys):
+        dump = tmp_path / "minp.txt"
+        with pytest.raises(ValueError, match="efftests"):
+            RunConfig(input=toy_path, min_p_out=str(dump))
+        assert main(["--input", toy_path, "--min-p-out", str(dump)]) == 1
+        assert "efftests" in capsys.readouterr().err
+        assert not dump.exists()
+
+    def test_min_p_dump_empty_when_nothing_testable(self, tmp_path, capsys):
+        # one database with no testable frequency, one where nothing is
+        # frequent enough at sigma_min
+        no_testable = "t # 0 1\nv 0 A\nt # 1 0\nv 0 B\n"
+        none_frequent = "".join(
+            f"t # {i} {int(i < 4)}\nv 0 L{i}\n" for i in range(8)
+        )
+        for text in (no_testable, none_frequent):
+            path = tmp_path / "tiny.graphs"
+            path.write_text(text, encoding="utf-8")
+            dump = tmp_path / "minp.txt"
+            dump.unlink(missing_ok=True)
+            argv = ["--input", str(path), "--correction", "efftests"]
+            assert main([*argv, "--min-p-out", str(dump)]) == 0
+            assert dump.read_text() == ""
+
     def test_usage_errors_exit_one(self, toy_path, capsys):
         assert main(["--strategy", "warp", "--input", toy_path]) == 1
         assert main(["--input", toy_path, "--alpha", "2.0"]) == 1
@@ -311,6 +337,31 @@ class TestCommandLine:
         assert main(["--input", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "line 4" in err
+
+    @pytest.mark.parametrize("flag", ["--input", "--labels"])
+    def test_non_utf8_input_exits_two(self, toy_path, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"t # 0 1\nv 0 A\xff\n")
+        argv = ["--input", str(bad)] if flag == "--input" else ["--input", toy_path, flag, str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sigmine: error:") and err.count("\n") == 1
+        assert str(bad) in err and "line 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "exc, code", [(MemoryError, 4), (KeyboardInterrupt, 130)]
+    )
+    def test_hard_failures_exit_without_traceback(
+        self, toy_path, capsys, monkeypatch, exc, code
+    ):
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        assert main(["--input", toy_path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("sigmine:")
 
     def test_bf_timeout_exits_three(self, tmp_path):
         db = planted_database(
@@ -383,6 +434,20 @@ class TestCommandLine:
         assert missing == []
         (strategy,) = [a for a in build_parser()._actions if a.dest == "strategy"]
         assert tuple(strategy.choices) == search.STRATEGIES
+
+    def test_readme_library_snippet_runs(self, tmp_path, monkeypatch, capsys):
+        # the fenced Python block under "Library use", run on the toy database
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        (tmp_path / "graphs.txt").write_text(
+            serialize_database(toy_database()), encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)
+        exec(compile(snippet, "README.md", "exec"), {})
+        # the toy database has one significant pattern, A at p = 2 / C(10, 5)
+        (line,) = capsys.readouterr().out.splitlines()
+        assert float(line.split()[-1]) == pytest.approx(2 / 252, rel=1e-12)
 
     def test_module_entry_point(self, toy_path):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -6,7 +6,6 @@ from sigmine.graphs import (
     LabelError,
     ParseError,
     ValidityError,
-    occurrence_bitvector,
     parse_database,
     serialize_database,
 )
@@ -31,10 +30,8 @@ def test_parse_basic_counts_and_swap():
     assert db.swapped is True
     assert db.n == 1
     assert db.n_prime == 2
-    assert db.class_of == {0: 1, 1: 1, 2: 0}
     assert db.is_internal_positive(0) is False
     assert db.is_internal_positive(2) is True
-    assert db.positive_mask == 0b100
 
 
 def test_internal_tail_flips_only_when_swapped():
@@ -195,12 +192,3 @@ def test_from_graphs_defaults_tokens():
     assert db.vertex_tokens == ("0", "1", "2")
     assert db.edge_tokens == ("0", "1")
 
-
-def test_occurrence_bitvector():
-    db = parse_database(THREE_GRAPHS)
-    assert occurrence_bitvector(db, [0, 2]) == 0b101
-    assert occurrence_bitvector(db, []) == 0
-    with pytest.raises(ValueError):
-        occurrence_bitvector(db, [3])
-    with pytest.raises(ValueError):
-        occurrence_bitvector(db, [-1])

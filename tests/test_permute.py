@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 from sigmine import permute
-from sigmine.graphs import GraphDatabase, LabeledGraph, occurrence_bitvector
+from sigmine.graphs import GraphDatabase, LabeledGraph
 from sigmine.mining import MinerConfig, Pattern
 from sigmine.permute import (
     PermutationPlan,
     effective_num_tests,
     empirical_fwer,
     min_p_distribution,
-    permutation_mask,
-    permuted_positive_count,
     write_min_p_samples,
 )
 from sigmine.search import find_root
@@ -54,7 +52,7 @@ def assert_matches_reference(size, positives, tail, iterations, block, seed, rnd
     supports = [[rnd.randrange(size)], list(range(size))]
     supports += [rnd.sample(range(size), rnd.randint(1, size)) for _ in range(8)]
     testable = [pattern_at(db, s) for s in supports]
-    plan = PermutationPlan(iterations, seed, (db.n, db.n_prime))
+    plan = PermutationPlan(iterations, seed)
     cells = block * max(len(testable), -(-size // 64))
     with mock.patch.object(permute, "_BLOCK_CELLS", cells):
         engine = min_p_distribution(testable, plan, db, tail)
@@ -79,62 +77,38 @@ def enriched_result(enriched_db):
 class TestPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PermutationPlan(0, 1, (4, 4))
-        with pytest.raises(ValueError):
-            PermutationPlan(10, 1, (0, 4))
+            PermutationPlan(0, 1)
         with pytest.raises(ValueError, match="seed"):
-            PermutationPlan(5, -1, (3, 4))
+            PermutationPlan(5, -1)
 
     def test_mask_popcount_and_width(self):
-        plan = PermutationPlan(50, 123, (7, 9))
+        plan = PermutationPlan(50, 123)
         for j in range(50):
-            mask = permutation_mask(plan, j)
+            mask = oracles.permutation_mask(plan, j, 7, 16)
             assert mask.bit_count() == 7
             assert mask < (1 << 16)
 
     def test_masks_depend_only_on_seed_and_index(self):
-        plan = PermutationPlan(20, 99, (5, 5))
-        late = permutation_mask(plan, 17)
-        early = permutation_mask(plan, 3)
-        assert permutation_mask(plan, 3) == early
-        assert permutation_mask(plan, 17) == late
-        other = PermutationPlan(20, 100, (5, 5))
-        assert permutation_mask(other, 3) != early or permutation_mask(other, 17) != late
-
-    def test_index_bounds(self):
-        plan = PermutationPlan(5, 0, (2, 2))
-        with pytest.raises(ValueError):
-            permutation_mask(plan, 5)
-        with pytest.raises(ValueError):
-            permutation_mask(plan, -1)
-
-
-class TestPermutedCounts:
-    def test_popcount_identity(self):
-        assert permuted_positive_count(0b1011, 0b0110) == 1
-        assert permuted_positive_count(0b1111, 0b1111) == 4
-        assert permuted_positive_count(0b1000, 0b0111) == 0
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
-    def test_matches_explicit_membership_count(self, occ, mask):
-        explicit = sum(1 for t in range(16) if occ >> t & 1 and mask >> t & 1)
-        assert permuted_positive_count(occ, mask) == explicit
+        plan = PermutationPlan(20, 99)
+        late = oracles.permutation_mask(plan, 17, 5, 10)
+        early = oracles.permutation_mask(plan, 3, 5, 10)
+        assert oracles.permutation_mask(plan, 3, 5, 10) == early
+        assert oracles.permutation_mask(plan, 17, 5, 10) == late
+        other = PermutationPlan(20, 100)
+        assert (
+            oracles.permutation_mask(other, 3, 5, 10) != early
+            or oracles.permutation_mask(other, 17, 5, 10) != late
+        )
 
 
 class TestMinPDistribution:
     def test_empty_testable_rejected(self, enriched_db):
-        plan = PermutationPlan(10, 0, (10, 10))
+        plan = PermutationPlan(10, 0)
         with pytest.raises(ValueError):
             min_p_distribution((), plan, enriched_db, "right")
 
-    def test_plan_mismatch_rejected(self, enriched_db, enriched_result):
-        plan = PermutationPlan(10, 0, (9, 11))
-        with pytest.raises(ValueError):
-            min_p_distribution(enriched_result.testable, plan, enriched_db, "right")
-
     def test_reproducible_and_bounded_below(self, enriched_db, enriched_result):
-        plan = PermutationPlan(200, 7, (10, 10))
+        plan = PermutationPlan(200, 7)
         samples = min_p_distribution(enriched_result.testable, plan, enriched_db, "right")
         assert len(samples) == 200
         again = min_p_distribution(enriched_result.testable, plan, enriched_db, "right")
@@ -147,10 +121,10 @@ class TestMinPDistribution:
 
     def test_other_seed_differs(self, enriched_db, enriched_result):
         a = min_p_distribution(
-            enriched_result.testable, PermutationPlan(50, 7, (10, 10)), enriched_db, "right"
+            enriched_result.testable, PermutationPlan(50, 7), enriched_db, "right"
         )
         b = min_p_distribution(
-            enriched_result.testable, PermutationPlan(50, 8, (10, 10)), enriched_db, "right"
+            enriched_result.testable, PermutationPlan(50, 8), enriched_db, "right"
         )
         assert a != b
 
@@ -158,15 +132,15 @@ class TestMinPDistribution:
         # with one pattern the minimum is that pattern's p-value, which can
         # be recomputed from the mask by explicit membership counting
         pattern = next(p for p in enriched_result.testable if p.x == 10)
-        plan = PermutationPlan(40, 5, (10, 10))
+        plan = PermutationPlan(40, 5)
         samples = min_p_distribution([pattern], plan, enriched_db, "right")
-        bits = occurrence_bitvector(enriched_db, pattern.occurrences)
+        bits = oracles.occurrence_bits(pattern.occurrences)
         from sigmine.stats import ContingencyTable, fisher_pvalue
 
         for j, sample in enumerate(samples):
-            mask = permutation_mask(plan, j)
+            mask = oracles.permutation_mask(plan, j, 10, 20)
             x = sum(1 for t in pattern.occurrences if mask >> t & 1)
-            assert x == permuted_positive_count(bits, mask)
+            assert x == (bits & mask).bit_count()
             table = ContingencyTable(x=x, x_prime=pattern.frequency - x, n=10, n_prime=10)
             assert sample == fisher_pvalue(table, "right").pvalue
 
@@ -203,7 +177,7 @@ class TestMinPDistribution:
             pattern_at(db, rnd.sample(range(size), rnd.randint(1, 60)))
             for _ in range(400)
         ]
-        plan = PermutationPlan(1500, 1, (db.n, db.n_prime))
+        plan = PermutationPlan(1500, 1)
         tracemalloc.start()
         try:
             samples = min_p_distribution(testable, plan, db, "two")
@@ -263,24 +237,24 @@ class TestEffectiveNumTests:
 
 class TestEmpiricalFwer:
     def test_zero_threshold(self, enriched_db, enriched_result):
-        plan = PermutationPlan(50, 3, (10, 10))
+        plan = PermutationPlan(50, 3)
         assert empirical_fwer(enriched_result.testable, 0.0, plan, enriched_db, "right") == 0.0
 
     def test_threshold_one_with_disjoint_patterns(self, enriched_db, enriched_result):
         # A and B partition the transactions, so whenever one sits at a
         # central table the other sits at an extreme one; some p-value is
         # always below 1
-        plan = PermutationPlan(100, 3, (10, 10))
+        plan = PermutationPlan(100, 3)
         assert empirical_fwer(enriched_result.testable, 1.0, plan, enriched_db, "right") == 1.0
 
     def test_attainable_bound_is_never_beaten(self, enriched_db, enriched_result):
         pattern = next(p for p in enriched_result.testable if p.x == 10)
         floor = min_attainable_pvalue(pattern.frequency, 10, 10, "right")
-        plan = PermutationPlan(300, 17, (10, 10))
+        plan = PermutationPlan(300, 17)
         assert empirical_fwer([pattern], floor, plan, enriched_db, "right") == 0.0
 
     def test_empty_testable_is_zero(self, enriched_db):
-        plan = PermutationPlan(10, 0, (10, 10))
+        plan = PermutationPlan(10, 0)
         assert empirical_fwer((), 0.5, plan, enriched_db, "right") == 0.0
 
     def test_null_database_respects_alpha(self):
@@ -303,7 +277,7 @@ class TestEmpiricalFwer:
         alpha = 0.2
         result = find_root(db, alpha, CONFIG, "two")
         assert result.testable
-        plan = PermutationPlan(1000, 11, (db.n, db.n_prime))
+        plan = PermutationPlan(1000, 11)
         rate = empirical_fwer(
             result.testable, alpha / len(result.testable), plan, db, "two"
         )

@@ -9,9 +9,8 @@ from sigmine.mining import MinerConfig, code_string, mine
 from sigmine.search import (
     STRATEGIES,
     _Session,
-    count_m_of_k,
     find_root,
-    significant_set,
+    score_patterns,
 )
 from sigmine.stats import (
     ContingencyTable,
@@ -128,7 +127,7 @@ class TestWorkedExample:
         r = find_root(toy_db, 0.05, CONFIG, "two", "incremental")
         factor = float(len(r.testable))
         assert factor == 1.0
-        records = significant_set(r, toy_db, 0.05, "two", factor)
+        records = score_patterns(r.testable, toy_db, 0.05, "two", factor)
         assert len(records) == 1
         rec = records[0]
         assert code_string(rec.pattern.code, toy_db) == "A"
@@ -233,7 +232,7 @@ class TestDegenerateInputs:
             assert r.root_budget is None
             assert r.testable == ()
             assert r.fsm_invocations == 0
-        assert significant_set(r, db, 0.05, "two", 1.0) == ()
+        assert score_patterns(r.testable, db, 0.05, "two", 1.0) == ()
 
     def test_nothing_frequent_at_sigma_min(self):
         # eight graphs with eight distinct labels: every frequency is 1,
@@ -283,43 +282,6 @@ class TestMinerKnobsRespected:
         assert codes(r, edged_db) == ["0,1,A,x,B"]
 
 
-class TestCountMOfK:
-    def test_tiny_k_counts_everything(self):
-        freqs = [5, 4, 4, 1]
-        assert count_m_of_k(freqs, 0.05, 0.05, 5, 5, "two") == 4
-
-    def test_huge_k_counts_nothing(self):
-        assert count_m_of_k([5, 4, 4, 1], 1e9, 0.05, 5, 5, "two") == 0
-
-    def test_boundary_example(self):
-        # alpha / k lands exactly on the f = 5 bound (up to rounding in its
-        # favor), so both f = 5 patterns clear and the f = 4 one does not
-        assert count_m_of_k([5, 5, 4], 6.3, 0.05, 5, 5, "two") == 2
-
-    def test_monotone_in_k(self):
-        freqs = [6, 5, 5, 4, 3, 2, 1]
-        values = [
-            count_m_of_k(freqs, k, 0.05, 6, 8, "two")
-            for k in (0.5, 1, 2, 4, 8, 16, 64, 1024)
-        ]
-        assert values == sorted(values, reverse=True)
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            count_m_of_k([3], 0.0, 0.05, 5, 5)
-
-    def test_tarone_root_on_toy_multiset(self, toy_db):
-        # smallest integer k with m(k) <= k, evaluated on the full sigma = 1
-        # multiset, must bracket the crossing from both sides
-        outcome = mine(toy_db, CONFIG)
-        freqs = [p.frequency for p in outcome.patterns]
-        m_of = lambda k: count_m_of_k(freqs, k, 0.05, 5, 5, "two")
-        k_star = next(k for k in range(1, len(freqs) + 2) if m_of(k) <= k)
-        assert k_star == 2
-        assert m_of(k_star) <= k_star
-        assert m_of(k_star - 1) > k_star - 1
-
-
 class TestSignificantSet:
     @pytest.fixture
     def enriched_db(self):
@@ -335,7 +297,7 @@ class TestSignificantSet:
         r = find_root(enriched_db, 0.05, CONFIG, "right")
         assert r.root_frequency == 5
         assert sorted(codes(r, enriched_db)) == ["A", "B"]
-        records = significant_set(r, enriched_db, 0.05, "right", 2.0)
+        records = score_patterns(r.testable, enriched_db, 0.05, "right", 2.0)
         assert [code_string(rec.pattern.code, enriched_db) for rec in records] == [
             "A",
             "B",
@@ -350,13 +312,13 @@ class TestSignificantSet:
 
     def test_factor_one_direct(self, enriched_db):
         r = find_root(enriched_db, 0.05, CONFIG, "right")
-        records = significant_set(r, enriched_db, 0.05, "right", 1.0)
+        records = score_patterns(r.testable, enriched_db, 0.05, "right", 1.0)
         assert records[0].p_value < 0.05
         assert records[0].significant
 
     def test_records_sorted_by_pvalue_then_code(self, enriched_db):
         r = find_root(enriched_db, 0.05, CONFIG, "two")
-        records = significant_set(r, enriched_db, 0.05, "two", 1.0)
+        records = score_patterns(r.testable, enriched_db, 0.05, "two", 1.0)
         keys = [
             (rec.p_value, code_string(rec.pattern.code, enriched_db))
             for rec in records
@@ -366,7 +328,7 @@ class TestSignificantSet:
     def test_factor_below_one_rejected(self, enriched_db):
         r = find_root(enriched_db, 0.05, CONFIG)
         with pytest.raises(ValueError):
-            significant_set(r, enriched_db, 0.05, "two", 0.5)
+            score_patterns(r.testable, enriched_db, 0.05, "two", 0.5)
 
     def test_swapped_database_flips_tail(self):
         # three class 1 graphs with label A against one class 0 graph; the
@@ -385,7 +347,7 @@ class TestSignificantSet:
         r = find_root(db, 0.9, CONFIG, "right")
         by_code = {
             code_string(rec.pattern.code, db): rec
-            for rec in significant_set(r, db, 0.9, "right", 1.0)
+            for rec in score_patterns(r.testable, db, 0.9, "right", 1.0)
         }
         # q(x=3 of the three class 1 slots at margin 3) = 1 / C(4,3)
         assert by_code["A"].p_value == pytest.approx(0.25, rel=1e-12)
@@ -461,7 +423,7 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
     for p in r.testable:
         assert bound(p.frequency) <= bound(sigma_rt)
 
-    records = significant_set(r, db, alpha, tail, max(1.0, float(len(r.testable))))
+    records = score_patterns(r.testable, db, alpha, tail, max(1.0, float(len(r.testable))))
     for rec in records:
         assert rec.min_p <= rec.p_value
         table_p = fisher_pvalue(

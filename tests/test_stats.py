@@ -8,8 +8,6 @@ import oracles
 from sigmine.stats import (
     ContingencyTable,
     fisher_pvalue,
-    hypergeom_mass,
-    log_binomial,
     min_attainable_pvalue,
     min_testable_frequency,
     pvalues_over_support,
@@ -24,24 +22,6 @@ def margin_setup(draw):
     n_prime = draw(st.integers(n, 14))
     f = draw(st.integers(0, n + n_prime))
     return n, n_prime, f
-
-
-def test_log_binomial_known_values():
-    assert log_binomial(5, 2) == approx(math.log(10), rel=1e-14)
-    assert log_binomial(0, 0) == approx(0.0, abs=1e-14)
-    assert log_binomial(5, 6) == -math.inf
-    assert log_binomial(5, -1) == -math.inf
-
-
-def test_point_mass_small():
-    assert hypergeom_mass(2, 2, 2, 2) == approx(1 / 6, rel=1e-12)
-
-
-def test_point_mass_outside_support_raises():
-    with pytest.raises(ValueError):
-        hypergeom_mass(3, 2, 2, 2)
-    with pytest.raises(ValueError):
-        hypergeom_mass(0, 5, 3, 3)  # lo = 2
 
 
 def test_fisher_tails_worked_table():
@@ -104,9 +84,9 @@ def test_min_testable_frequency_cases():
 
 
 def test_min_testable_strict_at_exact_threshold():
+    # a bound equal to alpha qualifies: the comparison is bound <= alpha
     bound = min_attainable_pvalue(3, 4, 4, "two")
     assert min_testable_frequency(bound, 4, 4, "two") == 3
-    assert min_testable_frequency(bound, 4, 4, "two", strict=True) == 4
 
 
 def test_alpha_domain_checked():
@@ -119,7 +99,10 @@ def test_alpha_domain_checked():
 def test_masses_sum_to_one(setup):
     n, n_prime, f = setup
     lo, hi = max(0, f - n_prime), min(f, n)
-    total = math.fsum(hypergeom_mass(x, f, n, n_prime) for x in range(lo, hi + 1))
+    total = math.fsum(
+        fisher_pvalue(ContingencyTable(x=x, x_prime=f - x, n=n, n_prime=n_prime)).q_at_x
+        for x in range(lo, hi + 1)
+    )
     assert total == approx(1.0, rel=1e-12)
 
 
@@ -128,10 +111,8 @@ def test_mass_and_tails_match_exact_oracle(setup, data):
     n, n_prime, f = setup
     lo, hi = max(0, f - n_prime), min(f, n)
     x = data.draw(st.integers(lo, hi))
-    assert hypergeom_mass(x, f, n, n_prime) == approx(
-        float(oracles.mass(x, f, n, n_prime)), rel=1e-11
-    )
     r = fisher_pvalue(ContingencyTable(x=x, x_prime=f - x, n=n, n_prime=n_prime))
+    assert r.q_at_x == approx(float(oracles.mass(x, f, n, n_prime)), rel=1e-11)
     assert r.p_left == approx(float(oracles.left_tail(x, f, n, n_prime)), rel=1e-11)
     assert r.p_right == approx(float(oracles.right_tail(x, f, n, n_prime)), rel=1e-11)
     assert r.p_two == approx(float(oracles.fisher(x, f, n, n_prime, "two")), rel=1e-11)
@@ -181,10 +162,9 @@ def test_pvalues_over_support_match_pointwise(setup):
 def test_min_testable_matches_exact_oracle(n, data, alpha):
     n_prime = data.draw(st.integers(n, 14))
     for tail in ("left", "right", "two"):
-        for strict in (False, True):
-            assert min_testable_frequency(alpha, n, n_prime, tail, strict) == oracles.min_testable(
-                alpha, n, n_prime, tail, strict
-            )
+        assert min_testable_frequency(alpha, n, n_prime, tail) == oracles.min_testable(
+            alpha, n, n_prime, tail
+        )
 
 
 def test_min_testable_breaks_float_ties_exactly():
@@ -195,10 +175,9 @@ def test_min_testable_breaks_float_ties_exactly():
         for n_prime in range(n, 15):
             for alpha in (0.01, 0.05, 0.123, 0.31):
                 for tail in ("left", "right", "two"):
-                    for strict in (False, True):
-                        assert min_testable_frequency(
-                            alpha, n, n_prime, tail, strict
-                        ) == oracles.min_testable(alpha, n, n_prime, tail, strict)
+                    assert min_testable_frequency(
+                        alpha, n, n_prime, tail
+                    ) == oracles.min_testable(alpha, n, n_prime, tail)
 
 
 @settings(deadline=None)
