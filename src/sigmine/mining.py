@@ -6,12 +6,17 @@ vertex ``to`` and backward edges close a cycle back onto the rightmost path.
 Each pattern is visited exactly once by pruning non-minimal codes. Support is
 the number of distinct transactions containing at least one embedding.
 
-One growth rule serves both the miner and the minimality check: ``_step``
-advances a code's rightmost path, vertex labels and edge set by one quint,
-and ``_extend`` lists one embedding's rightmost-path extensions. The miner
-carries that state from parent to child instead of re-deriving it from the
-code, and walks the search tree with an explicit stack, so pattern depth is
-not bounded by Python's recursion limit.
+``_step`` advances a code's rightmost path, vertex labels and edge set by
+one quint; the miner and the minimality check share it. The miner carries
+that state from parent to child instead of re-deriving it from the code, and
+walks the search tree with an explicit stack, so pattern depth is not
+bounded by Python's recursion limit. It holds a code's embeddings as one
+int32 array over the database's global vertex ids and finds all of a
+parent's rightmost-path extensions in one numpy join (``_Miner._children``);
+only children that are frequent and pass gSpan's first-edge test get
+embeddings. The scalar ``_extend``, which lists one embedding's extensions
+as tuples, is kept only for the minimality check, which grows one small
+graph into itself.
 
 Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 
@@ -25,7 +30,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .graphs import GraphDatabase, LabeledGraph
 
@@ -155,42 +163,6 @@ def _extend(
                 children.setdefault(quint, []).append((pos, assign + (w,)))
 
 
-def _validate_code(code: Sequence[Quint]) -> None:
-    if not code:
-        raise ValueError("empty code")
-    if _is_singleton(code):
-        frm, to, fl, el, tl = code[0]
-        if (frm, to, el) != (0, 0, NO_EDGE) or fl != tl or fl < 0:
-            raise ValueError(f"malformed singleton code {code[0]!r}")
-        return
-    rmpath, labels, edges = _root_state(code[0][2])
-    for k, quint in enumerate(code):
-        frm, to, fl, el, tl = quint
-        if el == NO_EDGE:
-            raise ValueError(f"quint {k}: edge label missing on a non-singleton code")
-        if frm == to:
-            raise ValueError(f"quint {k}: self-loop")
-        if k == 0 and (frm, to) != (0, 1):
-            raise ValueError("code must start with the edge (0, 1)")
-        if frm < to:
-            if to != len(labels):
-                raise ValueError(f"quint {k}: forward edge must introduce vertex {len(labels)}")
-            if frm not in rmpath:
-                raise ValueError(f"quint {k}: forward edge from {frm} off the rightmost path")
-        else:
-            if frm != rmpath[-1]:
-                raise ValueError(f"quint {k}: backward edge must leave the rightmost vertex")
-            if to not in rmpath[:-1]:
-                raise ValueError(f"quint {k}: backward edge to {to} off the rightmost path")
-        pair = (min(frm, to), max(frm, to))
-        if pair in edges:
-            raise ValueError(f"quint {k}: duplicate edge {pair}")
-        for vid, lbl in ((frm, fl), (to, tl)):
-            if vid < len(labels) and labels[vid] != lbl:
-                raise ValueError(f"quint {k}: vertex {vid} relabeled")
-        rmpath, labels, edges = _step(rmpath, labels, edges, quint)
-
-
 def _code_labels_edges(
     code: Sequence[Quint],
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -203,13 +175,6 @@ def _code_labels_edges(
         labels.setdefault(to, tl)
         edges.append((min(frm, to), max(frm, to), el))
     return tuple(labels[i] for i in range(len(labels))), tuple(edges)
-
-
-def code_to_graph(code: Sequence[Quint]) -> LabeledGraph:
-    """Materialize a DFS code as a graph (after validating the code)."""
-    _validate_code(code)
-    labels, edges = _code_labels_edges(code)
-    return LabeledGraph(0, labels, edges)
 
 
 def code_string(code: Sequence[Quint], db: GraphDatabase) -> str:
@@ -313,6 +278,18 @@ def is_canonical(code: Sequence[Quint]) -> bool:
 
 
 class _Miner:
+    """One mining run over array projections.
+
+    The database is laid out once as flat arrays over global vertex ids, the
+    graphs end to end: ``gpos`` gives a vertex's graph position and
+    ``vrank`` the dense rank of its label. A CSR (``nbr_off``, ``nbr``)
+    lists each vertex's neighbours, and ``prank`` gives the dense rank of
+    each (edge label, neighbour label) pair in it; ranks sort like the
+    labels they stand for. A code's projection is an int32 ``(k, m)`` array
+    with one embedding per column: entry ``[c, i]`` is the global vertex
+    that embedding i maps pattern vertex c to.
+    """
+
     def __init__(
         self,
         db: GraphDatabase,
@@ -320,7 +297,6 @@ class _Miner:
         deadline: float | None,
         on_emit: Callable[[int], int] | None,
     ):
-        self.db = db
         self.config = config
         self.deadline = deadline
         self.on_emit = on_emit
@@ -328,13 +304,89 @@ class _Miner:
         self.patterns: list[Pattern] = []
         self.emitted = 0
 
+        graphs = db.graphs
+        n = len(graphs)
+        self.n = n
+        # occurrence sets share these int objects instead of owning fresh ones
+        self.ints = tuple(range(n))
+        self.positive = np.fromiter((db.is_internal_positive(t) for t in range(n)), np.int64, n)
+        vcounts = np.fromiter((g.vertex_count for g in graphs), np.int64, n)
+        ecounts = np.fromiter((g.edge_count for g in graphs), np.int64, n)
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(vcounts, out=offsets[1:])
+        num_v = int(offsets[-1])
+        self.gpos = np.repeat(np.arange(n), vcounts)
+        vlabels, self.vrank = np.unique(
+            np.fromiter(chain.from_iterable(g.vertex_labels for g in graphs), np.int64, num_v),
+            return_inverse=True,
+        )
+        edges = np.fromiter(
+            chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+            np.int64,
+            3 * int(ecounts.sum()),
+        ).reshape(-1, 3)
+        shift = np.repeat(offsets[:-1], ecounts)
+        u, v = edges[:, 0] + shift, edges[:, 1] + shift
+        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+        order = np.argsort(src * num_v + dst)
+        self.nbr = dst[order].astype(np.int32)
+        self.nbr_off = np.searchsorted(src[order], np.arange(num_v + 1))
+        self.deg = self.nbr_off[1:] - self.nbr_off[:-1]
+        elabels, erank = np.unique(np.tile(edges[:, 2], 2)[order], return_inverse=True)
+        pairs, self.prank = np.unique(
+            erank * len(vlabels) + self.vrank[self.nbr], return_inverse=True
+        )
+        self.vlabels = vlabels.tolist()
+        self.pair_el = elabels[pairs // len(vlabels)].tolist()
+        self.pair_tl = vlabels[pairs % len(vlabels)].tolist()
+        largest = int(vcounts.max(initial=0))
+        if (2 * largest + len(vlabels)) * len(pairs) * n >= 2**63:
+            raise ValueError("database too large for the miner's int64 extension keys")
+        # a projection's match matrix times this is the matching pattern
+        # vertex + 1, or 0 for none
+        self.vertex_weights = np.arange(1, largest + 2)
+
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise MiningTimeout("mining deadline exceeded")
 
-    def _emit(self, code: tuple[Quint, ...], occurrences: frozenset[int]) -> None:
+    def _group(self, keys: np.ndarray, pos: np.ndarray):
+        """Sort items by key and count the distinct graph positions of each key.
+
+        Returns ``order`` (item indices sorted by key, then position), the
+        distinct keys in ascending order as a list, ``occ`` (the distinct
+        positions of each key in turn, ascending) and two lists of
+        boundaries, one longer than the keys: key i owns ``occ[ob[i]:ob[i+1]]``
+        and ``order[rb[i]:rb[i+1]]``. Keys stay below (2 * largest graph +
+        vertex labels) * label pairs, which ``__init__`` checks, so
+        ``key * n + pos`` fits int64.
+        """
+        n = self.n
+        combined = keys * n
+        combined += pos
+        order = combined.argsort()
+        combined = combined[order]
+        step = np.empty(len(combined), bool)
+        step[:1] = True
+        np.not_equal(combined[1:], combined[:-1], out=step[1:])
+        pair_items = step.nonzero()[0]
+        pairs = combined[pair_items]
+        pair_keys = pairs // n
+        step = step[: len(pairs)]
+        np.not_equal(pair_keys[1:], pair_keys[:-1], out=step[1:])
+        key_pairs = step.nonzero()[0]
+        ob = key_pairs.tolist()
+        rb = pair_items[key_pairs].tolist()
+        ob.append(len(pairs))
+        rb.append(len(combined))
+        return order, pair_keys[key_pairs].tolist(), pairs - pair_keys * n, ob, rb
+
+    def _emit(self, code: tuple[Quint, ...], occ: np.ndarray) -> None:
         self.emitted += 1
-        x = sum(1 for t in occurrences if self.db.is_internal_positive(t))
+        # a frozenset copied from a set gets a table sized for its contents;
+        # one filled from an iterator keeps the slack of its growth steps
+        occurrences = frozenset(set(map(self.ints.__getitem__, occ.tolist())))
+        x = int(self.positive[occ].sum())
         if _is_singleton(code):
             nv, ne = 1, 0
         else:
@@ -348,63 +400,136 @@ class _Miner:
                 self.patterns = [p for p in self.patterns if p.frequency >= sigma]
 
     def run(self) -> None:
-        db = self.db
         if self.config.count_singletons:
-            by_label: dict[int, set[int]] = {}
-            for pos, g in enumerate(db.graphs):
-                for lbl in set(g.vertex_labels):
-                    by_label.setdefault(lbl, set()).add(pos)
-            for lbl in sorted(by_label):
+            _, keys, occ, ob, _ = self._group(self.vrank, self.gpos)
+            for i, key in enumerate(keys):
                 self._check_deadline()
-                occ = by_label[lbl]
-                if len(occ) >= self.sigma:
-                    self._emit(((0, 0, lbl, NO_EDGE, lbl),), frozenset(occ))
+                if ob[i + 1] - ob[i] >= self.sigma:
+                    lbl = self.vlabels[key]
+                    self._emit(((0, 0, lbl, NO_EDGE, lbl),), occ[ob[i] : ob[i + 1]])
         if self.config.max_vertices is not None and self.config.max_vertices < 2:
             return
-        roots: dict[Quint, list[tuple[int, tuple[int, ...]]]] = {}
-        for pos, g in enumerate(db.graphs):
-            vl = g.vertex_labels
-            for u, v, el in g.edges:
-                for a, b in ((u, v), (v, u)):
-                    if vl[a] <= vl[b]:
-                        quint = (0, 1, vl[a], el, vl[b])
-                        roots.setdefault(quint, []).append((pos, (a, b)))
-        # the roots go on the stack last first, so they pop in sorted order
-        self._grow([
-            ((quint,), roots[quint], _root_state(quint[2]))
-            for quint in sorted(roots, reverse=True)
-        ])
+        # a root embedding per directed edge whose source label is not the larger
+        src = np.arange(len(self.deg)).repeat(self.deg)
+        keep = (self.vrank[src] <= self.vrank[self.nbr]).nonzero()[0]
+        proj = np.stack((src[keep], self.nbr[keep])).astype(np.int32)
+        num_p = len(self.pair_el)
+        order, keys, occ, ob, rb = self._group(
+            self.vrank[proj[0]] * num_p + self.prank[keep], self.gpos[proj[0]]
+        )
+        stack = []
+        for i in reversed(range(len(keys))):
+            if ob[i + 1] - ob[i] >= self.sigma:
+                fl, pair = divmod(keys[i], num_p)
+                quint = (0, 1, self.vlabels[fl], self.pair_el[pair], self.pair_tl[pair])
+                child = proj[:, order[rb[i] : rb[i + 1]]]
+                stack.append(((quint,), child, occ[ob[i] : ob[i + 1]], _root_state(quint[2])))
+        self._grow(stack)
 
-    def _grow(self, stack: list[tuple[tuple[Quint, ...], list, _State]]) -> None:
+    def _grow(self, stack: list[tuple[tuple[Quint, ...], np.ndarray, np.ndarray, _State]]) -> None:
         """Grow every code on ``stack`` depth first, popping from its end.
 
-        An entry is (code, projections, state of the code without its last
-        quint). Support is tested when an entry is popped, against the
-        threshold of that moment: ``on_emit`` may have raised it while
-        earlier siblings grew. Children are pushed in reverse extension
-        order, so codes are visited and emitted in gSpan preorder.
+        An entry is (code, projection, its distinct graph positions, state of
+        the code without its last quint). Support is tested when an entry is
+        popped, against the threshold of that moment: ``on_emit`` may have
+        raised it while earlier siblings grew. A parent builds all its
+        children in one join (``_children``) and pushes them in reverse
+        extension order, so codes are visited and emitted in gSpan preorder.
         """
-        graphs = self.db.graphs
         max_vertices = self.config.max_vertices
         while stack:
             self._check_deadline()
-            code, projs, state = stack.pop()
-            support = {pos for pos, _ in projs}
-            if len(support) < self.sigma:
+            code, proj, occ, state = stack.pop()
+            if len(occ) < self.sigma:
                 continue
             if len(code) > 1 and not is_canonical(code):
                 continue
-            occurrences = frozenset(support)
-            self._emit(code, occurrences)
-            if len(occurrences) < self.sigma:
+            self._emit(code, occ)
+            if len(occ) < self.sigma:
                 continue
             state = _step(*state, code[-1])
             forward = max_vertices is None or len(state[1]) < max_vertices
-            children: dict[Quint, list[tuple[int, tuple[int, ...]]]] = {}
-            for pos, assign in projs:
-                _extend(children, graphs[pos], pos, assign, *state, forward)
-            for quint in sorted(children, key=_extension_key, reverse=True):
-                stack.append((code + (quint,), children[quint], state))
+            self._children(stack, code, proj, state, forward)
+
+    def _children(
+        self,
+        stack: list,
+        code: tuple[Quint, ...],
+        proj: np.ndarray,
+        state: _State,
+        forward: bool,
+    ) -> None:
+        """Push the children of ``code`` that can still be frequent and minimal.
+
+        Finds every rightmost-path extension of every embedding at once, as
+        the scalar ``_extend`` does one embedding at a time. The neighbours
+        of the embeddings' rightmost-path vertices (of the rightmost vertex
+        alone when ``forward`` is off) are listed from the CSR and compared
+        with the whole embedding. A neighbour outside it gives a forward
+        edge; the rightmost vertex's neighbour at pattern vertex j gives a
+        backward edge, unless the code already joins j to it. An extension's
+        int64 key is ``slot * P + (edge label, new label) pair``, with slot
+        j for a backward edge to j and ``2k - 1 - frm`` for a forward edge
+        from frm, so keys sort in ``_extension_key`` order. Only keys whose
+        support reaches the live threshold and that pass gSpan's first-edge
+        test get embeddings: a new edge whose label triple, read either way,
+        sorts below ``code[0]``'s means the code is not minimal.
+        """
+        rmpath, labels, edges = state
+        k, m = proj.shape
+        num_p = len(self.pair_el)
+        rightmost = rmpath[-1]
+        path = rmpath if forward else rmpath[-1:]
+        # slot * P by (path vertex, matching pattern vertex + 1, 0 if none);
+        # -1 drops the extension
+        base = np.full((len(path), k + 1), -1)
+        if forward:
+            base[:, 0] = [(2 * k - 1 - i) * num_p for i in path]
+        for j in rmpath[:-1]:
+            if (j, rightmost) not in edges:
+                base[-1, j + 1] = j * num_p
+        flat = proj.take(path, axis=0).ravel()
+        deg = self.deg[flat]
+        ends = deg.cumsum()
+        cand = np.arange(len(flat)).repeat(deg)
+        edge = (self.nbr_off[flat] - ends + deg).repeat(deg)
+        edge += np.arange(len(edge))
+        new = self.nbr[edge]
+        col, src = np.divmod(cand, m)
+        grown = proj.take(src, axis=1)
+        held = self.vertex_weights[:k] @ (grown == new)
+        col *= k + 1
+        col += held
+        keys = base.ravel()[col]
+        keep = (keys >= 0).nonzero()[0]
+        keys = keys[keep]
+        keys += self.prank[edge[keep]]
+        order, keys, occ, ob, rb = self._group(keys, self.gpos[new[keep]])
+
+        first = code[0][2:]
+        sigma = self.sigma
+        picked = []
+        for i, key in enumerate(keys):
+            if ob[i + 1] - ob[i] < sigma:
+                continue
+            slot, pair = divmod(key, num_p)
+            if slot < k:
+                quint = (rightmost, slot, labels[rightmost], self.pair_el[pair], labels[slot])
+            else:
+                frm = 2 * k - 1 - slot
+                quint = (frm, k, labels[frm], self.pair_el[pair], self.pair_tl[pair])
+            if min(quint[2:], quint[:1:-1]) < first:
+                continue
+            picked.append((quint, i))
+        for quint, i in reversed(picked):
+            at = keep[order[rb[i] : rb[i + 1]]]
+            if quint[0] > quint[1]:
+                child = grown[:, at]
+            else:
+                child = np.empty((k + 1, len(at)), np.int32)
+                child[:k] = grown[:, at]
+                child[k] = new[at]
+            stack.append((code + (quint,), child, occ[ob[i] : ob[i + 1]], state))
 
 
 def mine(

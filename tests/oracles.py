@@ -2,13 +2,22 @@
 
 Slow but transparent: exact rational arithmetic for the statistics,
 exhaustive enumeration for the miner. Nothing here shares code paths with
-the modules under test, except the permutation helpers. They keep the
-int-bitmask form of occurrences and masks, which the package does not have:
-``permutation_mask`` packs the package's own slot stream
-(``permute._shuffled_slots``) into an int, ``occurrence_bits`` packs a
-support set, and ``min_p_reference`` is the scalar permutation loop built on
-them (one mask, one popcount and one table lookup at a time), against which
-the vectorised engine must agree bit for bit.
+the modules under test, except two scalar loops that the vectorised engines
+must agree with exactly:
+
+- The permutation helpers keep the int-bitmask form of occurrences and
+  masks, which the package does not have: ``permutation_mask`` packs the
+  package's own slot stream (``permute._shuffled_slots``) into an int,
+  ``occurrence_bits`` packs a support set, and ``min_p_reference`` is the
+  scalar permutation loop built on them (one mask, one popcount and one
+  table lookup at a time).
+- ``mine_reference`` is the scalar miner: it grows every embedding one tuple
+  at a time with the package's own growth rule (``mining._step`` and
+  ``mining._extend``, which the minimality check still uses), so the array
+  miner must emit the same patterns in the same order.
+
+``code_to_graph`` turns a DFS code back into a graph, after checking that
+the code is well formed, for the isomorphism oracles above.
 """
 
 from __future__ import annotations
@@ -170,6 +179,63 @@ def recount_positives(occurrence_positions, class_by_position) -> int:
     return sum(1 for p in occurrence_positions if class_by_position[p] == 1)
 
 
+def _validate_code(code) -> None:
+    from sigmine.mining import NO_EDGE
+
+    if not code:
+        raise ValueError("empty code")
+    if len(code) == 1 and code[0][3] == NO_EDGE:
+        frm, to, fl, el, tl = code[0]
+        if (frm, to, el) != (0, 0, NO_EDGE) or fl != tl or fl < 0:
+            raise ValueError(f"malformed singleton code {code[0]!r}")
+        return
+    rmpath, labels, edges = [0], [code[0][2]], set()
+    for k, (frm, to, fl, el, tl) in enumerate(code):
+        if el == NO_EDGE:
+            raise ValueError(f"quint {k}: edge label missing on a non-singleton code")
+        if frm == to:
+            raise ValueError(f"quint {k}: self-loop")
+        if k == 0 and (frm, to) != (0, 1):
+            raise ValueError("code must start with the edge (0, 1)")
+        if frm < to:
+            if to != len(labels):
+                raise ValueError(f"quint {k}: forward edge must introduce vertex {len(labels)}")
+            if frm not in rmpath:
+                raise ValueError(f"quint {k}: forward edge from {frm} off the rightmost path")
+        else:
+            if frm != rmpath[-1]:
+                raise ValueError(f"quint {k}: backward edge must leave the rightmost vertex")
+            if to not in rmpath[:-1]:
+                raise ValueError(f"quint {k}: backward edge to {to} off the rightmost path")
+        pair = (min(frm, to), max(frm, to))
+        if pair in edges:
+            raise ValueError(f"quint {k}: duplicate edge {pair}")
+        for vid, lbl in ((frm, fl), (to, tl)):
+            if vid < len(labels) and labels[vid] != lbl:
+                raise ValueError(f"quint {k}: vertex {vid} relabeled")
+        edges.add(pair)
+        if frm < to:
+            # a forward edge cuts the rightmost path back to its source
+            rmpath = rmpath[: rmpath.index(frm) + 1] + [to]
+            labels.append(tl)
+
+
+def code_to_graph(code):
+    """Materialize a DFS code as a graph, after checking that it is well formed."""
+    from sigmine.graphs import LabeledGraph
+    from sigmine.mining import NO_EDGE
+
+    _validate_code(code)
+    if code[0][3] == NO_EDGE:
+        return LabeledGraph(0, (code[0][2],), ())
+    labels = {}
+    for frm, to, fl, _, tl in code:
+        labels.setdefault(frm, fl)
+        labels.setdefault(to, tl)
+    edges = tuple((min(frm, to), max(frm, to), el) for frm, to, _, el, _ in code)
+    return LabeledGraph(0, tuple(labels[i] for i in range(len(labels))), edges)
+
+
 def occurrence_bits(positions) -> int:
     """Int bitmask with bit t set for every transaction position t."""
     return sum(1 << t for t in set(positions))
@@ -204,3 +270,78 @@ def min_p_reference(testable, plan, db, tail="two"):
                 best = p
         samples.append(best)
     return tuple(samples)
+
+
+def mine_reference(db, config, on_emit=None):
+    """The scalar miner: one ``_extend`` call per embedding, children as tuples.
+
+    Emits what ``mining.mine`` emits, in the same order, and steers the same
+    way through ``on_emit``; it has no deadline.
+    """
+    from sigmine.mining import (
+        NO_EDGE,
+        MiningOutcome,
+        Pattern,
+        _extend,
+        _extension_key,
+        _root_state,
+        _step,
+        is_canonical,
+    )
+
+    sigma = config.min_frequency
+    patterns = []
+    emitted = 0
+
+    def emit(code, occurrences):
+        nonlocal sigma, patterns, emitted
+        emitted += 1
+        x = sum(1 for t in occurrences if db.is_internal_positive(t))
+        if len(code) == 1 and code[0][3] == NO_EDGE:
+            nv, ne = 1, 0
+        else:
+            nv, ne = sum(1 for frm, to, *_ in code if frm < to) + 1, len(code)
+        patterns.append(Pattern(code, nv, ne, occurrences, x, len(occurrences) - x))
+        if on_emit is not None:
+            raised = on_emit(len(occurrences))
+            if raised > sigma:
+                sigma = raised
+                patterns = [p for p in patterns if p.frequency >= sigma]
+
+    if config.count_singletons:
+        by_label = {}
+        for pos, g in enumerate(db.graphs):
+            for lbl in set(g.vertex_labels):
+                by_label.setdefault(lbl, set()).add(pos)
+        for lbl in sorted(by_label):
+            if len(by_label[lbl]) >= sigma:
+                emit(((0, 0, lbl, NO_EDGE, lbl),), frozenset(by_label[lbl]))
+    if config.max_vertices is not None and config.max_vertices < 2:
+        return MiningOutcome(tuple(patterns), emitted)
+    roots = {}
+    for pos, g in enumerate(db.graphs):
+        vl = g.vertex_labels
+        for u, v, el in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if vl[a] <= vl[b]:
+                    roots.setdefault((0, 1, vl[a], el, vl[b]), []).append((pos, (a, b)))
+    stack = [((q,), roots[q], _root_state(q[2])) for q in sorted(roots, reverse=True)]
+    while stack:
+        code, projs, state = stack.pop()
+        support = {pos for pos, _ in projs}
+        if len(support) < sigma:
+            continue
+        if len(code) > 1 and not is_canonical(code):
+            continue
+        occurrences = frozenset(support)
+        emit(code, occurrences)
+        if len(occurrences) < sigma:
+            continue
+        state = _step(*state, code[-1])
+        forward = config.max_vertices is None or len(state[1]) < config.max_vertices
+        children = {}
+        for pos, assign in projs:
+            _extend(children, db.graphs[pos], pos, assign, *state, forward)
+        for quint in sorted(children, key=_extension_key, reverse=True):
+            stack.append((code + (quint,), children[quint], state))
+    return MiningOutcome(tuple(patterns), emitted)

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from sigmine.graphs import parse_database
-from sigmine.mining import MinerConfig, code_to_graph, mine
+from sigmine.mining import MinerConfig, mine
 from sigmine.permute import (
     PermutationPlan,
     effective_num_tests,
@@ -50,7 +50,7 @@ def test_c1_miner_matches_bruteforce_oracle():
             outcome = mine(db, MinerConfig(sigma))
             got = {}
             for p in outcome.patterns:
-                g = code_to_graph(p.code)
+                g = oracles.code_to_graph(p.code)
                 key = oracles.canonical_key(g.vertex_labels, g.edges)
                 got[key] = (p.occurrences, p.vertex_count, p.edge_count)
             expected = {k: v for k, v in census.items() if len(v[0]) >= sigma}

@@ -1,6 +1,7 @@
 import inspect
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,11 +16,11 @@ from sigmine.mining import (
     _root_state,
     _step,
     code_string,
-    code_to_graph,
     is_canonical,
     mine,
     minimum_code,
 )
+from sigmine.synth import random_database
 
 # graph 0: the path A-x-B-y-C; graph 1: the same path closed into a triangle
 PATH_AND_TRIANGLE = """\
@@ -123,7 +124,7 @@ def test_minimum_code_of_singleton():
 def test_is_canonical_rejects_rotated_triangle_code():
     rotated = ((0, 1, 1, 1, 2), (1, 2, 2, 2, 0), (2, 0, 0, 0, 1))
     # a valid description of the same triangle, rooted at the wrong edge
-    assert code_to_graph(rotated).edge_count == 3
+    assert oracles.code_to_graph(rotated).edge_count == 3
     assert not is_canonical(rotated)
     assert is_canonical(((0, 1, 0, 0, 1), (1, 2, 1, 1, 2), (2, 0, 2, 2, 0)))
     assert is_canonical(((0, 0, 3, NO_EDGE, 3),))
@@ -169,28 +170,28 @@ def test_mines_a_path_deeper_than_the_recursion_limit():
 
 def test_code_validation_rejects_malformed_codes():
     with pytest.raises(ValueError, match="introduce vertex 2"):
-        code_to_graph(((0, 1, 0, 0, 1), (2, 3, 0, 0, 1)))
+        oracles.code_to_graph(((0, 1, 0, 0, 1), (2, 3, 0, 0, 1)))
     with pytest.raises(ValueError, match="rightmost vertex"):
-        code_to_graph(
+        oracles.code_to_graph(
             ((0, 1, 0, 0, 1), (1, 2, 1, 0, 2), (2, 3, 2, 0, 3), (2, 0, 2, 0, 0))
         )
     with pytest.raises(ValueError, match="relabeled"):
-        code_to_graph(((0, 1, 0, 0, 1), (1, 2, 5, 0, 2)))
+        oracles.code_to_graph(((0, 1, 0, 0, 1), (1, 2, 5, 0, 2)))
     with pytest.raises(ValueError, match="duplicate edge"):
-        code_to_graph(((0, 1, 0, 0, 1), (1, 0, 1, 0, 0)))
+        oracles.code_to_graph(((0, 1, 0, 0, 1), (1, 0, 1, 0, 0)))
     with pytest.raises(ValueError, match="start with the edge"):
-        code_to_graph(((1, 2, 0, 0, 1),))
+        oracles.code_to_graph(((1, 2, 0, 0, 1),))
     with pytest.raises(ValueError, match="singleton"):
-        code_to_graph(((0, 0, 3, NO_EDGE, 4),))
+        oracles.code_to_graph(((0, 0, 3, NO_EDGE, 4),))
     with pytest.raises(ValueError, match="empty"):
-        code_to_graph(())
+        oracles.code_to_graph(())
 
 
 def test_occurrences_verified_by_brute_force_isomorphism(db):
     outcome = mine(db, MinerConfig(min_frequency=1))
     assert len(outcome.patterns) == 10
     for p in outcome.patterns:
-        g = code_to_graph(p.code)
+        g = oracles.code_to_graph(p.code)
         for pos, host in enumerate(db.graphs):
             present = oracles.iso_contains(host, g.vertex_labels, g.edges)
             assert (pos in p.occurrences) == present
@@ -260,13 +261,57 @@ def test_miner_matches_exhaustive_enumeration(db, sigma, max_vertices, singleton
     got = {}
     for p in outcome.patterns:
         assert is_canonical(p.code)
-        g = code_to_graph(p.code)
+        g = oracles.code_to_graph(p.code)
         key = oracles.canonical_key(g.vertex_labels, g.edges)
         assert key not in got, "pattern emitted twice"
         got[key] = (p.occurrences, p.vertex_count, p.edge_count)
         assert p.x == sum(1 for t in p.occurrences if db.is_internal_positive(t))
         assert p.x + p.x_prime == len(p.occurrences)
     assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_db(),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 2, 3]),
+    st.booleans(),
+    st.dictionaries(st.integers(0, 30), st.integers(2, 7), max_size=3),
+)
+def test_miner_emits_in_the_order_of_the_scalar_reference(
+    db, sigma, max_vertices, singletons, raises
+):
+    # the dynamic root search's trace depends on the order of emissions, not
+    # only on their set; ``raises`` maps an emission's index to the threshold
+    # the hook returns there
+    config = MinerConfig(sigma, max_vertices=max_vertices, count_singletons=singletons)
+
+    def run(miner):
+        seen = []
+
+        def on_emit(frequency):
+            seen.append(frequency)
+            return raises.get(len(seen) - 1, sigma)
+
+        outcome = miner(db, config, on_emit=on_emit)
+        emitted = [(p.code, p.occurrences, p.x, p.x_prime) for p in outcome.patterns]
+        return outcome.emitted_count, seen, emitted
+
+    assert run(mine) == run(oracles.mine_reference)
+
+
+def test_memory_is_bounded_on_twenty_thousand_graphs():
+    # a miner that holds its embeddings as tuples needs 44 MiB here
+    db = random_database(20000, 0)
+    tracemalloc.start()
+    try:
+        outcome = mine(db, MinerConfig(min_frequency=200, max_vertices=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.emitted_count == len(outcome.patterns) > 0
+    assert all(p.frequency >= 200 and p.vertex_count <= 3 for p in outcome.patterns)
+    assert peak < 24 * 2**20
 
 
 @st.composite
@@ -297,7 +342,7 @@ def test_minimum_code_is_a_canonical_form(graphs):
     code = minimum_code(graph)
     assert minimum_code(renumbered) == code
     assert is_canonical(code)
-    back = code_to_graph(code)
+    back = oracles.code_to_graph(code)
     assert oracles.canonical_key(back.vertex_labels, back.edges) == oracles.canonical_key(
         graph.vertex_labels, graph.edges
     )
