@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sigmine.mining import MinerConfig, mine
 from sigmine.permute import PermutationPlan, effective_num_tests, min_p_distribution

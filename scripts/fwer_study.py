@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sigmine.mining import MinerConfig
 from sigmine.permute import PermutationPlan, empirical_fwer

@@ -34,7 +34,9 @@ class ValidityError(ValueError):
 class LabeledGraph:
     """One transaction: dense 0-based vertices with labels, simple undirected edges.
 
-    Edges are normalized to (u, v, label) with u < v and stored sorted.
+    A plain validated record. Labels are non-negative ints (the miner reserves
+    -1 for "no edge"); edges are normalized to (u, v, label) with u < v and
+    stored sorted.
     """
 
     graph_id: int
@@ -45,7 +47,11 @@ class LabeledGraph:
         normalized = []
         seen: set[tuple[int, int]] = set()
         nv = len(self.vertex_labels)
+        if min(self.vertex_labels, default=0) < 0:
+            raise ValueError(f"graph {self.graph_id}: negative vertex label")
         for u, v, lbl in self.edges:
+            if lbl < 0:
+                raise ValueError(f"graph {self.graph_id}: negative label on edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"graph {self.graph_id}: self-loop at vertex {u}")
             if not (0 <= u < nv and 0 <= v < nv):
@@ -68,27 +74,6 @@ class LabeledGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """adjacency[v] = sorted tuple of (neighbor, edge label)."""
-        lists: list[list[tuple[int, int]]] = [[] for _ in self.vertex_labels]
-        for u, v, lbl in self.edges:
-            lists[u].append((v, lbl))
-            lists[v].append((u, lbl))
-        return tuple(tuple(sorted(item)) for item in lists)
-
-    @cached_property
-    def _edge_label_map(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for u, v, lbl in self.edges:
-            out[(u, v)] = lbl
-            out[(v, u)] = lbl
-        return out
-
-    def edge_label(self, u: int, v: int) -> int | None:
-        """Label of the edge between u and v, or None when absent."""
-        return self._edge_label_map.get((u, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +147,21 @@ class GraphDatabase:
         vertex_tokens: Sequence[str] | None = None,
         edge_tokens: Sequence[str] | None = None,
     ) -> "GraphDatabase":
-        """Build a database from in-memory graphs, defaulting tokens to str(id)."""
+        """Build a database from in-memory graphs, defaulting tokens to str(id).
+
+        Raises ValueError when a label has no entry in a token table passed in.
+        """
         graphs = tuple(graphs)
+        top_vertex = max((max(g.vertex_labels) for g in graphs if g.vertex_labels), default=-1)
+        top_edge = max((max(lbl for _, _, lbl in g.edges) for g in graphs if g.edges), default=-1)
         if vertex_tokens is None:
-            top = max((max(g.vertex_labels) for g in graphs if g.vertex_labels), default=-1)
-            vertex_tokens = tuple(str(i) for i in range(top + 1))
+            vertex_tokens = tuple(str(i) for i in range(top_vertex + 1))
         if edge_tokens is None:
-            top = max((max(lbl for _, _, lbl in g.edges) for g in graphs if g.edges), default=-1)
-            edge_tokens = tuple(str(i) for i in range(top + 1))
+            edge_tokens = tuple(str(i) for i in range(top_edge + 1))
+        if top_vertex >= len(vertex_tokens):
+            raise ValueError(f"vertex label {top_vertex} has no vertex token")
+        if top_edge >= len(edge_tokens):
+            raise ValueError(f"edge label {top_edge} has no edge token")
         return cls(graphs, tuple(int(c) for c in classes), tuple(vertex_tokens), tuple(edge_tokens))
 
     def _resolved(self):

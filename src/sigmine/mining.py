@@ -14,9 +14,10 @@ bounded by Python's recursion limit. It holds a code's embeddings as one
 int32 array over the database's global vertex ids and finds all of a
 parent's rightmost-path extensions in one numpy join (``_Miner._children``);
 only children that are frequent and pass gSpan's first-edge test get
-embeddings. The scalar ``_extend``, which lists one embedding's extensions
-as tuples, is kept only for the minimality check, which grows one small
-graph into itself.
+embeddings. The minimality check grows one small graph, held as a plain
+adjacency, into itself with the scalar ``_extend``; ``_minimal_quints``
+yields the greedy minimal code quint by quint to both ``minimum_code`` and
+``is_canonical``, which stops at the first quint that differs.
 
 Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,9 +125,19 @@ def _step(
     return rmpath, labels, edges | {(to, frm)}
 
 
+def _adjacency(graph: LabeledGraph) -> list[dict[int, int]]:
+    """adjacency[v] maps each neighbour of v to the label of their edge."""
+    adjacency: list[dict[int, int]] = [{} for _ in graph.vertex_labels]
+    for u, v, lbl in graph.edges:
+        adjacency[u][v] = lbl
+        adjacency[v][u] = lbl
+    return adjacency
+
+
 def _extend(
     children: dict[Quint, list[tuple[int, tuple[int, ...]]]],
-    graph: LabeledGraph,
+    adjacency: Sequence[dict[int, int]],
+    vertex_labels: Sequence[int],
     pos: int,
     assign: tuple[int, ...],
     rmpath: tuple[int, ...],
@@ -136,18 +147,19 @@ def _extend(
 ) -> None:
     """Bucket one embedding's rightmost-path extensions by quint.
 
-    ``assign`` maps the pattern's vertex ids to vertices of ``graph``, the
-    transaction at ``pos``. Each extension appends ``(pos, child assignment)``
-    to ``children[quint]``: backward edges from the rightmost vertex to an
-    earlier rightmost-path vertex, then, when ``forward``, edges from any
-    rightmost-path vertex to a vertex the embedding does not use yet.
+    ``assign`` maps the pattern's vertex ids to vertices of the graph at
+    ``pos``, given by its ``adjacency`` and ``vertex_labels``. Each extension
+    appends ``(pos, child assignment)`` to ``children[quint]``: backward edges
+    from the rightmost vertex to an earlier rightmost-path vertex, then, when
+    ``forward``, edges from any rightmost-path vertex to a vertex the
+    embedding does not use yet.
     """
     rightmost = rmpath[-1]
-    r_img = assign[rightmost]
+    r_nbrs = adjacency[assign[rightmost]]
     for j in rmpath[:-1]:
         if (j, rightmost) in edges:
             continue
-        lbl = graph.edge_label(r_img, assign[j])
+        lbl = r_nbrs.get(assign[j])
         if lbl is not None:
             quint = (rightmost, j, labels[rightmost], lbl, labels[j])
             children.setdefault(quint, []).append((pos, assign))
@@ -155,26 +167,11 @@ def _extend(
         return
     in_assign = set(assign)
     new_id = len(assign)
-    vertex_labels = graph.vertex_labels
     for i in rmpath:
-        for w, lbl in graph.adjacency[assign[i]]:
+        for w, lbl in adjacency[assign[i]].items():
             if w not in in_assign:
                 quint = (i, new_id, labels[i], lbl, vertex_labels[w])
                 children.setdefault(quint, []).append((pos, assign + (w,)))
-
-
-def _code_labels_edges(
-    code: Sequence[Quint],
-) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    if _is_singleton(code):
-        return (code[0][2],), ()
-    labels: dict[int, int] = {}
-    edges = []
-    for frm, to, fl, el, tl in code:
-        labels.setdefault(frm, fl)
-        labels.setdefault(to, tl)
-        edges.append((min(frm, to), max(frm, to), el))
-    return tuple(labels[i] for i in range(len(labels))), tuple(edges)
 
 
 def code_string(code: Sequence[Quint], db: GraphDatabase) -> str:
@@ -200,81 +197,75 @@ def _extension_key(quint: Quint) -> tuple:
     return (1, -frm, el, tl)
 
 
-def _minimum_code_construct(
-    labels: Sequence[int],
-    edges: Sequence[tuple[int, int, int]],
-    reference: Sequence[Quint] | None = None,
-):
-    """Greedy minimal-DFS-code builder over a connected labeled graph.
+def _minimal_quints(
+    labels: Sequence[int], adjacency: Sequence[dict[int, int]]
+) -> Iterator[Quint]:
+    """Yield the minimal DFS code of a connected labeled graph, quint by quint.
 
     Grows the code with the miner's rule, keeping at each step only the
     smallest extension and the embeddings of the graph into itself that
-    produce it. With ``reference`` given, stops early and returns False the
-    moment the constructed code goes below the reference (the reference is
-    then not minimal); returns True when they match to the end. Without a
-    reference, returns the full minimal code.
+    produce it. A consumer that stops early (``is_canonical`` at the first
+    quint that differs) skips the rest of the construction.
     """
-    if not edges:
+    if not any(adjacency):
         if len(labels) != 1:
             raise ValueError("disconnected graph has no DFS code")
-        code = ((0, 0, labels[0], NO_EDGE, labels[0]),)
-        if reference is None:
-            return code
-        return tuple(reference) == code
-
-    first_key = min(
-        (labels[u], lbl, labels[v])
-        for u, v, lbl in edges
-        for u, v in ((u, v), (v, u))
-    )
-    code: list[Quint] = [(0, 1, *first_key)]
-    if reference is not None and code[0] != reference[0]:
-        return False
-    # built after the first-quint test, which rejects many codes on its own
-    graph = LabeledGraph(0, tuple(labels), tuple(edges))
+        yield (0, 0, labels[0], NO_EDGE, labels[0])
+        return
+    directed = [
+        ((labels[u], lbl, labels[v]), (u, v))
+        for u, nbrs in enumerate(adjacency)
+        for v, lbl in nbrs.items()
+    ]
+    first_key = min(directed)[0]
+    quint: Quint = (0, 1, *first_key)
+    yield quint
     # an embedding maps pattern vertex -> graph vertex; injectivity plus the
     # pattern-level duplicate-edge check make a used-edge set redundant
-    embeds = [
-        (a, b)
-        for u, v, lbl in edges
-        for a, b in ((u, v), (v, u))
-        if (labels[a], lbl, labels[b]) == first_key
-    ]
-    state = _step(*_root_state(first_key[0]), code[0])
-    while len(code) < len(edges):
+    embeds = [pair for key, pair in directed if key == first_key]
+    state = _step(*_root_state(first_key[0]), quint)
+    for _ in range(sum(map(len, adjacency)) // 2 - 1):
         children: dict[Quint, list[tuple[int, tuple[int, ...]]]] = {}
         for assign in embeds:
-            _extend(children, graph, 0, assign, *state, True)
+            _extend(children, adjacency, labels, 0, assign, *state, True)
         if not children:
             raise ValueError("disconnected graph has no DFS code")
-        best = min(children, key=_extension_key)
-        if reference is not None and best != reference[len(code)]:
-            # quints extending a shared prefix compare by extension order,
-            # not by raw tuple order
-            if _extension_key(best) > _extension_key(reference[len(code)]):
-                raise AssertionError("greedy construction exceeded a valid code")
-            return False
-        code.append(best)
-        embeds = [assign for _, assign in children[best]]
-        state = _step(*state, best)
+        quint = min(children, key=_extension_key)
+        yield quint
+        embeds = [assign for _, assign in children[quint]]
+        state = _step(*state, quint)
     if len(state[1]) < len(labels):
         raise ValueError("disconnected graph has no DFS code")
-    if reference is None:
-        return tuple(code)
-    return True
 
 
 def minimum_code(graph: LabeledGraph) -> tuple[Quint, ...]:
     """Canonical (minimal) DFS code of a connected labeled graph."""
-    return _minimum_code_construct(graph.vertex_labels, graph.edges)
+    return tuple(_minimal_quints(graph.vertex_labels, _adjacency(graph)))
 
 
 def is_canonical(code: Sequence[Quint]) -> bool:
     """True when the code is the minimal DFS code of the graph it describes."""
     if _is_singleton(code):
         return True
-    labels, edges = _code_labels_edges(code)
-    return bool(_minimum_code_construct(labels, edges, reference=code))
+    labels = [code[0][2]]
+    adjacency: list[dict[int, int]] = [{}]
+    for frm, to, _, el, tl in code:
+        if frm < to:
+            labels.append(tl)
+            adjacency.append({})
+        adjacency[frm][to] = el
+        adjacency[to][frm] = el
+    minimal = _minimal_quints(labels, adjacency)
+    if next(minimal) != code[0]:
+        return False
+    for quint, best in zip(code[1:], minimal):
+        if best != quint:
+            # quints extending a shared prefix compare by extension order,
+            # not by raw tuple order
+            if _extension_key(best) > _extension_key(quint):
+                raise AssertionError("greedy construction exceeded a valid code")
+            return False
+    return True
 
 
 class _Miner:

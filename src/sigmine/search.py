@@ -318,14 +318,15 @@ def score_patterns(
 
     Significance is a strict comparison. Records are sorted by ascending
     p-value with ties broken by the pattern's code string, so output order is
-    reproducible across runs and strategies.
+    reproducible across runs and strategies. Patterns are scored in
+    ascending frequency, so each margin's table is built once.
     """
     if correction_factor < 1.0:
         raise ValueError(f"correction_factor must be >= 1, got {correction_factor}")
     internal_tail = db.internal_tail(tail)
     threshold = alpha / correction_factor
     records = []
-    for pattern in patterns:
+    for pattern in sorted(patterns, key=lambda p: p.frequency):
         table = ContingencyTable(
             x=pattern.x, x_prime=pattern.x_prime, n=db.n, n_prime=db.n_prime
         )

@@ -3,9 +3,10 @@
 Everything here derives from the hypergeometric distribution of the
 positive-class count of a pattern: exact tail p-values (left, right, and
 doubled two-sided), and the frequency-indexed lower bound on the attainable
-p-value that drives testability pruning. All of it reads one cached table
-per margin, built by the exact ratio recurrence; a point mass is
-``fisher_pvalue(table).q_at_x``.
+p-value that drives testability pruning. All of it reads one table per
+margin, built by the exact ratio recurrence; a point mass is
+``fisher_pvalue(table).q_at_x``. Only the few most recent tables are cached,
+so callers that read many margins read them in ascending order.
 
 Tables are oriented so that the positive class is the smaller one
 (``n <= n_prime``); callers that accept user-facing class labels are
@@ -105,7 +106,7 @@ def _running_tail(values: list[float]) -> list[float]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _support_tables(
     f: int, n: int, n_prime: int
 ) -> tuple[int, tuple[float, ...], tuple[float, ...], tuple[float, ...]]:

@@ -13,11 +13,13 @@ must agree with exactly:
   table lookup at a time).
 - ``mine_reference`` is the scalar miner: it grows every embedding one tuple
   at a time with the package's own growth rule (``mining._step`` and
-  ``mining._extend``, which the minimality check still uses), so the array
+  ``mining._extend``, which the minimality check is built on), so the array
   miner must emit the same patterns in the same order.
 
 ``code_to_graph`` turns a DFS code back into a graph, after checking that
 the code is well formed, for the isomorphism oracles above.
+``random_dfs_code`` writes a valid, usually non-minimal, DFS code of a graph
+by its own rightmost-path walk, for testing the minimality check.
 """
 
 from __future__ import annotations
@@ -236,6 +238,44 @@ def code_to_graph(code):
     return LabeledGraph(0, tuple(labels[i] for i in range(len(labels))), edges)
 
 
+def random_dfs_code(graph, rng):
+    """A valid DFS code of a connected graph, written by a random walk.
+
+    The walk is a depth-first search from a random vertex: it leaves the
+    rightmost vertex by a random unvisited neighbour and backs up the
+    rightmost path when there is none. A newly reached vertex first closes
+    its edges to the visited vertices (all on the rightmost path) in
+    ascending pattern-id order. The code is minimal only when every choice
+    happens to be the minimal one.
+    """
+    from sigmine.mining import NO_EDGE
+
+    labels = graph.vertex_labels
+    if not graph.edges:
+        return ((0, 0, labels[0], NO_EDGE, labels[0]),)
+    nbrs = [{} for _ in labels]
+    for u, v, lbl in graph.edges:
+        nbrs[u][v] = lbl
+        nbrs[v][u] = lbl
+    start = rng.randrange(len(labels))
+    ids = {start: 0}
+    path = [start]
+    code = []
+    while path:
+        here = path[-1]
+        fresh = sorted(w for w in nbrs[here] if w not in ids)
+        if not fresh:
+            path.pop()
+            continue
+        new = rng.choice(fresh)
+        ids[new] = len(ids)
+        code.append((ids[here], ids[new], labels[here], nbrs[here][new], labels[new]))
+        for j, w in sorted((ids[w], w) for w in nbrs[new] if w in ids and w != here):
+            code.append((ids[new], j, labels[new], nbrs[new][w], labels[w]))
+        path.append(new)
+    return tuple(code)
+
+
 def occurrence_bits(positions) -> int:
     """Int bitmask with bit t set for every transaction position t."""
     return sum(1 << t for t in set(positions))
@@ -282,6 +322,7 @@ def mine_reference(db, config, on_emit=None):
         NO_EDGE,
         MiningOutcome,
         Pattern,
+        _adjacency,
         _extend,
         _extension_key,
         _root_state,
@@ -325,6 +366,7 @@ def mine_reference(db, config, on_emit=None):
             for a, b in ((u, v), (v, u)):
                 if vl[a] <= vl[b]:
                     roots.setdefault((0, 1, vl[a], el, vl[b]), []).append((pos, (a, b)))
+    adjacencies = [_adjacency(g) for g in db.graphs]
     stack = [((q,), roots[q], _root_state(q[2])) for q in sorted(roots, reverse=True)]
     while stack:
         code, projs, state = stack.pop()
@@ -341,7 +383,8 @@ def mine_reference(db, config, on_emit=None):
         forward = config.max_vertices is None or len(state[1]) < config.max_vertices
         children = {}
         for pos, assign in projs:
-            _extend(children, db.graphs[pos], pos, assign, *state, forward)
+            graph_labels = db.graphs[pos].vertex_labels
+            _extend(children, adjacencies[pos], graph_labels, pos, assign, *state, forward)
         for quint in sorted(children, key=_extension_key, reverse=True):
             stack.append((code + (quint,), children[quint], state))
     return MiningOutcome(tuple(patterns), emitted)

@@ -463,3 +463,24 @@ class TestCommandLine:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("pattern,")
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("fwer_study.py", ["--databases", "1", "--permutations", "50"]),
+        ("correction_factors.py", ["--max-vertices", "3", "--permutations", "50"]),
+    ],
+)
+def test_study_script_runs_from_any_directory(tmp_path, script, args):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    # the script must find the package from its own location
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(path), *args],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -173,15 +173,30 @@ def test_class_validation():
 def test_graph_normalizes_and_validates_edges():
     g = LabeledGraph(0, (0, 1, 0), ((2, 0, 5), (1, 2, 3)))
     assert g.edges == ((0, 2, 5), (1, 2, 3))
-    assert g.edge_label(2, 0) == 5
-    assert g.edge_label(0, 1) is None
-    assert g.adjacency[2] == ((0, 5), (1, 3))
     with pytest.raises(ValueError, match="self-loop"):
         LabeledGraph(0, (0,), ((0, 0, 1),))
     with pytest.raises(ValueError, match="parallel edge"):
         LabeledGraph(0, (0, 1), ((0, 1, 1), (1, 0, 2)))
     with pytest.raises(ValueError, match="missing vertex"):
         LabeledGraph(0, (0, 1), ((0, 2, 1),))
+
+
+def test_graph_rejects_negative_labels():
+    # -1 is the miner's "no edge", so an edge labelled -1 would mine as a vertex
+    with pytest.raises(ValueError, match="negative label on edge"):
+        LabeledGraph(0, (0, 1), ((0, 1, -1),))
+    with pytest.raises(ValueError, match="negative vertex label"):
+        LabeledGraph(0, (0, -2), ())
+
+
+def test_from_graphs_rejects_labels_without_tokens():
+    graphs = [LabeledGraph(0, (0, 2), ((0, 1, 1),)), LabeledGraph(1, (1,), ())]
+    with pytest.raises(ValueError, match="vertex label 2 has no vertex token"):
+        GraphDatabase.from_graphs(graphs, [1, 0], vertex_tokens=("A", "B"))
+    with pytest.raises(ValueError, match="edge label 1 has no edge token"):
+        GraphDatabase.from_graphs(graphs, [1, 0], edge_tokens=("x",))
+    db = GraphDatabase.from_graphs(graphs, [1, 0], ("A", "B", "C"), ("x", "y"))
+    assert db.vertex_tokens == ("A", "B", "C")
 
 
 def test_from_graphs_defaults_tokens():

@@ -346,3 +346,10 @@ def test_minimum_code_is_a_canonical_form(graphs):
     assert oracles.canonical_key(back.vertex_labels, back.edges) == oracles.canonical_key(
         graph.vertex_labels, graph.edges
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(renumbered_connected_graph(), st.randoms(use_true_random=False))
+def test_is_canonical_accepts_exactly_the_minimum_code(graphs, rng):
+    code = oracles.random_dfs_code(graphs[0], rng)
+    assert is_canonical(code) == (code == minimum_code(oracles.code_to_graph(code)))

@@ -1,11 +1,13 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
-from sigmine.mining import MinerConfig, code_string, mine
+from sigmine.mining import NO_EDGE, MinerConfig, Pattern, code_string, mine
 from sigmine.search import (
     STRATEGIES,
     _Session,
@@ -351,6 +353,32 @@ class TestSignificantSet:
         }
         # q(x=3 of the three class 1 slots at margin 3) = 1 / C(4,3)
         assert by_code["A"].p_value == pytest.approx(0.25, rel=1e-12)
+
+
+def test_scoring_memory_is_bounded_over_many_margins():
+    # 2000 positives and 2500 negatives; 200 patterns with distinct margins
+    # in shuffled order. Keeping every margin's table costs about 5 MiB here.
+    n, n_prime = 2000, 2500
+    db = GraphDatabase.from_graphs(
+        [edgeless(i, (0,)) for i in range(n + n_prime)],
+        (1,) * n + (0,) * n_prime,
+        vertex_tokens=tuple(f"L{i}" for i in range(200)),
+    )
+    margins = list(range(5, 605, 3))
+    random.Random(0).shuffle(margins)
+    patterns = [
+        Pattern(((0, 0, i, NO_EDGE, i),), 1, 0, frozenset(), f // 2, f - f // 2)
+        for i, f in enumerate(margins)
+    ]
+    tracemalloc.start()
+    try:
+        records = score_patterns(patterns, db, 0.05, "two", float(len(patterns)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(patterns)
+    assert all(rec.p_value >= rec.min_p for rec in records)
+    assert peak < 2**20
 
 
 @st.composite
