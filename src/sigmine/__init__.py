@@ -18,7 +18,6 @@ from .graphs import (
 from .mining import (
     MinerConfig,
     MiningOutcome,
-    MiningTimeout,
     Pattern,
     code_string,
     mine,
@@ -54,7 +53,6 @@ __all__ = [
     "LabeledGraph",
     "MinerConfig",
     "MiningOutcome",
-    "MiningTimeout",
     "ParseError",
     "Pattern",
     "PermutationPlan",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterator, Sequence
 
 
@@ -76,6 +77,14 @@ class LabeledGraph:
         return len(self.edges)
 
 
+def _top_labels(graphs: Sequence[LabeledGraph]) -> tuple[int, int]:
+    """The largest vertex label and edge label in ``graphs``, -1 where none."""
+    return (
+        max(chain.from_iterable(g.vertex_labels for g in graphs), default=-1),
+        max((e[2] for e in chain.from_iterable(g.edges for g in graphs)), default=-1),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class GraphDatabase:
     """Immutable two-class graph collection.
@@ -83,7 +92,8 @@ class GraphDatabase:
     ``n`` counts the internal positive class, which is always the smaller of
     the two input classes; ``swapped`` records whether that required exchanging
     the user's labels. Graph positions (0-based order of appearance) act as
-    transaction ids throughout the package.
+    transaction ids throughout the package. Every vertex and edge label must
+    index its token table.
     """
 
     graphs: tuple[LabeledGraph, ...]
@@ -109,6 +119,11 @@ class GraphDatabase:
             if g.graph_id in seen_ids:
                 raise ValueError(f"duplicate graph id {g.graph_id}")
             seen_ids.add(g.graph_id)
+        top_vertex, top_edge = _top_labels(self.graphs)
+        if top_vertex >= len(self.vertex_tokens):
+            raise ValueError(f"vertex label {top_vertex} has no vertex token")
+        if top_edge >= len(self.edge_tokens):
+            raise ValueError(f"edge label {top_edge} has no edge token")
         object.__setattr__(self, "swapped", ones > zeros)
 
     @property
@@ -152,16 +167,11 @@ class GraphDatabase:
         Raises ValueError when a label has no entry in a token table passed in.
         """
         graphs = tuple(graphs)
-        top_vertex = max((max(g.vertex_labels) for g in graphs if g.vertex_labels), default=-1)
-        top_edge = max((max(lbl for _, _, lbl in g.edges) for g in graphs if g.edges), default=-1)
+        top_vertex, top_edge = _top_labels(graphs)
         if vertex_tokens is None:
             vertex_tokens = tuple(str(i) for i in range(top_vertex + 1))
         if edge_tokens is None:
             edge_tokens = tuple(str(i) for i in range(top_edge + 1))
-        if top_vertex >= len(vertex_tokens):
-            raise ValueError(f"vertex label {top_vertex} has no vertex token")
-        if top_edge >= len(edge_tokens):
-            raise ValueError(f"edge label {top_edge} has no edge token")
         return cls(graphs, tuple(int(c) for c in classes), tuple(vertex_tokens), tuple(edge_tokens))
 
     def _resolved(self):
@@ -215,19 +225,6 @@ def _parse_labels_file(source: str | IO[str]) -> dict[int, int]:
     return out
 
 
-class _SymbolTable:
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-
-    def intern(self, token: str) -> int:
-        if token not in self.ids:
-            self.ids[token] = len(self.ids)
-        return self.ids[token]
-
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.ids)
-
-
 def parse_database(
     graph_source: str | IO[str], labels_source: str | IO[str] | None = None
 ) -> GraphDatabase:
@@ -245,8 +242,9 @@ def parse_database(
     is authoritative and must cover every graph.
     """
     labels_map = _parse_labels_file(labels_source) if labels_source is not None else None
-    vtable = _SymbolTable()
-    etable = _SymbolTable()
+    # token -> dense id, in order of first appearance
+    vertex_ids: dict[str, int] = {}
+    edge_ids: dict[str, int] = {}
 
     graphs: list[LabeledGraph] = []
     classes: list[int | None] = []
@@ -299,7 +297,7 @@ def parse_database(
                 raise ParseError(
                     no, f"vertex ids must be 0-based and consecutive; expected {len(cur_labels)}, got {vid}"
                 )
-            cur_labels.append(vtable.intern(parts[2]))
+            cur_labels.append(vertex_ids.setdefault(parts[2], len(vertex_ids)))
         elif kind == "e":
             if cur_id is None:
                 raise ParseError(no, "edge line before any 't' line")
@@ -317,7 +315,7 @@ def parse_database(
             if pair in cur_edge_pairs:
                 raise ParseError(no, f"parallel edge ({u}, {v})")
             cur_edge_pairs.add(pair)
-            cur_edges.append((u, v, etable.intern(parts[3])))
+            cur_edges.append((u, v, edge_ids.setdefault(parts[3], len(edge_ids))))
         else:
             raise ParseError(no, f"unknown record type {kind!r}")
     flush()
@@ -336,9 +334,7 @@ def parse_database(
                 raise LabelError(f"graph id {g.graph_id} has no class assignment")
             final_classes.append(inline)
 
-    return GraphDatabase(
-        tuple(graphs), tuple(final_classes), vtable.tokens(), etable.tokens()
-    )
+    return GraphDatabase(tuple(graphs), tuple(final_classes), tuple(vertex_ids), tuple(edge_ids))
 
 
 def serialize_database(db: GraphDatabase) -> str:

@@ -24,12 +24,13 @@ Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 A run can be steered through a hook called at every emission. The hook may
 raise the support threshold while the run is in progress (the live threshold
 is miner state, so ``MinerConfig`` stays immutable), and an exception it
-raises ends the run. The root search steers its probes with both.
+raises ends the run. The miner knows no budget and no deadline: the root
+search raises thresholds and aborts over-budget probes through the hook, and
+a time limit is a hook that raises once the clock passes it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Sequence
@@ -41,10 +42,6 @@ from .graphs import GraphDatabase, LabeledGraph
 Quint = tuple[int, int, int, int, int]
 
 NO_EDGE = -1
-
-
-class MiningTimeout(RuntimeError):
-    """Raised when a mining deadline passes before enumeration finishes."""
 
 
 @dataclass(frozen=True)
@@ -285,11 +282,9 @@ class _Miner:
         self,
         db: GraphDatabase,
         config: MinerConfig,
-        deadline: float | None,
         on_emit: Callable[[int], int] | None,
     ):
         self.config = config
-        self.deadline = deadline
         self.on_emit = on_emit
         self.sigma = config.min_frequency
         self.patterns: list[Pattern] = []
@@ -336,10 +331,6 @@ class _Miner:
         # a projection's match matrix times this is the matching pattern
         # vertex + 1, or 0 for none
         self.vertex_weights = np.arange(1, largest + 2)
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise MiningTimeout("mining deadline exceeded")
 
     def _group(self, keys: np.ndarray, pos: np.ndarray):
         """Sort items by key and count the distinct graph positions of each key.
@@ -394,7 +385,6 @@ class _Miner:
         if self.config.count_singletons:
             _, keys, occ, ob, _ = self._group(self.vrank, self.gpos)
             for i, key in enumerate(keys):
-                self._check_deadline()
                 if ob[i + 1] - ob[i] >= self.sigma:
                     lbl = self.vlabels[key]
                     self._emit(((0, 0, lbl, NO_EDGE, lbl),), occ[ob[i] : ob[i + 1]])
@@ -429,7 +419,6 @@ class _Miner:
         """
         max_vertices = self.config.max_vertices
         while stack:
-            self._check_deadline()
             code, proj, occ, state = stack.pop()
             if len(occ) < self.sigma:
                 continue
@@ -526,13 +515,9 @@ class _Miner:
 def mine(
     db: GraphDatabase,
     config: MinerConfig,
-    deadline: float | None = None,
     on_emit: Callable[[int], int] | None = None,
 ) -> MiningOutcome:
     """Enumerate all connected patterns with support >= config.min_frequency.
-
-    ``deadline`` is an absolute time.monotonic() timestamp; passing it raises
-    MiningTimeout.
 
     ``on_emit`` is called with the support of each emitted pattern and returns
     the support threshold from then on; a return below the current threshold
@@ -541,8 +526,10 @@ def mine(
     patterns kept so far that fell below, so the outcome holds exactly the
     emitted patterns at or above the final threshold. ``emitted_count`` still
     counts every emission. An exception raised by ``on_emit`` ends the run
-    and propagates to the caller.
+    and propagates to the caller; that is how a caller stops a run at a
+    pattern budget or a time limit, since the miner has no deadline of its
+    own.
     """
-    miner = _Miner(db, config, deadline, on_emit)
+    miner = _Miner(db, config, on_emit)
     miner.run()
     return MiningOutcome(tuple(miner.patterns), miner.emitted)

@@ -12,12 +12,12 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Literal, Sequence
 
 from .graphs import GraphDatabase, ParseError, parse_database
-from .mining import MinerConfig, MiningTimeout, Pattern, code_string, mine
+from .mining import MinerConfig, Pattern, code_string, mine
 from .permute import (
     PermutationPlan,
     effective_num_tests,
@@ -102,7 +102,6 @@ class Report:
     summary: dict
     rows: tuple[dict, ...]
     search: RootSearchResult
-    wall_time_s: float
     min_p_samples: tuple[float, ...] | None = field(default=None, repr=False)
 
 
@@ -137,13 +136,19 @@ def _read_text(path: str) -> str:
         raise ParseError(line, f"byte 0x{data[exc.start]:02x} in {path} is not UTF-8") from None
 
 
+class _Timeout(Exception):
+    """The bonferroni-full enumeration ran past ``bf_timeout``."""
+
+
 def run_pipeline(config: RunConfig) -> Report:
     """Execute one full run and assemble the report in memory.
 
     I/O and parse failures propagate to the caller; everything after a
     successful parse produces a report, possibly with empty records.
+    ``bf_timeout`` is enforced by the bonferroni-full run's emission hook,
+    which ends the enumeration at the first emission past the limit; the
+    report then has status "bf_timeout" and no records.
     """
-    started = time.perf_counter()
     graph_text = _read_text(config.input)
     labels_text = _read_text(config.labels) if config.labels else None
     db = parse_database(graph_text, labels_text)
@@ -165,24 +170,21 @@ def run_pipeline(config: RunConfig) -> Report:
         if config.correction == "tarone":
             factor = len(result.testable) or None
         elif config.correction == "bonferroni_full":
-            deadline = (
-                time.monotonic() + config.bf_timeout
-                if config.bf_timeout is not None
-                else None
-            )
+            full_config = replace(miner_config, min_frequency=2)
+            on_emit = None
+            if config.bf_timeout is not None:
+                deadline = time.monotonic() + config.bf_timeout
+
+                def on_emit(frequency: int) -> int:
+                    if time.monotonic() > deadline:
+                        raise _Timeout
+                    return full_config.min_frequency
+
             try:
-                full = mine(
-                    db,
-                    MinerConfig(
-                        min_frequency=2,
-                        max_vertices=config.max_vertices,
-                        count_singletons=config.count_singletons,
-                    ),
-                    deadline=deadline,
-                )
+                full = mine(db, full_config, on_emit)
                 factor = len(full.patterns) or None
                 family = full.patterns
-            except MiningTimeout:
+            except _Timeout:
                 status = "bf_timeout"
         else:
             if result.testable:
@@ -228,7 +230,6 @@ def run_pipeline(config: RunConfig) -> Report:
         summary=summary,
         rows=rows,
         search=result,
-        wall_time_s=time.perf_counter() - started,
         min_p_samples=min_p_samples,
     )
 

@@ -61,6 +61,8 @@ class RootSearchResult:
     fields are then None and ``testable`` is empty. ``root_budget`` is
     alpha / psi(root_frequency), the hypothesis budget at the root; the
     testable patterns are exactly those with frequency >= root_frequency.
+    ``trace`` records every mining run with its cost; the run and emission
+    counts are read from it.
     """
 
     status: Literal["ok", "no_testable"]
@@ -68,10 +70,15 @@ class RootSearchResult:
     root_frequency: int | None
     root_budget: float | None
     testable: tuple[Pattern, ...]
-    fsm_invocations: int
-    patterns_expanded: int
-    wall_time_s: float
     trace: tuple[TraceEntry, ...]
+
+    @property
+    def fsm_invocations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def patterns_expanded(self) -> int:
+        return sum(e.emitted for e in self.trace)
 
 
 @dataclass(frozen=True)
@@ -88,15 +95,13 @@ class _BudgetExceeded(Exception):
 
 
 class _Session:
-    """What one search shares between its mining runs: counts and trace."""
+    """What one search shares between its mining runs: the trace."""
 
     def __init__(self, db: GraphDatabase, alpha: float, config: MinerConfig, tail: TailMode):
         self.db = db
         self.alpha = alpha
         self.config = config
         self.tail = db.internal_tail(tail)
-        self.invocations = 0
-        self.expanded = 0
         self.trace: list[TraceEntry] = []
 
     def bound(self, sigma: int) -> float:
@@ -146,8 +151,6 @@ class _Session:
         except _BudgetExceeded:
             patterns, status = None, "terminated_early"
         elapsed_ms = (time.perf_counter() - t0) * 1e3
-        self.invocations += 1
-        self.expanded += emitted
         self.trace.append(TraceEntry(sigma, budget, status, emitted, elapsed_ms))
         return patterns
 
@@ -280,13 +283,12 @@ def find_root(
     ``config`` sets the miner's vertex cap and singleton rule; its
     ``min_frequency`` is replaced by each run's threshold. Every strategy
     returns the same root and testable set; they differ only in the mining
-    runs recorded in ``trace``, ``fsm_invocations`` and ``patterns_expanded``.
+    runs recorded in ``trace``.
     """
     try:
         policy = _FINDERS[strategy]
     except KeyError:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}") from None
-    started = time.perf_counter()
     session = _Session(db, alpha, config, tail)
     sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
     sigma_rt, testable, root_budget = None, (), None
@@ -300,9 +302,6 @@ def find_root(
         root_frequency=sigma_rt,
         root_budget=root_budget,
         testable=tuple(testable),
-        fsm_invocations=session.invocations,
-        patterns_expanded=session.expanded,
-        wall_time_s=time.perf_counter() - started,
         trace=tuple(session.trace),
     )
 
@@ -321,7 +320,8 @@ def score_patterns(
     reproducible across runs and strategies. Patterns are scored in
     ascending frequency, so each margin's table is built once.
     """
-    if correction_factor < 1.0:
+    # NaN compares false with everything, so `not >= 1` rejects it too
+    if not correction_factor >= 1.0:
         raise ValueError(f"correction_factor must be >= 1, got {correction_factor}")
     internal_tail = db.internal_tail(tail)
     threshold = alpha / correction_factor

@@ -3,7 +3,9 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -95,7 +97,6 @@ class TestPipeline:
         assert row["pattern"] == "A"
         assert row["x"] == 5 and row["x_prime"] == 0
         assert row["significant"] is True
-        assert report.wall_time_s > 0.0
 
     def test_strategy_flag_never_changes_csv_bytes(self, toy_path, planted_path):
         for path in (toy_path, planted_path):
@@ -141,6 +142,25 @@ class TestPipeline:
         assert report.summary["sigma_rt"] is not None
         assert report.summary["correction_factor"] is None
         assert report.rows == ()
+
+    def test_bf_timeout_fires_promptly(self, tmp_path):
+        # the full sigma-2 enumeration of this database takes several
+        # seconds; the limit must end it close to 0.2 s, not just at all
+        db = planted_database(
+            200,
+            7,
+            motif_size=5,
+            background_vertices=16,
+            edge_probability=0.12,
+            num_vertex_labels=4,
+        )
+        path = tmp_path / "planted.graphs"
+        path.write_text(serialize_database(db), encoding="utf-8")
+        config = RunConfig(input=str(path), correction="bonferroni_full", bf_timeout=0.2)
+        started = time.monotonic()
+        report = run_pipeline(config)
+        assert report.summary["status"] == "bf_timeout"
+        assert time.monotonic() - started < 3.0
 
     def test_efftests_reproducible_and_clamped(self, planted_path):
         config = RunConfig(
@@ -428,12 +448,17 @@ class TestCommandLine:
         # a name left in __all__ after its definition went away would only
         # fail at a caller's `from sigmine import *`
         import sigmine
-        from sigmine import search
+        from sigmine import report, search
 
         missing = [name for name in sigmine.__all__ if not hasattr(sigmine, name)]
         assert missing == []
         (strategy,) = [a for a in build_parser()._actions if a.dest == "strategy"]
         assert tuple(strategy.choices) == search.STRATEGIES
+        (correction,) = [a for a in build_parser()._actions if a.dest == "correction"]
+        assert tuple(c.replace("-", "_") for c in correction.choices) == report.CORRECTIONS
+        # removing a strategy or correction must update the type literal too
+        assert get_args(search.Strategy) == search.STRATEGIES
+        assert get_args(report.Correction) == report.CORRECTIONS
 
     def test_readme_library_snippet_runs(self, tmp_path, monkeypatch, capsys):
         # the fenced Python block under "Library use", run on the toy database

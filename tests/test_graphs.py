@@ -199,6 +199,17 @@ def test_from_graphs_rejects_labels_without_tokens():
     assert db.vertex_tokens == ("A", "B", "C")
 
 
+def test_constructor_rejects_labels_without_tokens():
+    # every construction path checks the token tables, not only from_graphs;
+    # unchecked, this database mines and then fails in code_string
+    graphs = (LabeledGraph(0, (2,), ()), LabeledGraph(1, (2,), ()))
+    with pytest.raises(ValueError, match="vertex label 2 has no vertex token"):
+        GraphDatabase(graphs, (1, 0), ("A",), ())
+    edged = (LabeledGraph(0, (0, 0), ((0, 1, 0),)), LabeledGraph(1, (0,), ()))
+    with pytest.raises(ValueError, match="edge label 0 has no edge token"):
+        GraphDatabase(edged, (1, 0), ("A",), ())
+
+
 def test_from_graphs_defaults_tokens():
     db = GraphDatabase.from_graphs(
         [LabeledGraph(0, (0, 2), ((0, 1, 1),)), LabeledGraph(1, (1,), ())],

@@ -1,6 +1,5 @@
 import inspect
 import sys
-import time
 import tracemalloc
 
 import pytest
@@ -12,7 +11,6 @@ from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
 from sigmine.mining import (
     NO_EDGE,
     MinerConfig,
-    MiningTimeout,
     _root_state,
     _step,
     code_string,
@@ -200,11 +198,6 @@ def test_occurrences_verified_by_brute_force_isomorphism(db):
 def test_mining_is_deterministic(db):
     config = MinerConfig(min_frequency=1)
     assert mine(db, config).patterns == mine(db, config).patterns
-
-
-def test_deadline_in_the_past_raises(db):
-    with pytest.raises(MiningTimeout):
-        mine(db, MinerConfig(min_frequency=1), deadline=time.monotonic() - 1.0)
 
 
 def test_exception_from_on_emit_ends_the_run(db):

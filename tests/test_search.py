@@ -217,8 +217,8 @@ def test_budget_aborts_enumeration():
             assert len(patterns) == 6
         else:
             assert patterns is None
-    assert session.invocations == 4
-    assert session.expanded == 5 + 6 + 6 + 1
+    assert len(session.trace) == 4
+    assert sum(t.emitted for t in session.trace) == 5 + 6 + 6 + 1
 
 
 class TestDegenerateInputs:
@@ -331,6 +331,13 @@ class TestSignificantSet:
         r = find_root(enriched_db, 0.05, CONFIG)
         with pytest.raises(ValueError):
             score_patterns(r.testable, enriched_db, 0.05, "two", 0.5)
+
+    def test_nan_factor_rejected(self, enriched_db):
+        # a NaN factor would give every record a NaN threshold and mark
+        # nothing significant
+        r = find_root(enriched_db, 0.05, CONFIG)
+        with pytest.raises(ValueError, match="correction_factor"):
+            score_patterns(r.testable, enriched_db, 0.05, "two", float("nan"))
 
     def test_swapped_database_flips_tail(self):
         # three class 1 graphs with label A against one class 0 graph; the
