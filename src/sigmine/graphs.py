@@ -4,7 +4,9 @@ A database is an ordered collection of undirected, vertex- and edge-labeled
 simple graphs, each assigned to class 1 (positive) or class 0 (negative).
 Internally the classes are swapped if needed so the positive class is never
 the larger one; reporting code un-swaps. Label tokens from input files are
-interned into dense integer ids through per-database symbol tables.
+interned into dense integer ids through per-database symbol tables. The
+flat numpy arrays the miner reads (``ArrayLayout``) are built once per
+database, on first use.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import IO, Iterator, Sequence
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -85,6 +89,57 @@ def _top_labels(graphs: Sequence[LabeledGraph]) -> tuple[int, int]:
     )
 
 
+class ArrayLayout:
+    """A database as flat arrays over global vertex ids, the graphs end to end.
+
+    ``gpos`` gives a vertex's graph position and ``vrank`` the dense rank of
+    its label, ``vlabels`` listing the labels by rank. A CSR (``nbr_off``,
+    ``nbr``, with ``deg`` the neighbour counts) lists each vertex's
+    neighbours in ascending order, and ``prank`` gives the dense rank of each
+    (edge label, neighbour label) pair in it, ``pair_el`` and ``pair_tl``
+    listing the pairs by rank; ranks sort like the labels they stand for.
+    ``positive`` is 1 at every internal positive position, ``largest`` is
+    the vertex count of the largest graph, and ``ints`` holds one int per
+    position for occurrence sets to share instead of owning fresh ones.
+    """
+
+    def __init__(self, db: "GraphDatabase"):
+        graphs = db.graphs
+        n = len(graphs)
+        self.ints = tuple(range(n))
+        self.positive = np.fromiter((db.is_internal_positive(t) for t in range(n)), np.int64, n)
+        vcounts = np.fromiter((g.vertex_count for g in graphs), np.int64, n)
+        ecounts = np.fromiter((g.edge_count for g in graphs), np.int64, n)
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(vcounts, out=offsets[1:])
+        num_v = int(offsets[-1])
+        self.largest = int(vcounts.max(initial=0))
+        self.gpos = np.repeat(np.arange(n), vcounts)
+        vlabels, self.vrank = np.unique(
+            np.fromiter(chain.from_iterable(g.vertex_labels for g in graphs), np.int64, num_v),
+            return_inverse=True,
+        )
+        edges = np.fromiter(
+            chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+            np.int64,
+            3 * int(ecounts.sum()),
+        ).reshape(-1, 3)
+        shift = np.repeat(offsets[:-1], ecounts)
+        u, v = edges[:, 0] + shift, edges[:, 1] + shift
+        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+        order = np.argsort(src * num_v + dst)
+        self.nbr = dst[order].astype(np.int32)
+        self.nbr_off = np.searchsorted(src[order], np.arange(num_v + 1))
+        self.deg = self.nbr_off[1:] - self.nbr_off[:-1]
+        elabels, erank = np.unique(np.tile(edges[:, 2], 2)[order], return_inverse=True)
+        pairs, self.prank = np.unique(
+            erank * len(vlabels) + self.vrank[self.nbr], return_inverse=True
+        )
+        self.vlabels = vlabels.tolist()
+        self.pair_el = elabels[pairs // len(vlabels)].tolist()
+        self.pair_tl = vlabels[pairs % len(vlabels)].tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class GraphDatabase:
     """Immutable two-class graph collection.
@@ -135,6 +190,11 @@ class GraphDatabase:
         """Internal positive class size (always <= n_prime)."""
         ones = sum(self.original_classes)
         return min(ones, self.size - ones)
+
+    @cached_property
+    def layout(self) -> ArrayLayout:
+        """The flat array form the miner reads, built on first use."""
+        return ArrayLayout(self)
 
     @property
     def n_prime(self) -> int:

@@ -32,7 +32,6 @@ a time limit is a hook that raises once the clock passes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -268,14 +267,10 @@ def is_canonical(code: Sequence[Quint]) -> bool:
 class _Miner:
     """One mining run over array projections.
 
-    The database is laid out once as flat arrays over global vertex ids, the
-    graphs end to end: ``gpos`` gives a vertex's graph position and
-    ``vrank`` the dense rank of its label. A CSR (``nbr_off``, ``nbr``)
-    lists each vertex's neighbours, and ``prank`` gives the dense rank of
-    each (edge label, neighbour label) pair in it; ranks sort like the
-    labels they stand for. A code's projection is an int32 ``(k, m)`` array
-    with one embedding per column: entry ``[c, i]`` is the global vertex
-    that embedding i maps pattern vertex c to.
+    It reads the database's ``ArrayLayout``, built once per database and
+    shared by every run over it. A code's projection is an int32 ``(k, m)``
+    array with one embedding per column: entry ``[c, i]`` is the global
+    vertex that embedding i maps pattern vertex c to.
     """
 
     def __init__(
@@ -290,47 +285,13 @@ class _Miner:
         self.patterns: list[Pattern] = []
         self.emitted = 0
 
-        graphs = db.graphs
-        n = len(graphs)
-        self.n = n
-        # occurrence sets share these int objects instead of owning fresh ones
-        self.ints = tuple(range(n))
-        self.positive = np.fromiter((db.is_internal_positive(t) for t in range(n)), np.int64, n)
-        vcounts = np.fromiter((g.vertex_count for g in graphs), np.int64, n)
-        ecounts = np.fromiter((g.edge_count for g in graphs), np.int64, n)
-        offsets = np.zeros(n + 1, np.int64)
-        np.cumsum(vcounts, out=offsets[1:])
-        num_v = int(offsets[-1])
-        self.gpos = np.repeat(np.arange(n), vcounts)
-        vlabels, self.vrank = np.unique(
-            np.fromiter(chain.from_iterable(g.vertex_labels for g in graphs), np.int64, num_v),
-            return_inverse=True,
-        )
-        edges = np.fromiter(
-            chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-            np.int64,
-            3 * int(ecounts.sum()),
-        ).reshape(-1, 3)
-        shift = np.repeat(offsets[:-1], ecounts)
-        u, v = edges[:, 0] + shift, edges[:, 1] + shift
-        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
-        order = np.argsort(src * num_v + dst)
-        self.nbr = dst[order].astype(np.int32)
-        self.nbr_off = np.searchsorted(src[order], np.arange(num_v + 1))
-        self.deg = self.nbr_off[1:] - self.nbr_off[:-1]
-        elabels, erank = np.unique(np.tile(edges[:, 2], 2)[order], return_inverse=True)
-        pairs, self.prank = np.unique(
-            erank * len(vlabels) + self.vrank[self.nbr], return_inverse=True
-        )
-        self.vlabels = vlabels.tolist()
-        self.pair_el = elabels[pairs // len(vlabels)].tolist()
-        self.pair_tl = vlabels[pairs % len(vlabels)].tolist()
-        largest = int(vcounts.max(initial=0))
-        if (2 * largest + len(vlabels)) * len(pairs) * n >= 2**63:
+        self.layout = layout = db.layout
+        self.n = db.size
+        if (2 * layout.largest + len(layout.vlabels)) * len(layout.pair_el) * self.n >= 2**63:
             raise ValueError("database too large for the miner's int64 extension keys")
         # a projection's match matrix times this is the matching pattern
         # vertex + 1, or 0 for none
-        self.vertex_weights = np.arange(1, largest + 2)
+        self.vertex_weights = np.arange(1, layout.largest + 2)
 
     def _group(self, keys: np.ndarray, pos: np.ndarray):
         """Sort items by key and count the distinct graph positions of each key.
@@ -367,8 +328,8 @@ class _Miner:
         self.emitted += 1
         # a frozenset copied from a set gets a table sized for its contents;
         # one filled from an iterator keeps the slack of its growth steps
-        occurrences = frozenset(set(map(self.ints.__getitem__, occ.tolist())))
-        x = int(self.positive[occ].sum())
+        occurrences = frozenset(set(map(self.layout.ints.__getitem__, occ.tolist())))
+        x = int(self.layout.positive[occ].sum())
         if _is_singleton(code):
             nv, ne = 1, 0
         else:
@@ -382,27 +343,28 @@ class _Miner:
                 self.patterns = [p for p in self.patterns if p.frequency >= sigma]
 
     def run(self) -> None:
+        layout = self.layout
         if self.config.count_singletons:
-            _, keys, occ, ob, _ = self._group(self.vrank, self.gpos)
+            _, keys, occ, ob, _ = self._group(layout.vrank, layout.gpos)
             for i, key in enumerate(keys):
                 if ob[i + 1] - ob[i] >= self.sigma:
-                    lbl = self.vlabels[key]
+                    lbl = layout.vlabels[key]
                     self._emit(((0, 0, lbl, NO_EDGE, lbl),), occ[ob[i] : ob[i + 1]])
         if self.config.max_vertices is not None and self.config.max_vertices < 2:
             return
         # a root embedding per directed edge whose source label is not the larger
-        src = np.arange(len(self.deg)).repeat(self.deg)
-        keep = (self.vrank[src] <= self.vrank[self.nbr]).nonzero()[0]
-        proj = np.stack((src[keep], self.nbr[keep])).astype(np.int32)
-        num_p = len(self.pair_el)
+        src = np.arange(len(layout.deg)).repeat(layout.deg)
+        keep = (layout.vrank[src] <= layout.vrank[layout.nbr]).nonzero()[0]
+        proj = np.stack((src[keep], layout.nbr[keep])).astype(np.int32)
+        num_p = len(layout.pair_el)
         order, keys, occ, ob, rb = self._group(
-            self.vrank[proj[0]] * num_p + self.prank[keep], self.gpos[proj[0]]
+            layout.vrank[proj[0]] * num_p + layout.prank[keep], layout.gpos[proj[0]]
         )
         stack = []
         for i in reversed(range(len(keys))):
             if ob[i + 1] - ob[i] >= self.sigma:
                 fl, pair = divmod(keys[i], num_p)
-                quint = (0, 1, self.vlabels[fl], self.pair_el[pair], self.pair_tl[pair])
+                quint = (0, 1, layout.vlabels[fl], layout.pair_el[pair], layout.pair_tl[pair])
                 child = proj[:, order[rb[i] : rb[i + 1]]]
                 stack.append(((quint,), child, occ[ob[i] : ob[i + 1]], _root_state(quint[2])))
         self._grow(stack)
@@ -455,9 +417,10 @@ class _Miner:
         test get embeddings: a new edge whose label triple, read either way,
         sorts below ``code[0]``'s means the code is not minimal.
         """
+        layout = self.layout
         rmpath, labels, edges = state
         k, m = proj.shape
-        num_p = len(self.pair_el)
+        num_p = len(layout.pair_el)
         rightmost = rmpath[-1]
         path = rmpath if forward else rmpath[-1:]
         # slot * P by (path vertex, matching pattern vertex + 1, 0 if none);
@@ -469,12 +432,12 @@ class _Miner:
             if (j, rightmost) not in edges:
                 base[-1, j + 1] = j * num_p
         flat = proj.take(path, axis=0).ravel()
-        deg = self.deg[flat]
+        deg = layout.deg[flat]
         ends = deg.cumsum()
         cand = np.arange(len(flat)).repeat(deg)
-        edge = (self.nbr_off[flat] - ends + deg).repeat(deg)
+        edge = (layout.nbr_off[flat] - ends + deg).repeat(deg)
         edge += np.arange(len(edge))
-        new = self.nbr[edge]
+        new = layout.nbr[edge]
         col, src = np.divmod(cand, m)
         grown = proj.take(src, axis=1)
         held = self.vertex_weights[:k] @ (grown == new)
@@ -483,8 +446,8 @@ class _Miner:
         keys = base.ravel()[col]
         keep = (keys >= 0).nonzero()[0]
         keys = keys[keep]
-        keys += self.prank[edge[keep]]
-        order, keys, occ, ob, rb = self._group(keys, self.gpos[new[keep]])
+        keys += layout.prank[edge[keep]]
+        order, keys, occ, ob, rb = self._group(keys, layout.gpos[new[keep]])
 
         first = code[0][2:]
         sigma = self.sigma
@@ -494,10 +457,10 @@ class _Miner:
                 continue
             slot, pair = divmod(key, num_p)
             if slot < k:
-                quint = (rightmost, slot, labels[rightmost], self.pair_el[pair], labels[slot])
+                quint = (rightmost, slot, labels[rightmost], layout.pair_el[pair], labels[slot])
             else:
                 frm = 2 * k - 1 - slot
-                quint = (frm, k, labels[frm], self.pair_el[pair], self.pair_tl[pair])
+                quint = (frm, k, labels[frm], layout.pair_el[pair], layout.pair_tl[pair])
             if min(quint[2:], quint[:1:-1]) < first:
                 continue
             picked.append((quint, i))

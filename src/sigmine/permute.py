@@ -5,16 +5,24 @@ as positive. Each pattern's occurrences are packed once into a row of uint64
 words, one bit per transaction. Permutation masks are drawn a block at a time
 and packed the same way; every permuted positive count in a block is then a
 word-by-word AND and popcount, and one table lookup per margin turns the
-counts into p-values. Each mask comes from its own stream spawned from
-(seed, index) and places the database's n positives among its N
-transactions, so neither the block size nor the order of evaluation can
-change a result, and any subset of permutations can be recomputed alone.
-This packed form is the only occurrence representation in the package.
+counts into p-values. This packed form is the only occurrence representation
+in the package.
+
+The stream is fixed: mask j is numpy's
+``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(j,))))`` shuffling n
+ones followed by N - n zeros, position t being the database's transaction t.
+So neither the block size nor the order of evaluation can change a result,
+and any subset of permutations can be recomputed alone. The engine
+reproduces this stream a block at a time: one numpy pass of the SeedSequence
+hash gives the PCG64 seeds of a whole block (``_seed_states``), and each
+generator is seeded from its precomputed row instead of a fresh
+SeedSequence.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import groupby
@@ -27,8 +35,9 @@ from .mining import Pattern
 from .stats import TailMode, pvalues_over_support
 
 # Pattern x permutation cells evaluated per block. It bounds the count and
-# lookup arrays of a block, and (through the word count) its packed masks, to
-# a few MB whatever the database size or the size of the family.
+# lookup arrays of a block, and (through the word count) its slot matrix and
+# packed masks, to a few MB whatever the database size or the size of the
+# family.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -40,31 +49,92 @@ class PermutationPlan:
     seed: int
 
     def __post_init__(self):
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _shuffled_slots(plan: PermutationPlan, index: int, n: int, total: int) -> np.ndarray:
-    """0/1 uint8 array over ``total`` positions, n of them 1: positive under ``index``.
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-    Depends only on (seed, index, n, total), never on previously drawn masks.
+
+def _seed_states(seed: int, first: int, stop: int) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(4, np.uint64)``
+    for every j in [first, stop), one row each.
+
+    The hash in 32-bit arithmetic, kept in uint64 and masked: Python ints
+    for the words every lane shares, arrays over the lanes for the rest. The
+    seed words, zero-padded to the pool size of 4 because a spawn key
+    follows, fill and cross-mix the pool; then every word past the fourth,
+    the seed's own and then the index's one or two (from 2**32 on), is mixed
+    into each pool word. The sequence of hash constants never depends on the
+    values, so it is shared by all lanes.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=plan.seed, spawn_key=(index,))
-    )
-    slots = np.zeros(total, dtype=np.uint8)
-    slots[:n] = 1
-    rng.shuffle(slots)
-    return slots
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    index = np.arange(first, stop, dtype=np.uint64)
+    high = index >> 32
+    pool = [mix(p, hashmix(index & _MASK32)) for p in pool]
+    if high.any():
+        wide = [mix(p, hashmix(high)) for p in pool]
+        pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
+    const = _INIT_B
+    halves = np.empty((len(index), 8), np.uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        halves[:, i] = value ^ value >> 16
+    return halves[:, 0::2] | halves[:, 1::2] << 32
 
 
-def _pack(bits: np.ndarray, width: int) -> np.ndarray:
-    """``width`` uint64 words holding a 0/1 uint8 vector; bit t is position t."""
-    row = np.zeros(width * 64, dtype=np.uint8)
-    row[: bits.size] = bits
-    return np.packbits(row, bitorder="little").view(np.uint64)
+class _Seeded:
+    """Hands PCG64 a precomputed ``generate_state(4, np.uint64)`` row.
+
+    ``min_p_distribution`` registers it as a numpy ``ISeedSequence`` on first
+    use: importing numpy.random costs about 6 MB of resident memory, which
+    runs that draw no permutation should not pay.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _packed(slots: np.ndarray) -> np.ndarray:
+    """uint64 words of each row of a 0/1 uint8 matrix; bit t is position t."""
+    return np.packbits(slots, axis=1, bitorder="little").view(np.uint64)
 
 
 def min_p_distribution(
@@ -81,18 +151,29 @@ def min_p_distribution(
     """
     if not testable:
         raise ValueError("min-p distribution needs at least one testable pattern")
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Seeded)
     internal_tail = db.internal_tail(tail)
     total = db.size
     width = -(-total // 64)
+    block = max(1, _BLOCK_CELLS // max(len(testable), width))
+    # one row of 0/1 slots per permutation of a block, reused by every block;
+    # the padding past ``total`` is never written and stays 0
+    slots = np.zeros((block, 64 * width), dtype=np.uint8)
 
     # Rows sorted by frequency, so the patterns sharing one p-value table are
-    # a contiguous slice; occ[w] is word w of every row.
+    # a contiguous slice; occ[w] is word w of every row. They are packed a
+    # block of rows at a time through the slot matrix.
     patterns = sorted(testable, key=lambda p: p.frequency)
     occ = np.empty((width, len(patterns)), dtype=np.uint64)
-    for row, pattern in enumerate(patterns):
-        membership = np.zeros(total, dtype=np.uint8)
-        membership[list(pattern.occurrences)] = 1
-        occ[:, row] = _pack(membership, width)
+    for first in range(0, len(patterns), block):
+        chunk = patterns[first : first + block]
+        rows = slots[: len(chunk)]
+        rows[:] = 0
+        for row, pattern in zip(rows, chunk):
+            row[list(pattern.occurrences)] = 1
+        occ[:, first : first + len(chunk)] = _packed(rows).T
     groups = []
     start = 0
     for f, members in groupby(patterns, key=lambda p: p.frequency):
@@ -101,17 +182,23 @@ def min_p_distribution(
         groups.append((start, stop, lo, np.array(pvals)))
         start = stop
 
-    block = max(1, _BLOCK_CELLS // max(len(patterns), width))
+    # numpy shuffles 8-byte items about 40% faster than single bytes, so each
+    # mask is shuffled as int64 and then copied into its slot row
+    ordered = np.zeros(total, dtype=np.int64)
+    ordered[: db.n] = 1
+    shuffled = np.empty_like(ordered)
     minima = np.empty(plan.iterations)
     for first in range(0, plan.iterations, block):
-        indices = range(first, min(first + block, plan.iterations))
-        masks = np.empty((width, len(indices)), dtype=np.uint64)
-        for col, index in enumerate(indices):
-            masks[:, col] = _pack(_shuffled_slots(plan, index, db.n, total), width)
-        counts = np.zeros((len(patterns), len(indices)), dtype=np.intp)
+        best = minima[first : first + block]
+        rows = slots[: len(best)]
+        for row, state in zip(rows, _seed_states(plan.seed, first, first + len(best))):
+            shuffled[:] = ordered
+            np.random.Generator(np.random.PCG64(_Seeded(state))).shuffle(shuffled)
+            row[:total] = shuffled
+        masks = _packed(rows).T
+        counts = np.zeros((len(patterns), len(best)), dtype=np.intp)
         for w in range(width):
             counts += np.bitwise_count(occ[w][:, None] & masks[w][None, :])
-        best = minima[first : first + len(indices)]
         best[:] = math.inf
         for start, stop, lo, pvals in groups:
             np.minimum(best, pvals[counts[start:stop] - lo].min(axis=0), out=best)

@@ -6,11 +6,13 @@ the modules under test, except two scalar loops that the vectorised engines
 must agree with exactly:
 
 - The permutation helpers keep the int-bitmask form of occurrences and
-  masks, which the package does not have: ``permutation_mask`` packs the
-  package's own slot stream (``permute._shuffled_slots``) into an int,
-  ``occurrence_bits`` packs a support set, and ``min_p_reference`` is the
-  scalar permutation loop built on them (one mask, one popcount and one
-  table lookup at a time).
+  masks, which the package does not have: ``permutation_mask`` draws mask j
+  straight from numpy, one ``default_rng(SeedSequence(entropy=seed,
+  spawn_key=(j,)))`` shuffling n ones then N - n zeros, and packs it into an
+  int; ``occurrence_bits`` packs a support set, and ``min_p_reference`` is
+  the scalar permutation loop built on them (one mask, one popcount and one
+  table lookup at a time). So the package's block drawer is judged against
+  numpy's own stream.
 - ``mine_reference`` is the scalar miner: it grows every embedding one tuple
   at a time with the package's own growth rule (``mining._step`` and
   ``mining._extend``, which the minimality check is built on), so the array
@@ -283,10 +285,13 @@ def occurrence_bits(positions) -> int:
 
 def permutation_mask(plan, index: int, n: int, total: int) -> int:
     """Int bitmask of the n positives among ``total`` positions under shuffle ``index``."""
-    from sigmine.permute import _shuffled_slots
+    import numpy as np
 
-    slots = _shuffled_slots(plan, index, n, total).tolist()
-    return sum(1 << t for t, flag in enumerate(slots) if flag)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(index,)))
+    slots = np.zeros(total, dtype=np.uint8)
+    slots[:n] = 1
+    rng.shuffle(slots)
+    return sum(1 << t for t, flag in enumerate(slots.tolist()) if flag)
 
 
 def min_p_reference(testable, plan, db, tail="two"):

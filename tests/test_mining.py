@@ -1,12 +1,14 @@
 import inspect
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sigmine import graphs
 from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
 from sigmine.mining import (
     NO_EDGE,
@@ -198,6 +200,14 @@ def test_occurrences_verified_by_brute_force_isomorphism(db):
 def test_mining_is_deterministic(db):
     config = MinerConfig(min_frequency=1)
     assert mine(db, config).patterns == mine(db, config).patterns
+
+
+def test_layout_is_built_once_per_database(db):
+    # every threshold probe of a root search reads the same arrays
+    with mock.patch.object(graphs, "ArrayLayout", wraps=graphs.ArrayLayout) as built:
+        for sigma in (1, 2, 1):
+            mine(db, MinerConfig(min_frequency=sigma))
+    assert built.call_count == 1
 
 
 def test_exception_from_on_emit_ends_the_run(db):

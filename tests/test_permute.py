@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from sigmine.permute import (
 )
 from sigmine.search import find_root
 from sigmine.stats import min_attainable_pvalue
+from sigmine.synth import random_database
 
 CONFIG = MinerConfig(min_frequency=1)
 
@@ -80,6 +82,26 @@ class TestPlan:
             PermutationPlan(0, 1)
         with pytest.raises(ValueError, match="seed"):
             PermutationPlan(5, -1)
+
+    def test_fields_must_be_integers(self):
+        for iterations, seed in ((10, 1.5), (2.5, 1), (True, 0)):
+            with pytest.raises(TypeError):
+                PermutationPlan(iterations, seed)
+        plan = PermutationPlan(np.int64(7), 2**70)
+        assert (plan.iterations, plan.seed) == (7, 2**70)
+        assert type(plan.iterations) is int
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 11])
+    def test_seed_states_equal_seed_sequence(self, seed):
+        # two lanes from each index, so 2**32 - 1 also covers a block that
+        # straddles the second spawn-key word
+        for index in (0, 1, 255, 256, 2**32 - 1, 2**32, 2**40):
+            states = permute._seed_states(seed, index, index + 2)
+            for lane, state in enumerate(states):
+                expected = np.random.SeedSequence(
+                    entropy=seed, spawn_key=(index + lane,)
+                ).generate_state(4, np.uint64)
+                assert state.tolist() == expected.tolist()
 
     def test_mask_popcount_and_width(self):
         plan = PermutationPlan(50, 123)
@@ -157,7 +179,7 @@ class TestMinPDistribution:
             tail=data.draw(st.sampled_from(["left", "right", "two"]), label="tail"),
             iterations=data.draw(st.integers(1, 40), label="iterations"),
             block=data.draw(st.integers(1, 16), label="block"),
-            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            seed=data.draw(st.integers(0, 2**70), label="seed"),
             rnd=data.draw(st.randoms(use_true_random=False), label="rnd"),
         )
 
@@ -165,6 +187,14 @@ class TestMinPDistribution:
         # swapped classes with n = 256, so a frequency-N pattern counts 256
         assert_matches_reference(
             513, 257, "right", iterations=23, block=5, seed=3, rnd=random.Random(0)
+        )
+
+    @pytest.mark.parametrize("size", [65, 130])
+    def test_matches_scalar_reference_with_a_wide_seed(self, size):
+        # a seed of two 32-bit words, over sizes that leave a word part-filled
+        assert_matches_reference(
+            size, size // 3, "two", iterations=30, block=7, seed=2**32 + 977,
+            rnd=random.Random(size),
         )
 
     def test_memory_is_bounded_by_the_block(self):
@@ -186,6 +216,22 @@ class TestMinPDistribution:
             tracemalloc.stop()
         assert len(samples) == 1500
         assert peak < 8 * 2**20
+
+    def test_memory_is_bounded_on_twenty_thousand_graphs(self):
+        # every block reuses one (block, 64 * width) slot matrix, about 4 MB
+        # here; drawing all 2000 masks at once would take about 38 MB
+        db = random_database(20000, 7)
+        testable = find_root(db, 0.05, CONFIG, "two").testable[:100]
+        assert len(testable) == 100
+        plan = PermutationPlan(2000, 1)
+        tracemalloc.start()
+        try:
+            samples = min_p_distribution(testable, plan, db, "two")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 2000
+        assert peak < 16 * 2**20
 
 
 class TestEffectiveNumTests:
