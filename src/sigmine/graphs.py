@@ -35,7 +35,7 @@ class ValidityError(ValueError):
     """Database cannot be used: empty, or only one class present."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledGraph:
     """One transaction: dense 0-based vertices with labels, simple undirected edges.
 
@@ -100,7 +100,7 @@ class ArrayLayout:
     listing the pairs by rank; ranks sort like the labels they stand for.
     ``positive`` is 1 at every internal positive position, ``largest`` is
     the vertex count of the largest graph, and ``ints`` holds one int per
-    position for occurrence sets to share instead of owning fresh ones.
+    position for occurrence tuples to share instead of owning fresh ones.
     """
 
     def __init__(self, db: "GraphDatabase"):
@@ -148,7 +148,8 @@ class GraphDatabase:
     the two input classes; ``swapped`` records whether that required exchanging
     the user's labels. Graph positions (0-based order of appearance) act as
     transaction ids throughout the package. Every vertex and edge label must
-    index its token table.
+    index its token table, and every token must be non-empty and free of
+    whitespace, so that the transaction format can hold it.
     """
 
     graphs: tuple[LabeledGraph, ...]
@@ -174,6 +175,11 @@ class GraphDatabase:
             if g.graph_id in seen_ids:
                 raise ValueError(f"duplicate graph id {g.graph_id}")
             seen_ids.add(g.graph_id)
+        # a token the parser could not read back would break serialize_database
+        for kind, tokens in (("vertex", self.vertex_tokens), ("edge", self.edge_tokens)):
+            for token in tokens:
+                if token.split() != [token]:
+                    raise ValueError(f"{kind} token {token!r} is empty or holds whitespace")
         top_vertex, top_edge = _top_labels(self.graphs)
         if top_vertex >= len(self.vertex_tokens):
             raise ValueError(f"vertex label {top_vertex} has no vertex token")

@@ -4,7 +4,10 @@ Patterns are represented by DFS codes: sequences of quintuples
 ``(frm, to, frm_label, edge_label, to_label)`` where forward edges introduce
 vertex ``to`` and backward edges close a cycle back onto the rightmost path.
 Each pattern is visited exactly once by pruning non-minimal codes. Support is
-the number of distinct transactions containing at least one embedding.
+the number of distinct transactions containing at least one embedding. An
+emitted pattern keeps those transactions as an ascending tuple of positions
+whose ints are shared by the database layout, so a kept family costs about
+one pointer per occurrence.
 
 ``_step`` advances a code's rightmost path, vertex labels and edge set by
 one quint; the miner and the minimality check share it. The miner carries
@@ -63,18 +66,19 @@ class MinerConfig:
             raise ValueError("max_vertices must be at least 1 or None")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pattern:
     """A frequent pattern with its transaction-level occurrence data.
 
-    ``occurrences`` holds 0-based transaction positions; ``x`` of them belong
-    to the internal positive class and ``x_prime`` to the other one.
+    ``occurrences`` holds the 0-based transaction positions of the pattern as
+    a tuple of ascending, distinct positions; ``x`` of them belong to the
+    internal positive class and ``x_prime`` to the other one.
     """
 
     code: tuple[Quint, ...]
     vertex_count: int
     edge_count: int
-    occurrences: frozenset[int]
+    occurrences: tuple[int, ...]
     x: int
     x_prime: int
 
@@ -326,9 +330,8 @@ class _Miner:
 
     def _emit(self, code: tuple[Quint, ...], occ: np.ndarray) -> None:
         self.emitted += 1
-        # a frozenset copied from a set gets a table sized for its contents;
-        # one filled from an iterator keeps the slack of its growth steps
-        occurrences = frozenset(set(map(self.layout.ints.__getitem__, occ.tolist())))
+        # the layout's shared ints, not fresh ones from tolist, fill the tuple
+        occurrences = tuple(map(self.layout.ints.__getitem__, occ.tolist()))
         x = int(self.layout.positive[occ].sum())
         if _is_singleton(code):
             nv, ne = 1, 0

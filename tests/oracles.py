@@ -158,7 +158,7 @@ def mine_exhaustively(db, sigma, max_vertices=None, count_singletons=True):
         if ne == 0 and not count_singletons:
             continue
         if len(occ) >= sigma:
-            result[key] = (frozenset(occ), nv, ne)
+            result[key] = (tuple(sorted(occ)), nv, ne)
     return result
 
 
@@ -361,7 +361,7 @@ def mine_reference(db, config, on_emit=None):
                 by_label.setdefault(lbl, set()).add(pos)
         for lbl in sorted(by_label):
             if len(by_label[lbl]) >= sigma:
-                emit(((0, 0, lbl, NO_EDGE, lbl),), frozenset(by_label[lbl]))
+                emit(((0, 0, lbl, NO_EDGE, lbl),), tuple(sorted(by_label[lbl])))
     if config.max_vertices is not None and config.max_vertices < 2:
         return MiningOutcome(tuple(patterns), emitted)
     roots = {}
@@ -380,7 +380,7 @@ def mine_reference(db, config, on_emit=None):
             continue
         if len(code) > 1 and not is_canonical(code):
             continue
-        occurrences = frozenset(support)
+        occurrences = tuple(sorted(support))
         emit(code, occurrences)
         if len(occurrences) < sigma:
             continue

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sigmine.graphs import (
@@ -66,6 +68,25 @@ def test_round_trip_is_identity():
     again = parse_database(serialize_database(db))
     assert again == db
     assert serialize_database(again) == serialize_database(db)
+
+
+def test_tokens_the_format_cannot_hold_are_rejected():
+    # serialized, these would read "v 0 a b" and "v 0", which do not parse
+    graphs = [LabeledGraph(0, (0, 1), ((0, 1, 0),)), LabeledGraph(1, (1,), ())]
+    for bad in ("a b", "", "a\tb"):
+        with pytest.raises(ValueError, match=re.escape(f"vertex token {bad!r}")):
+            GraphDatabase.from_graphs(graphs, [1, 0], vertex_tokens=(bad, "c"))
+        with pytest.raises(ValueError, match=re.escape(f"edge token {bad!r}")):
+            GraphDatabase.from_graphs(graphs, [1, 0], edge_tokens=(bad,))
+
+
+def test_round_trip_keeps_a_token_that_looks_like_a_comment():
+    graphs = [LabeledGraph(0, (0, 1), ((0, 1, 0),)), LabeledGraph(1, (1,), ())]
+    db = GraphDatabase.from_graphs(graphs, [1, 0], ("%x", "c"), ("%e",))
+    again = parse_database(serialize_database(db))
+    assert again == db
+    assert again.vertex_tokens == ("%x", "c")
+    assert again.edge_tokens == ("%e",)
 
 
 def test_equality_is_token_resolved():
