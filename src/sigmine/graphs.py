@@ -11,6 +11,7 @@ database, on first use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -33,6 +34,20 @@ class LabelError(ValueError):
 
 class ValidityError(ValueError):
     """Database cannot be used: empty, or only one class present."""
+
+
+def _integral_fields(config, *names: str) -> None:
+    """Store each named count of a frozen dataclass as a plain int.
+
+    ``operator.index`` takes ints and numpy integers and rejects floats with
+    TypeError; bools are rejected too, and None is left to the caller.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value is not None:
+            object.__setattr__(config, name, operator.index(value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -385,9 +400,6 @@ def parse_database(
         else:
             raise ParseError(no, f"unknown record type {kind!r}")
     flush()
-
-    if not graphs:
-        raise ValidityError("empty database")
 
     final_classes: list[int] = []
     for g, inline in zip(graphs, classes):

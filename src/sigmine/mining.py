@@ -17,10 +17,12 @@ bounded by Python's recursion limit. It holds a code's embeddings as one
 int32 array over the database's global vertex ids and finds all of a
 parent's rightmost-path extensions in one numpy join (``_Miner._children``);
 only children that are frequent and pass gSpan's first-edge test get
-embeddings. The minimality check grows one small graph, held as a plain
-adjacency, into itself with the scalar ``_extend``; ``_minimal_quints``
-yields the greedy minimal code quint by quint to both ``minimum_code`` and
-``is_canonical``, which stops at the first quint that differs.
+embeddings. Every edge code comes from that join: the single-edge roots are
+the children of one-vertex parents, the vertices of each frequent label. The
+minimality check grows one small graph, held as a plain adjacency, into
+itself with the scalar ``_extend``; ``_minimal_quints`` yields the greedy
+minimal code quint by quint to both ``minimum_code`` and ``is_canonical``,
+which stops at the first quint that differs.
 
 Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 
@@ -39,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import GraphDatabase, LabeledGraph
+from .graphs import GraphDatabase, LabeledGraph, _integral_fields
 
 Quint = tuple[int, int, int, int, int]
 
@@ -60,6 +62,7 @@ class MinerConfig:
     count_singletons: bool = True
 
     def __post_init__(self) -> None:
+        _integral_fields(self, "min_frequency", "max_vertices")
         if self.min_frequency < 1:
             raise ValueError("min_frequency must be at least 1")
         if self.max_vertices is not None and self.max_vertices < 1:
@@ -347,29 +350,22 @@ class _Miner:
 
     def run(self) -> None:
         layout = self.layout
+        order, keys, occ, ob, rb = self._group(layout.vrank, layout.gpos)
         if self.config.count_singletons:
-            _, keys, occ, ob, _ = self._group(layout.vrank, layout.gpos)
             for i, key in enumerate(keys):
                 if ob[i + 1] - ob[i] >= self.sigma:
                     lbl = layout.vlabels[key]
                     self._emit(((0, 0, lbl, NO_EDGE, lbl),), occ[ob[i] : ob[i + 1]])
         if self.config.max_vertices is not None and self.config.max_vertices < 2:
             return
-        # a root embedding per directed edge whose source label is not the larger
-        src = np.arange(len(layout.deg)).repeat(layout.deg)
-        keep = (layout.vrank[src] <= layout.vrank[layout.nbr]).nonzero()[0]
-        proj = np.stack((src[keep], layout.nbr[keep])).astype(np.int32)
-        num_p = len(layout.pair_el)
-        order, keys, occ, ob, rb = self._group(
-            layout.vrank[proj[0]] * num_p + layout.prank[keep], layout.gpos[proj[0]]
-        )
+        # each frequent label's vertices are a one-vertex parent whose children
+        # are the single-edge roots; the largest label is pushed first
         stack = []
         for i in reversed(range(len(keys))):
             if ob[i + 1] - ob[i] >= self.sigma:
-                fl, pair = divmod(keys[i], num_p)
-                quint = (0, 1, layout.vlabels[fl], layout.pair_el[pair], layout.pair_tl[pair])
-                child = proj[:, order[rb[i] : rb[i + 1]]]
-                stack.append(((quint,), child, occ[ob[i] : ob[i + 1]], _root_state(quint[2])))
+                lbl = layout.vlabels[keys[i]]
+                proj = order[None, rb[i] : rb[i + 1]].astype(np.int32)
+                self._children(stack, (), proj, _root_state(lbl), True, (lbl, NO_EDGE, lbl))
         self._grow(stack)
 
     def _grow(self, stack: list[tuple[tuple[Quint, ...], np.ndarray, np.ndarray, _State]]) -> None:
@@ -394,7 +390,7 @@ class _Miner:
                 continue
             state = _step(*state, code[-1])
             forward = max_vertices is None or len(state[1]) < max_vertices
-            self._children(stack, code, proj, state, forward)
+            self._children(stack, code, proj, state, forward, code[0][2:])
 
     def _children(
         self,
@@ -403,6 +399,7 @@ class _Miner:
         proj: np.ndarray,
         state: _State,
         forward: bool,
+        first: tuple[int, int, int],
     ) -> None:
         """Push the children of ``code`` that can still be frequent and minimal.
 
@@ -418,7 +415,10 @@ class _Miner:
         from frm, so keys sort in ``_extension_key`` order. Only keys whose
         support reaches the live threshold and that pass gSpan's first-edge
         test get embeddings: a new edge whose label triple, read either way,
-        sorts below ``code[0]``'s means the code is not minimal.
+        sorts below ``first``, the code's first-edge triple, means the code
+        is not minimal. A one-vertex parent labelled lbl (the empty ``code``)
+        passes ``(lbl, NO_EDGE, lbl)``, so its children, the single-edge
+        roots, lose exactly the edges that lead to a smaller label.
         """
         layout = self.layout
         rmpath, labels, edges = state
@@ -452,7 +452,6 @@ class _Miner:
         keys += layout.prank[edge[keep]]
         order, keys, occ, ob, rb = self._group(keys, layout.gpos[new[keep]])
 
-        first = code[0][2:]
         sigma = self.sigma
         picked = []
         for i, key in enumerate(keys):

@@ -22,7 +22,6 @@ SeedSequence.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from itertools import groupby
@@ -30,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import GraphDatabase
+from .graphs import GraphDatabase, _integral_fields
 from .mining import Pattern
 from .stats import TailMode, pvalues_over_support
 
@@ -49,11 +48,7 @@ class PermutationPlan:
     seed: int
 
     def __post_init__(self):
-        for name in ("iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+        _integral_fields(self, "iterations", "seed")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Literal, Sequence
 
-from .graphs import GraphDatabase, ParseError, parse_database
+from .graphs import GraphDatabase, ParseError, _integral_fields, parse_database
 from .mining import MinerConfig, Pattern, code_string, mine
 from .permute import (
     PermutationPlan,
@@ -72,6 +72,7 @@ class RunConfig:
     min_p_out: str | None = None
 
     def __post_init__(self):
+        _integral_fields(self, "max_vertices", "permutations", "fwer_permutations", "seed")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.tail not in ("left", "right", "two"):
@@ -119,11 +120,6 @@ def _display_row(rec: SignificanceRecord, db: GraphDatabase) -> dict:
         "min_p": rec.min_p,
         "significant": rec.significant,
     }
-
-
-def _original_class_sizes(db: GraphDatabase) -> tuple[int, int]:
-    ones = sum(1 for c in db.original_classes if c == 1)
-    return ones, db.size - ones
 
 
 def _read_text(path: str) -> str:
@@ -204,7 +200,7 @@ def run_pipeline(config: RunConfig) -> Report:
         plan = PermutationPlan(config.fwer_permutations, config.seed + 1)
         fwer = empirical_fwer(family, config.alpha / factor, plan, db, config.tail)
 
-    ones, zeros = _original_class_sizes(db)
+    ones, zeros = (db.n_prime, db.n) if db.swapped else (db.n, db.n_prime)
     summary = {
         "status": status,
         "n": ones,

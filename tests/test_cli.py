@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 from typing import get_args
 
+import numpy as np
 import pytest
 
 from sigmine.graphs import GraphDatabase, LabeledGraph, serialize_database
@@ -78,6 +79,17 @@ class TestRunConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(input="x", **kwargs)
+
+    @pytest.mark.parametrize("field", ["max_vertices", "permutations", "fwer_permutations", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.int64(3)])
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = {"correction": "efftests", field: value}
+        if isinstance(value, np.integer):
+            held = getattr(RunConfig(input="x", **kwargs), field)
+            assert held == 3 and type(held) is int
+        else:
+            with pytest.raises(TypeError):
+                RunConfig(input="x", **kwargs)
 
 
 class TestPipeline:

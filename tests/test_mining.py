@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -234,6 +235,18 @@ def test_config_validation():
         MinerConfig(min_frequency=0)
     with pytest.raises(ValueError):
         MinerConfig(min_frequency=1, max_vertices=0)
+
+
+@pytest.mark.parametrize("field", ["min_frequency", "max_vertices"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.int64(3)])
+def test_config_counts_must_be_integers(field, value):
+    kwargs = {"min_frequency": 2, field: value}
+    if isinstance(value, np.integer):
+        held = getattr(MinerConfig(**kwargs), field)
+        assert held == 3 and type(held) is int
+    else:
+        with pytest.raises(TypeError):
+            MinerConfig(**kwargs)
 
 
 @st.composite
