@@ -52,7 +52,7 @@ def main() -> int:
         prefix = find_prefix(args.directory)
         base = args.directory / prefix
 
-        indicator = [int(t) for t in read_lines(Path(f"{base}_graph_indicator.txt"))]
+        indicator_rows = read_lines(Path(f"{base}_graph_indicator.txt"))
         raw_classes = read_lines(Path(f"{base}_graph_labels.txt"))
         edge_rows = read_lines(Path(f"{base}_A.txt"))
 
@@ -60,7 +60,7 @@ def main() -> int:
         node_labels = (
             [t.split(",")[0].strip() for t in read_lines(node_label_path)]
             if node_label_path.exists()
-            else ["0"] * len(indicator)
+            else ["0"] * len(indicator_rows)
         )
         edge_label_path = Path(f"{base}_edge_labels.txt")
         edge_labels = (
@@ -70,6 +70,15 @@ def main() -> int:
         )
     except OSError as exc:
         print(f"cannot read dataset: {exc}", file=sys.stderr)
+        return 2
+
+    try:
+        indicator = [int(t) for t in indicator_rows]
+    except ValueError as exc:
+        print(f"malformed graph indicator: {exc}", file=sys.stderr)
+        return 2
+    if not indicator or min(indicator) < 1:
+        print("graph indicator must list 1-based graph ids", file=sys.stderr)
         return 2
 
     if len(node_labels) != len(indicator):
@@ -96,11 +105,16 @@ def main() -> int:
     # dedupe both-direction edges, demand label agreement
     edges: dict[int, dict[tuple[int, int], str]] = defaultdict(dict)
     for row, lbl in zip(edge_rows, edge_labels):
-        parts = [p for p in row.replace(",", " ").split() if p]
-        if len(parts) != 2:
+        try:
+            # two integers, or ValueError
+            gu, gv = map(int, row.replace(",", " ").split())
+        except ValueError:
             print(f"malformed edge row: {row!r}", file=sys.stderr)
             return 2
-        gu, gv = int(parts[0]), int(parts[1])
+        if gu not in local or gv not in local:
+            print(f"edge {gu}-{gv} names a node missing from the graph indicator",
+                  file=sys.stderr)
+            return 2
         graph_u, u = local[gu]
         graph_v, v = local[gv]
         if graph_u != graph_v:

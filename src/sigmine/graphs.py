@@ -36,26 +36,39 @@ class ValidityError(ValueError):
     """Database cannot be used: empty, or only one class present."""
 
 
-def _integral_fields(config, *names: str) -> None:
-    """Store each named count of a frozen dataclass as a plain int.
+def _as_int(value, what: str) -> int:
+    """``value`` as a plain int, or TypeError naming ``what``.
 
-    ``operator.index`` takes ints and numpy integers and rejects floats with
-    TypeError; bools are rejected too, and None is left to the caller.
+    ``operator.index`` takes ints and numpy integers and rejects floats,
+    strings and the like; bools are rejected too.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _integral_fields(config, *names: str) -> None:
+    """Store each named count of a frozen dataclass as a plain int (``_as_int``).
+
+    None is left to the caller.
     """
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
         if value is not None:
-            object.__setattr__(config, name, operator.index(value))
+            object.__setattr__(config, name, _as_int(value, name))
 
 
 @dataclass(frozen=True, slots=True)
 class LabeledGraph:
     """One transaction: dense 0-based vertices with labels, simple undirected edges.
 
-    A plain validated record. Labels are non-negative ints (the miner reserves
-    -1 for "no edge"); edges are normalized to (u, v, label) with u < v and
+    A plain validated record. The graph id, labels and endpoints are
+    integers (``_as_int``: numpy integers are stored as int, bools, floats and
+    strings raise TypeError). Labels are non-negative (the miner reserves -1
+    for "no edge"); edges are normalized to (u, v, label) with u < v and
     stored sorted.
     """
 
@@ -64,12 +77,22 @@ class LabeledGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        # plain ints, all the parser makes, are checked by type alone
+        if type(self.graph_id) is not int:
+            object.__setattr__(self, "graph_id", _as_int(self.graph_id, "graph id"))
+        if not {int}.issuperset(map(type, self.vertex_labels)):
+            what = f"graph {self.graph_id}: vertex label"
+            labels = tuple(_as_int(lbl, what) for lbl in self.vertex_labels)
+            object.__setattr__(self, "vertex_labels", labels)
         normalized = []
         seen: set[tuple[int, int]] = set()
         nv = len(self.vertex_labels)
         if min(self.vertex_labels, default=0) < 0:
             raise ValueError(f"graph {self.graph_id}: negative vertex label")
         for u, v, lbl in self.edges:
+            if not (type(u) is type(v) is type(lbl) is int):
+                what = f"graph {self.graph_id}: edge ({u!r}, {v!r}, {lbl!r}) entry"
+                u, v, lbl = (_as_int(x, what) for x in (u, v, lbl))
             if lbl < 0:
                 raise ValueError(f"graph {self.graph_id}: negative label on edge ({u}, {v})")
             if u == v:
@@ -161,10 +184,13 @@ class GraphDatabase:
 
     ``n`` counts the internal positive class, which is always the smaller of
     the two input classes; ``swapped`` records whether that required exchanging
-    the user's labels. Graph positions (0-based order of appearance) act as
-    transaction ids throughout the package. Every vertex and edge label must
-    index its token table, and every token must be non-empty and free of
-    whitespace, so that the transaction format can hold it.
+    the user's labels. Both are set from the one count of the classes.
+    Graph positions (0-based order of appearance) act as transaction ids
+    throughout the package. Classes are the integers 0 and 1 (``_as_int``
+    rules). Every vertex and edge label must index its token table, and every
+    token must be non-empty and free of whitespace, so that the transaction
+    format can hold it. Two databases are equal, and hash alike, when
+    ``serialize_database`` writes the same text for both.
     """
 
     graphs: tuple[LabeledGraph, ...]
@@ -172,12 +198,16 @@ class GraphDatabase:
     vertex_tokens: tuple[str, ...]
     edge_tokens: tuple[str, ...]
     swapped: bool = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.graphs) != len(self.original_classes):
             raise ValueError("one class per graph required")
         if not self.graphs:
             raise ValidityError("empty database")
+        if not {int}.issuperset(map(type, self.original_classes)):
+            classes = tuple(_as_int(cls, "class") for cls in self.original_classes)
+            object.__setattr__(self, "original_classes", classes)
         for cls in self.original_classes:
             if cls not in (0, 1):
                 raise LabelError(f"class must be 0 or 1, got {cls!r}")
@@ -201,16 +231,11 @@ class GraphDatabase:
         if top_edge >= len(self.edge_tokens):
             raise ValueError(f"edge label {top_edge} has no edge token")
         object.__setattr__(self, "swapped", ones > zeros)
+        object.__setattr__(self, "n", min(ones, zeros))
 
     @property
     def size(self) -> int:
         return len(self.graphs)
-
-    @cached_property
-    def n(self) -> int:
-        """Internal positive class size (always <= n_prime)."""
-        ones = sum(self.original_classes)
-        return min(ones, self.size - ones)
 
     @cached_property
     def layout(self) -> ArrayLayout:
@@ -253,30 +278,17 @@ class GraphDatabase:
             vertex_tokens = tuple(str(i) for i in range(top_vertex + 1))
         if edge_tokens is None:
             edge_tokens = tuple(str(i) for i in range(top_edge + 1))
-        return cls(graphs, tuple(int(c) for c in classes), tuple(vertex_tokens), tuple(edge_tokens))
-
-    def _resolved(self):
-        vt, et = self.vertex_tokens, self.edge_tokens
-        return tuple(
-            (
-                g.graph_id,
-                tuple(vt[lbl] for lbl in g.vertex_labels),
-                tuple((u, v, et[lbl]) for u, v, lbl in g.edges),
-                c,
-            )
-            for g, c in zip(self.graphs, self.original_classes)
-        )
+        return cls(graphs, tuple(classes), tuple(vertex_tokens), tuple(edge_tokens))
 
     def __eq__(self, other: object) -> bool:
-        # Compare through the symbol tables: two databases are equal when they
-        # describe the same token-labeled graphs with the same classes, even if
-        # dense ids were assigned in a different order.
+        # the text names labels by token, so dense ids assigned in a different
+        # order still compare equal
         if not isinstance(other, GraphDatabase):
             return NotImplemented
-        return self._resolved() == other._resolved()
+        return serialize_database(self) == serialize_database(other)
 
     def __hash__(self) -> int:
-        return hash(self._resolved())
+        return hash(serialize_database(self))
 
 
 def _iter_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:

@@ -75,12 +75,12 @@ class Pattern:
 
     ``occurrences`` holds the 0-based transaction positions of the pattern as
     a tuple of ascending, distinct positions; ``x`` of them belong to the
-    internal positive class and ``x_prime`` to the other one.
+    internal positive class and ``x_prime`` to the other one. The vertex and
+    edge counts are read off ``code``: one vertex plus one per forward quint,
+    and one edge per quint, none for a singleton.
     """
 
     code: tuple[Quint, ...]
-    vertex_count: int
-    edge_count: int
     occurrences: tuple[int, ...]
     x: int
     x_prime: int
@@ -88,6 +88,14 @@ class Pattern:
     @property
     def frequency(self) -> int:
         return self.x + self.x_prime
+
+    @property
+    def vertex_count(self) -> int:
+        return 1 + sum(1 for frm, to, *_ in self.code if frm < to)
+
+    @property
+    def edge_count(self) -> int:
+        return 0 if _is_singleton(self.code) else len(self.code)
 
 
 @dataclass(frozen=True)
@@ -336,12 +344,7 @@ class _Miner:
         # the layout's shared ints, not fresh ones from tolist, fill the tuple
         occurrences = tuple(map(self.layout.ints.__getitem__, occ.tolist()))
         x = int(self.layout.positive[occ].sum())
-        if _is_singleton(code):
-            nv, ne = 1, 0
-        else:
-            nv = sum(1 for frm, to, *_ in code if frm < to) + 1
-            ne = len(code)
-        self.patterns.append(Pattern(code, nv, ne, occurrences, x, len(occurrences) - x))
+        self.patterns.append(Pattern(code, occurrences, x, len(occurrences) - x))
         if self.on_emit is not None:
             sigma = self.on_emit(len(occurrences))
             if sigma > self.sigma:

@@ -343,11 +343,7 @@ def mine_reference(db, config, on_emit=None):
         nonlocal sigma, patterns, emitted
         emitted += 1
         x = sum(1 for t in occurrences if db.is_internal_positive(t))
-        if len(code) == 1 and code[0][3] == NO_EDGE:
-            nv, ne = 1, 0
-        else:
-            nv, ne = sum(1 for frm, to, *_ in code if frm < to) + 1, len(code)
-        patterns.append(Pattern(code, nv, ne, occurrences, x, len(occurrences) - x))
+        patterns.append(Pattern(code, occurrences, x, len(occurrences) - x))
         if on_emit is not None:
             raised = on_emit(len(occurrences))
             if raised > sigma:

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from sigmine.graphs import (
@@ -239,3 +240,40 @@ def test_from_graphs_defaults_tokens():
     assert db.vertex_tokens == ("0", "1", "2")
     assert db.edge_tokens == ("0", "1")
 
+
+
+def _place(field, value):
+    """A two-graph database with ``value`` as the named integer, else all 1 or 0."""
+    one = {"graph_id": 1, "vertex_label": 1, "endpoint": 1, "edge_label": 1, "class": 1}
+    one[field] = value
+    graphs = [
+        LabeledGraph(
+            one["graph_id"],
+            (0, one["vertex_label"]),
+            ((0, one["endpoint"], one["edge_label"]),),
+        ),
+        LabeledGraph(0, (0,), ()),
+    ]
+    return GraphDatabase.from_graphs(graphs, [one["class"], 0])
+
+
+@pytest.mark.parametrize("field", ["graph_id", "vertex_label", "endpoint", "edge_label", "class"])
+@pytest.mark.parametrize("value", [1.0, 0.5, "1", True, np.int64(1)], ids=repr)
+def test_ids_labels_endpoints_and_classes_must_be_integers(field, value):
+    # a float label used to mine as its truncation and a float endpoint or a
+    # string id was written out in a form the parser rejects
+    if not isinstance(value, np.integer):
+        with pytest.raises(TypeError, match="must be an integer"):
+            _place(field, value)
+        return
+    db = _place(field, value)
+    graph = db.graphs[0]
+    held = {
+        "graph_id": graph.graph_id,
+        "vertex_label": graph.vertex_labels[1],
+        "endpoint": graph.edges[0][1],
+        "edge_label": graph.edges[0][2],
+        "class": db.original_classes[0],
+    }[field]
+    assert held == 1 and type(held) is int
+    assert parse_database(serialize_database(db)) == db

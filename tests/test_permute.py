@@ -40,7 +40,7 @@ def unlabeled_db(classes):
 def pattern_at(db, positions):
     """A pattern occurring exactly at ``positions``; only its support matters."""
     x = sum(1 for t in positions if db.is_internal_positive(t))
-    return Pattern((), 1, 0, tuple(sorted(positions)), x, len(positions) - x)
+    return Pattern((), tuple(sorted(positions)), x, len(positions) - x)
 
 
 def assert_matches_reference(size, positives, tail, iterations, block, seed, rnd):

@@ -374,7 +374,7 @@ def test_scoring_memory_is_bounded_over_many_margins():
     margins = list(range(5, 605, 3))
     random.Random(0).shuffle(margins)
     patterns = [
-        Pattern(((0, 0, i, NO_EDGE, i),), 1, 0, (), f // 2, f - f // 2)
+        Pattern(((0, 0, i, NO_EDGE, i),), (), f // 2, f - f // 2)
         for i, f in enumerate(margins)
     ]
     tracemalloc.start()
