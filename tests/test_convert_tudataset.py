@@ -47,7 +47,6 @@ def test_converts_a_small_dataset(tmp_path):
         [1, 0, 1],
     )
     assert db == expected
-    assert db.original_classes == (1, 0, 1)
 
 
 @pytest.mark.parametrize(

@@ -241,7 +241,6 @@ def test_from_graphs_defaults_tokens():
     assert db.edge_tokens == ("0", "1")
 
 
-
 def _place(field, value):
     """A two-graph database with ``value`` as the named integer, else all 1 or 0."""
     one = {"graph_id": 1, "vertex_label": 1, "endpoint": 1, "edge_label": 1, "class": 1}
