@@ -1,12 +1,10 @@
 """Two-class labeled graph databases and the transaction file format.
 
 A database is an ordered collection of undirected, vertex- and edge-labeled
-simple graphs, each assigned to class 1 (positive) or class 0 (negative).
-Internally the classes are swapped if needed so the positive class is never
-the larger one; reporting code un-swaps. Label tokens from input files are
-interned into dense integer ids through per-database symbol tables. The
-flat numpy arrays the miner reads (``ArrayLayout``) are built once per
-database, on first use.
+simple graphs, each assigned to class 1 (positive) or class 0 (negative),
+whichever is larger. Label tokens from input files are interned into dense
+integer ids through per-database symbol tables. The flat numpy arrays the
+miner reads (``ArrayLayout``) are built once per database, on first use.
 """
 
 from __future__ import annotations
@@ -136,7 +134,7 @@ class ArrayLayout:
     neighbours in ascending order, and ``prank`` gives the dense rank of each
     (edge label, neighbour label) pair in it, ``pair_el`` and ``pair_tl``
     listing the pairs by rank; ranks sort like the labels they stand for.
-    ``positive`` is 1 at every internal positive position, ``largest`` is
+    ``positive`` is each position's class (1 or 0), ``largest`` is
     the vertex count of the largest graph, and ``ints`` holds one int per
     position for occurrence tuples to share instead of owning fresh ones.
     """
@@ -145,7 +143,7 @@ class ArrayLayout:
         graphs = db.graphs
         n = len(graphs)
         self.ints = tuple(range(n))
-        self.positive = np.fromiter((db.is_internal_positive(t) for t in range(n)), np.int64, n)
+        self.positive = np.array(db.original_classes, np.int64)
         vcounts = np.fromiter((g.vertex_count for g in graphs), np.int64, n)
         ecounts = np.fromiter((g.edge_count for g in graphs), np.int64, n)
         offsets = np.zeros(n + 1, np.int64)
@@ -182,9 +180,7 @@ class ArrayLayout:
 class GraphDatabase:
     """Immutable two-class graph collection.
 
-    ``n`` counts the internal positive class, which is always the smaller of
-    the two input classes; ``swapped`` records whether that required exchanging
-    the user's labels. Both are set from the one count of the classes.
+    ``n`` counts class 1 and ``n_prime`` class 0, either may be the larger.
     Graph positions (0-based order of appearance) act as transaction ids
     throughout the package. Classes are the integers 0 and 1 (``_as_int``
     rules). Every vertex and edge label must index its token table, and every
@@ -197,7 +193,6 @@ class GraphDatabase:
     original_classes: tuple[int, ...]
     vertex_tokens: tuple[str, ...]
     edge_tokens: tuple[str, ...]
-    swapped: bool = field(init=False)
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -212,8 +207,7 @@ class GraphDatabase:
             if cls not in (0, 1):
                 raise LabelError(f"class must be 0 or 1, got {cls!r}")
         ones = sum(self.original_classes)
-        zeros = len(self.original_classes) - ones
-        if ones == 0 or zeros == 0:
+        if ones == 0 or ones == len(self.original_classes):
             raise ValidityError("both classes must be present")
         seen_ids = set()
         for g in self.graphs:
@@ -230,8 +224,7 @@ class GraphDatabase:
             raise ValueError(f"vertex label {top_vertex} has no vertex token")
         if top_edge >= len(self.edge_tokens):
             raise ValueError(f"edge label {top_edge} has no edge token")
-        object.__setattr__(self, "swapped", ones > zeros)
-        object.__setattr__(self, "n", min(ones, zeros))
+        object.__setattr__(self, "n", ones)
 
     @property
     def size(self) -> int:
@@ -245,20 +238,6 @@ class GraphDatabase:
     @property
     def n_prime(self) -> int:
         return self.size - self.n
-
-    def is_internal_positive(self, position: int) -> bool:
-        wanted = 0 if self.swapped else 1
-        return self.original_classes[position] == wanted
-
-    def internal_tail(self, tail: str) -> str:
-        """Map a user-facing tail onto the internal class orientation.
-
-        When classes were swapped, enrichment in the user's positive class
-        appears as depletion internally, so left and right exchange.
-        """
-        if not self.swapped or tail == "two":
-            return tail
-        return "left" if tail == "right" else "right"
 
     @classmethod
     def from_graphs(

@@ -74,10 +74,10 @@ class Pattern:
     """A frequent pattern with its transaction-level occurrence data.
 
     ``occurrences`` holds the 0-based transaction positions of the pattern as
-    a tuple of ascending, distinct positions; ``x`` of them belong to the
-    internal positive class and ``x_prime`` to the other one. The vertex and
-    edge counts are read off ``code``: one vertex plus one per forward quint,
-    and one edge per quint, none for a singleton.
+    a tuple of ascending, distinct positions; ``x`` of them belong to class 1
+    and ``x_prime`` to class 0. The vertex and edge counts are read off
+    ``code``: one vertex plus one per forward quint, and one edge per quint,
+    none for a singleton.
     """
 
     code: tuple[Quint, ...]

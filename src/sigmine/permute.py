@@ -9,10 +9,12 @@ counts into p-values. This packed form is the only occurrence representation
 in the package.
 
 The stream is fixed: mask j is numpy's
-``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(j,))))`` shuffling n
-ones followed by N - n zeros, position t being the database's transaction t.
-So neither the block size nor the order of evaluation can change a result,
-and any subset of permutations can be recomputed alone. The engine
+``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(j,))))`` shuffling m
+ones followed by N - m zeros, m being the smaller class size and position t
+the database's transaction t. The ones mark the smaller class; when that is
+class 0, class 1 is their complement. So neither the block size nor the
+order of evaluation can change a result, and any subset of permutations can
+be recomputed alone. The engine
 reproduces this stream a block at a time: one numpy pass of the SeedSequence
 hash gives the PCG64 seeds of a whole block (``_seed_states``), and each
 generator is seeded from its precomputed row instead of a fresh
@@ -149,7 +151,6 @@ def min_p_distribution(
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_Seeded)
-    internal_tail = db.internal_tail(tail)
     total = db.size
     width = -(-total // 64)
     block = max(1, _BLOCK_CELLS // max(len(testable), width))
@@ -173,14 +174,14 @@ def min_p_distribution(
     start = 0
     for f, members in groupby(patterns, key=lambda p: p.frequency):
         stop = start + sum(1 for _ in members)
-        lo, pvals = pvalues_over_support(f, db.n, db.n_prime, internal_tail)
+        lo, pvals = pvalues_over_support(f, db.n, db.n_prime, tail)
         groups.append((start, stop, lo, np.array(pvals)))
         start = stop
 
     # numpy shuffles 8-byte items about 40% faster than single bytes, so each
     # mask is shuffled as int64 and then copied into its slot row
     ordered = np.zeros(total, dtype=np.int64)
-    ordered[: db.n] = 1
+    ordered[: min(db.n, db.n_prime)] = 1
     shuffled = np.empty_like(ordered)
     minima = np.empty(plan.iterations)
     for first in range(0, plan.iterations, block):
@@ -191,6 +192,9 @@ def min_p_distribution(
             np.random.Generator(np.random.PCG64(_Seeded(state))).shuffle(shuffled)
             row[:total] = shuffled
         masks = _packed(rows).T
+        if db.n > db.n_prime:
+            # the ones mark class 0; occurrences are 0 past N, so ~ adds no count
+            masks = ~masks
         counts = np.zeros((len(patterns), len(best)), dtype=np.intp)
         for w in range(width):
             counts += np.bitwise_count(occ[w][:, None] & masks[w][None, :])

@@ -108,14 +108,13 @@ class Report:
 
 def _display_row(rec: SignificanceRecord, db: GraphDatabase) -> dict:
     p = rec.pattern
-    x, x_prime = (p.x_prime, p.x) if db.swapped else (p.x, p.x_prime)
     return {
         "pattern": code_string(p.code, db),
         "vertices": p.vertex_count,
         "edges": p.edge_count,
         "frequency": p.frequency,
-        "x": x,
-        "x_prime": x_prime,
+        "x": p.x,
+        "x_prime": p.x_prime,
         "p_value": rec.p_value,
         "min_p": rec.min_p,
         "significant": rec.significant,
@@ -200,11 +199,10 @@ def run_pipeline(config: RunConfig) -> Report:
         plan = PermutationPlan(config.fwer_permutations, config.seed + 1)
         fwer = empirical_fwer(family, config.alpha / factor, plan, db, config.tail)
 
-    ones, zeros = (db.n_prime, db.n) if db.swapped else (db.n, db.n_prime)
     summary = {
         "status": status,
-        "n": ones,
-        "n_prime": zeros,
+        "n": db.n,
+        "n_prime": db.n_prime,
         "alpha": config.alpha,
         "tail": config.tail,
         "sigma_min": result.min_testable_frequency,

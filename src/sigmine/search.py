@@ -15,9 +15,10 @@ its threshold; the default, ``dynamic``, mines once and raises its own
 threshold as it goes. Both steer the miner through its ``on_emit`` hook, so
 the budget is known only here.
 
-Because psi plateaus once sigma exceeds the smaller class size n, the root can
-lie above n on degenerate inputs; every strategy escalates upward past n in
-that corner instead of assuming the answer lives in [sigma_min, n].
+Because psi plateaus once sigma exceeds the smaller class size m, the root can
+lie above m on degenerate inputs; every strategy escalates upward past m in
+that corner instead of assuming the answer lives in [sigma_min, m]. Class
+sizes and tails are the input's; only ``stats`` knows which class is smaller.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class TraceEntry:
 class RootSearchResult:
     """Outcome of a root-frequency search.
 
-    status "no_testable" means no frequency up to n clears alpha; the numeric
+    status "no_testable" means no frequency up to m clears alpha; the numeric
     fields are then None and ``testable`` is empty. ``root_budget`` is
     alpha / psi(root_frequency), the hypothesis budget at the root; the
     testable patterns are exactly those with frequency >= root_frequency.
@@ -101,7 +102,7 @@ class _Session:
         self.db = db
         self.alpha = alpha
         self.config = config
-        self.tail = db.internal_tail(tail)
+        self.tail = tail
         self.trace: list[TraceEntry] = []
 
     def bound(self, sigma: int) -> float:
@@ -176,7 +177,7 @@ def _dynamic(session: _Session, sigma_min: int):
     sigma passed lies below the root. The miner prunes below the live sigma,
     which loses nothing at or above the root because support is anti-monotone.
     The final sigma is therefore the root and the patterns kept are the
-    testable set. Above n the budget is flat and the same loop climbs on.
+    testable set. Above m the budget is flat and the same loop climbs on.
     """
     histogram: Counter[int] = Counter()
     sigma, count, budget = sigma_min, 0, session.budget(sigma_min)
@@ -202,11 +203,11 @@ def _onepass(session: _Session, sigma_min: int):
 
 
 def _decremental(session: _Session, sigma_min: int):
-    """Full mines from sigma = n downward until the budget first fails."""
-    sigma = session.db.n
+    """Full mines from the smaller class size m downward until the budget first fails."""
+    sigma = min(session.db.n, session.db.n_prime)
     patterns = session.mine_at(sigma)
     if not session.fits(len(patterns), sigma):
-        # the root lies in the plateau above n; the n-run already contains
+        # the root lies in the plateau above m; the m-run already contains
         # every pattern it could need, so scan upward without mining again
         return _scan_up(session, sigma + 1, patterns)
     good = sigma, patterns
@@ -232,11 +233,11 @@ def _incremental(session: _Session, sigma_min: int):
 
 
 def _bisection(session: _Session, sigma_min: int):
-    """Bisect [sigma_min, n] with memoized budgeted probes.
+    """Bisect [sigma_min, m], m the smaller class size, with memoized budgeted probes.
 
     A terminated probe moves the lower bound, a completed one the upper bound.
     After the interval closes, unprobed endpoints are probed directly; if even
-    sigma = n fails, the search escalates above n where the budget is flat.
+    sigma = m fails, the search escalates above m where the budget is flat.
     """
     memo: dict[int, tuple[Pattern, ...] | None] = {}
 
@@ -245,7 +246,7 @@ def _bisection(session: _Session, sigma_min: int):
             memo[sigma] = session.mine_at(sigma, session.budget(sigma))
         return memo[sigma]
 
-    lo, hi = sigma_min, session.db.n
+    lo, hi = sigma_min, min(session.db.n, session.db.n_prime)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if probe(mid) is None:
@@ -323,15 +324,14 @@ def score_patterns(
     # NaN compares false with everything, so `not >= 1` rejects it too
     if not correction_factor >= 1.0:
         raise ValueError(f"correction_factor must be >= 1, got {correction_factor}")
-    internal_tail = db.internal_tail(tail)
     threshold = alpha / correction_factor
     records = []
     for pattern in sorted(patterns, key=lambda p: p.frequency):
         table = ContingencyTable(
             x=pattern.x, x_prime=pattern.x_prime, n=db.n, n_prime=db.n_prime
         )
-        p = fisher_pvalue(table, internal_tail).pvalue
-        min_p = min_attainable_pvalue(pattern.frequency, db.n, db.n_prime, internal_tail)
+        p = fisher_pvalue(table, tail).pvalue
+        min_p = min_attainable_pvalue(pattern.frequency, db.n, db.n_prime, tail)
         records.append(
             SignificanceRecord(
                 pattern=pattern,

@@ -1,16 +1,17 @@
 """Exact association statistics for 2x2 tables with fixed margins.
 
-Everything here derives from the hypergeometric distribution of the
-positive-class count of a pattern: exact tail p-values (left, right, and
-doubled two-sided), and the frequency-indexed lower bound on the attainable
-p-value that drives testability pruning. All of it reads one table per
-margin, built by the exact ratio recurrence; a point mass is
+Everything here derives from the hypergeometric distribution of the class 1
+count of a pattern: exact tail p-values (left, right, and doubled
+two-sided), and the frequency-indexed lower bound on the attainable p-value
+that drives testability pruning. All of it reads one table per margin,
+built by the exact ratio recurrence; a point mass is
 ``fisher_pvalue(table).q_at_x``. Only the few most recent tables are cached,
 so callers that read many margins read them in ascending order.
 
-Tables are oriented so that the positive class is the smaller one
-(``n <= n_prime``); callers that accept user-facing class labels are
-responsible for any tail flip before reaching this module.
+Callers pass the input's classes (``n`` and ``x`` count class 1, "right"
+means enrichment in class 1), whichever is larger. Only this module knows
+that the tables are built for the smaller class: when that is class 0 it
+reads them at ``x_prime`` with the left and right tails exchanged.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Literal
 TailMode = Literal["left", "right", "two"]
 
 _TAILS = ("left", "right", "two")
+
+_OPPOSITE = {"left": "right", "right": "left", "two": "two"}
 
 __all__ = [
     "TailMode",
@@ -37,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Counts of one pattern: x of n positives contain it, x_prime of n_prime negatives."""
+    """One pattern's counts: x of the n in class 1 contain it, x_prime of the n_prime in class 0."""
 
     x: int
     x_prime: int
@@ -51,8 +54,6 @@ class ContingencyTable:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 1 or self.n_prime < 1:
             raise ValueError("both class sizes must be at least 1")
-        if self.n > self.n_prime:
-            raise ValueError("tables must be oriented with n <= n_prime")
         if not 0 <= self.x <= self.n:
             raise ValueError(f"x={self.x} outside [0, {self.n}]")
         if not 0 <= self.x_prime <= self.n_prime:
@@ -144,8 +145,13 @@ def fisher_pvalue(table: ContingencyTable, tail: TailMode = "two") -> TestResult
     if tail not in _TAILS:
         raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
     f = table.frequency
-    lo, masses, cum_left, cum_right = _support_tables(f, table.n, table.n_prime)
-    i = table.x - lo
+    if table.n <= table.n_prime:
+        lo, masses, cum_left, cum_right = _support_tables(f, table.n, table.n_prime)
+        i = table.x - lo
+    else:
+        # the tables count class 0, whose left tail is class 1's right tail
+        lo, masses, cum_right, cum_left = _support_tables(f, table.n_prime, table.n)
+        i = table.x_prime - lo
     p_left = cum_left[i]
     p_right = cum_right[i]
     p_two = min(1.0, 2.0 * min(p_left, p_right))
@@ -162,6 +168,10 @@ def pvalues_over_support(
     """
     if tail not in _TAILS:
         raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
+    if n > n_prime:
+        # class 0's row of the opposite tail, read from x_prime = f - x down
+        lo, pvals = pvalues_over_support(f, n_prime, n, _OPPOSITE[tail])
+        return f - lo - len(pvals) + 1, pvals[::-1]
     lo, _, cum_left, cum_right = _support_tables(f, n, n_prime)
     if tail == "left":
         return lo, cum_left
@@ -174,20 +184,20 @@ def pvalues_over_support(
 def min_attainable_pvalue(f: int, n: int, n_prime: int, tail: TailMode = "two") -> float:
     """Smallest p-value any table with margin f can reach.
 
-    For f <= n this is the point mass of the most extreme table; beyond n it
-    stays flat at the f = n value, so the bound is monotone non-increasing in f.
-    Two-sided values are doubled and capped at 1.
+    With m = min(n, n_prime), for f <= m this is the point mass of the most
+    extreme table; beyond m it stays flat at the f = m value, so the bound is
+    monotone non-increasing in f. Two-sided values are doubled and capped at 1.
     """
     if tail not in _TAILS:
         raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
     if f < 0:
         raise ValueError(f"frequency must be non-negative, got {f}")
-    if n < 1 or n_prime < 1 or n > n_prime:
-        raise ValueError("need 1 <= n <= n_prime")
-    margin = min(f, n)
-    _, masses, _, _ = _support_tables(margin, n, n_prime)
-    # Mathematically masses[-1] <= masses[0] when n <= n_prime; the min guards
-    # float ties so that tail sums can never round below this bound.
+    if n < 1 or n_prime < 1:
+        raise ValueError("both class sizes must be at least 1")
+    small, large = sorted((n, n_prime))
+    _, masses, _, _ = _support_tables(min(f, small), small, large)
+    # Mathematically masses[-1] <= masses[0] since small <= large; the min
+    # guards float ties so that tail sums can never round below this bound.
     one_sided = min(masses[0], masses[-1])
     if tail == "two":
         return min(1.0, 2.0 * one_sided)
@@ -203,24 +213,26 @@ def min_testable_frequency(
     """Smallest frequency whose attainable p-value bound clears alpha.
 
     Comparison is non-strict (bound <= alpha). Returns None when no frequency
-    up to n qualifies, which callers report as "no testable frequency".
+    up to the smaller class size m = min(n, n') qualifies, which callers
+    report as "no testable frequency".
 
     The float bound carries rounding error, so a frequency whose float bound
     misses alpha by a rounding margin is tested again on the exact rational
-    bound C(n, f) / C(n + n', f), doubled for two tails, against the exact
+    bound C(m, f) / C(n + n', f), doubled for two tails, against the exact
     binary value of alpha; it qualifies if either test passes. A bound of
     exactly 1/20 lies below the double nearest 0.05, yet its float equals
     that double.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    for sigma in range(1, n + 1):
+    small = min(n, n_prime)
+    for sigma in range(1, small + 1):
         bound = min_attainable_pvalue(sigma, n, n_prime, tail)
         if bound <= alpha:
             return sigma
         if math.isclose(bound, alpha, rel_tol=1e-9):
             top, bottom = alpha.as_integer_ratio()
-            lhs = math.comb(n, sigma) * (2 if tail == "two" else 1) * bottom
+            lhs = math.comb(small, sigma) * (2 if tail == "two" else 1) * bottom
             rhs = top * math.comb(n + n_prime, sigma)
             if lhs <= rhs:
                 return sigma

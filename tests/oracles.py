@@ -8,10 +8,12 @@ must agree with exactly:
 - The permutation helpers keep the int-bitmask form of occurrences and
   masks, which the package does not have: ``permutation_mask`` draws mask j
   straight from numpy, one ``default_rng(SeedSequence(entropy=seed,
-  spawn_key=(j,)))`` shuffling n ones then N - n zeros, and packs it into an
+  spawn_key=(j,)))`` shuffling m ones then N - m zeros, and packs it into an
   int; ``occurrence_bits`` packs a support set, and ``min_p_reference`` is
   the scalar permutation loop built on them (one mask, one popcount and one
-  table lookup at a time). So the package's block drawer is judged against
+  table lookup at a time). Its masks hold m = min(n, n') ones marking the
+  smaller class, so class 1 is the mask or, when class 1 is the larger
+  class, its complement. So the package's block drawer is judged against
   numpy's own stream.
 - ``mine_reference`` is the scalar miner: it grows every embedding one tuple
   at a time with the package's own growth rule (``mining._step`` and
@@ -59,7 +61,7 @@ def fisher(x: int, f: int, n: int, n_prime: int, tail: str) -> Fraction:
 
 
 def min_attainable(f: int, n: int, n_prime: int, tail: str) -> Fraction:
-    m = min(f, n)
+    m = min(f, n, n_prime)
     one = min(mass(max(0, m - n_prime), m, n, n_prime), mass(m, m, n, n_prime))
     if tail == "two":
         return min(Fraction(1), 2 * one)
@@ -67,7 +69,7 @@ def min_attainable(f: int, n: int, n_prime: int, tail: str) -> Fraction:
 
 
 def min_testable(alpha, n: int, n_prime: int, tail: str):
-    for sigma in range(1, n + 1):
+    for sigma in range(1, min(n, n_prime) + 1):
         if min_attainable(sigma, n, n_prime, tail) <= alpha:
             return sigma
     return None
@@ -284,7 +286,7 @@ def occurrence_bits(positions) -> int:
 
 
 def permutation_mask(plan, index: int, n: int, total: int) -> int:
-    """Int bitmask of the n positives among ``total`` positions under shuffle ``index``."""
+    """Int bitmask with n of ``total`` positions set under shuffle ``index``."""
     import numpy as np
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(index,)))
@@ -298,16 +300,15 @@ def min_p_reference(testable, plan, db, tail="two"):
     """Per-permutation minimum p-value, one mask and one pattern at a time."""
     from sigmine.stats import pvalues_over_support
 
-    internal_tail = db.internal_tail(tail)
     prepared = []
     for pattern in testable:
-        lo, pvals = pvalues_over_support(
-            pattern.frequency, db.n, db.n_prime, internal_tail
-        )
+        lo, pvals = pvalues_over_support(pattern.frequency, db.n, db.n_prime, tail)
         prepared.append((occurrence_bits(pattern.occurrences), lo, pvals))
     samples = []
     for index in range(plan.iterations):
-        mask = permutation_mask(plan, index, db.n, db.size)
+        mask = permutation_mask(plan, index, min(db.n, db.n_prime), db.size)
+        if db.n > db.n_prime:
+            mask ^= (1 << db.size) - 1
         best = float("inf")
         for bits, lo, pvals in prepared:
             p = pvals[(bits & mask).bit_count() - lo]
@@ -342,7 +343,7 @@ def mine_reference(db, config, on_emit=None):
     def emit(code, occurrences):
         nonlocal sigma, patterns, emitted
         emitted += 1
-        x = sum(1 for t in occurrences if db.is_internal_positive(t))
+        x = sum(db.original_classes[t] for t in occurrences)
         patterns.append(Pattern(code, occurrences, x, len(occurrences) - x))
         if on_emit is not None:
             raised = on_emit(len(occurrences))

@@ -227,12 +227,12 @@ class TestPipeline:
         assert row["pattern"] == "A"
         assert row["x"] == 0 and row["x_prime"] == 5
 
-    def test_swapped_classes_report_original_frame(self, tmp_path):
+    def test_class_one_majority_reports_input_classes(self, tmp_path):
         graphs = tuple(edgeless(i, (0,)) for i in range(3)) + (edgeless(3, (1,)),)
         db = GraphDatabase.from_graphs(
             graphs, (1, 1, 1, 0), vertex_tokens=("A", "B")
         )
-        path = tmp_path / "swap.graphs"
+        path = tmp_path / "majority.graphs"
         path.write_text(serialize_database(db), encoding="utf-8")
         report = run_pipeline(
             RunConfig(input=str(path), alpha=0.9, tail="right")
@@ -241,6 +241,47 @@ class TestPipeline:
         by_pattern = {row["pattern"]: row for row in report.rows}
         assert by_pattern["A"]["x"] == 3 and by_pattern["A"]["x_prime"] == 0
         assert by_pattern["A"]["p_value"] == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("tail, mirror", [("right", "left"), ("left", "right"), ("two", "two")])
+    def test_flipping_every_class_mirrors_the_report(self, tmp_path, tail, mirror):
+        # class 1 is the majority (26 of 40) as given and the minority once
+        # every class is flipped; the mirrored tail must then give the same
+        # p-values, permutation stream and significance, with the counts exchanged
+        db = planted_database(40, seed=5, background_vertices=6, edge_probability=0.3)
+        classes = list(db.original_classes)
+        for i in [i for i, c in enumerate(classes) if c == 0][:6]:
+            classes[i] = 1
+        runs = []
+        for name, labels, t in (
+            ("given", classes, tail),
+            ("flipped", [1 - c for c in classes], mirror),
+        ):
+            path = tmp_path / f"{name}.graphs"
+            path.write_text(
+                serialize_database(GraphDatabase.from_graphs(db.graphs, labels)),
+                encoding="utf-8",
+            )
+            out, min_p = tmp_path / f"{name}.json", tmp_path / f"{name}.min_p"
+            argv = [
+                "--input", str(path), "--tail", t, "--format", "json",
+                "--correction", "efftests", "--permutations", "200",
+                "--fwer-permutations", "200", "--output", str(out), "--min-p-out", str(min_p),
+            ]
+            assert main(argv) == 0
+            runs.append((json.loads(out.read_text(encoding="utf-8")), min_p.read_bytes()))
+        (given, given_min_p), (flipped, flipped_min_p) = runs
+        assert given["summary"]["n"] == 26
+        assert given["records"]
+        # the planted motif is enriched in class 1, so only a left tail finds nothing
+        assert any(row["significant"] for row in given["records"]) == (tail != "left")
+        assert flipped_min_p == given_min_p
+        summary = flipped["summary"]
+        assert {**summary, "n": summary["n_prime"], "n_prime": summary["n"], "tail": tail} == (
+            given["summary"]
+        )
+        assert [
+            {**row, "x": row["x_prime"], "x_prime": row["x"]} for row in flipped["records"]
+        ] == given["records"]
 
     def test_no_testable_status(self, tmp_path):
         path = tmp_path / "tiny.graphs"

@@ -25,29 +25,14 @@ v 0 B
 """
 
 
-def test_parse_basic_counts_and_swap():
+def test_parse_basic_counts():
     db = parse_database(THREE_GRAPHS)
     assert db.size == 3
     assert db.original_classes == (1, 1, 0)
-    # class 1 is the majority, so internally the classes swap
-    assert db.swapped is True
-    assert db.n == 1
-    assert db.n_prime == 2
-    assert db.is_internal_positive(0) is False
-    assert db.is_internal_positive(2) is True
-
-
-def test_internal_tail_flips_only_when_swapped():
-    swapped = parse_database(THREE_GRAPHS)
-    assert swapped.internal_tail("right") == "left"
-    assert swapped.internal_tail("left") == "right"
-    assert swapped.internal_tail("two") == "two"
-    balanced = parse_database(
-        "t # 0 1\nv 0 A\nt # 1 0\nv 0 A\n"
-    )
-    assert balanced.swapped is False
-    assert balanced.internal_tail("right") == "right"
-    assert balanced.internal_tail("left") == "left"
+    # n counts class 1 although it is the larger class
+    assert db.n == 2
+    assert db.n_prime == 1
+    assert db.layout.positive.tolist() == [1, 1, 0]
 
 
 def test_symbol_tables_in_first_appearance_order():
@@ -118,7 +103,6 @@ def test_labels_file_overrides_inline_classes():
     labels = "0 0\n1 0\n2 1\n"
     db = parse_database(THREE_GRAPHS, labels)
     assert db.original_classes == (0, 0, 1)
-    assert db.swapped is False
     assert db.n == 1
 
 

@@ -281,7 +281,7 @@ def test_miner_matches_exhaustive_enumeration(db, sigma, max_vertices, singleton
         key = oracles.canonical_key(g.vertex_labels, g.edges)
         assert key not in got, "pattern emitted twice"
         got[key] = (p.occurrences, p.vertex_count, p.edge_count)
-        assert p.x == sum(1 for t in p.occurrences if db.is_internal_positive(t))
+        assert p.x == sum(db.original_classes[t] for t in p.occurrences)
         assert p.x + p.x_prime == len(p.occurrences)
     assert got == expected
 

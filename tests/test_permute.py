@@ -39,7 +39,7 @@ def unlabeled_db(classes):
 
 def pattern_at(db, positions):
     """A pattern occurring exactly at ``positions``; only its support matters."""
-    x = sum(1 for t in positions if db.is_internal_positive(t))
+    x = sum(db.original_classes[t] for t in positions)
     return Pattern((), tuple(sorted(positions)), x, len(positions) - x)
 
 
@@ -184,7 +184,8 @@ class TestMinPDistribution:
         )
 
     def test_matches_scalar_reference_past_a_byte(self):
-        # swapped classes with n = 256, so a frequency-N pattern counts 256
+        # class 1 is the larger class, so the masks hold 256 ones and a
+        # frequency-N pattern counts 257 in class 1
         assert_matches_reference(
             513, 257, "right", iterations=23, block=5, seed=3, rnd=random.Random(0)
         )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
 from sigmine.mining import NO_EDGE, MinerConfig, Pattern, code_string, mine
+from sigmine.permute import PermutationPlan, min_p_distribution
 from sigmine.search import (
     STRATEGIES,
     _Session,
@@ -339,10 +340,9 @@ class TestSignificantSet:
         with pytest.raises(ValueError, match="correction_factor"):
             score_patterns(r.testable, enriched_db, 0.05, "two", float("nan"))
 
-    def test_swapped_database_flips_tail(self):
-        # three class 1 graphs with label A against one class 0 graph; the
-        # storage order swaps classes internally, and a user-facing right
-        # tail must follow the original class 1
+    def test_right_tail_follows_class_one_as_the_majority(self):
+        # three class 1 graphs with label A against one class 0 graph: the
+        # right tail means enrichment in class 1 although it is the larger
         graphs = (
             edgeless(0, (0,)),
             edgeless(1, (0,)),
@@ -352,7 +352,7 @@ class TestSignificantSet:
         db = GraphDatabase.from_graphs(
             graphs, (1, 1, 1, 0), vertex_tokens=("A", "B")
         )
-        assert db.swapped
+        assert (db.n, db.n_prime) == (3, 1)
         r = find_root(db, 0.9, CONFIG, "right")
         by_code = {
             code_string(rec.pattern.code, db): rec
@@ -360,6 +360,20 @@ class TestSignificantSet:
         }
         # q(x=3 of the three class 1 slots at margin 3) = 1 / C(4,3)
         assert by_code["A"].p_value == pytest.approx(0.25, rel=1e-12)
+
+
+def test_unknown_tail_rejected_when_class_one_is_the_majority():
+    # every entry point must reject the tail, not run it as another one
+    graphs = tuple(edgeless(i, (0,)) for i in range(3)) + (edgeless(3, (1,)),)
+    db = GraphDatabase.from_graphs(graphs, (1, 1, 1, 0), vertex_tokens=("A", "B"))
+    testable = find_root(db, 0.9, CONFIG, "right").testable
+    assert testable
+    with pytest.raises(ValueError, match="tail"):
+        find_root(db, 0.9, CONFIG, "both")
+    with pytest.raises(ValueError, match="tail"):
+        score_patterns(testable, db, 0.9, "both")
+    with pytest.raises(ValueError, match="tail"):
+        min_p_distribution(testable, PermutationPlan(5, 0), db, "both")
 
 
 def test_scoring_memory_is_bounded_over_many_margins():
@@ -418,9 +432,8 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
     assert len(fingerprints) == 1
 
     r = results["incremental"]
-    internal = db.internal_tail(tail)
     if r.status == "no_testable":
-        assert min_testable_frequency(alpha, db.n, db.n_prime, internal) is None
+        assert min_testable_frequency(alpha, db.n, db.n_prime, tail) is None
         return
 
     completed = [t for t in r.trace if t.status == "completed"]
@@ -438,7 +451,7 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
     # budget at the root and overflows it one step below
     census = mine(db, CONFIG).patterns
     sigma_rt = r.root_frequency
-    bound = lambda s: min_attainable_pvalue(s, db.n, db.n_prime, internal)
+    bound = lambda s: min_attainable_pvalue(s, db.n, db.n_prime, tail)
     count = lambda s: sum(1 for p in census if p.frequency >= s)
     assert count(sigma_rt) <= alpha / bound(sigma_rt)
     if sigma_rt > r.min_testable_frequency:
@@ -468,6 +481,6 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
                 n=db.n,
                 n_prime=db.n_prime,
             ),
-            internal,
+            tail,
         ).pvalue
         assert rec.p_value == table_p

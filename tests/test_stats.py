@@ -19,7 +19,7 @@ approx = pytest.approx
 @st.composite
 def margin_setup(draw):
     n = draw(st.integers(1, 10))
-    n_prime = draw(st.integers(n, 14))
+    n_prime = draw(st.integers(1, 14))
     f = draw(st.integers(0, n + n_prime))
     return n, n_prime, f
 
@@ -45,8 +45,6 @@ def test_result_picks_requested_tail():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        ContingencyTable(x=0, x_prime=0, n=5, n_prime=3)  # n > n_prime
     with pytest.raises(ValueError):
         ContingencyTable(x=6, x_prime=0, n=5, n_prime=5)
     with pytest.raises(ValueError):
@@ -140,7 +138,7 @@ def test_pvalue_never_below_attainable_bound(setup, data):
 
 @given(st.integers(1, 12), st.data())
 def test_attainable_bound_monotone_in_frequency(n, data):
-    n_prime = data.draw(st.integers(n, 16))
+    n_prime = data.draw(st.integers(1, 16))
     for tail in ("right", "two"):
         bounds = [min_attainable_pvalue(f, n, n_prime, tail) for f in range(n + n_prime + 1)]
         for a, b in zip(bounds, bounds[1:]):
@@ -160,7 +158,7 @@ def test_pvalues_over_support_match_pointwise(setup):
 
 @given(st.integers(1, 10), st.data(), st.sampled_from([0.01, 0.05, 0.123, 0.31]))
 def test_min_testable_matches_exact_oracle(n, data, alpha):
-    n_prime = data.draw(st.integers(n, 14))
+    n_prime = data.draw(st.integers(1, 14))
     for tail in ("left", "right", "two"):
         assert min_testable_frequency(alpha, n, n_prime, tail) == oracles.min_testable(
             alpha, n, n_prime, tail
@@ -172,7 +170,7 @@ def test_min_testable_breaks_float_ties_exactly():
     # nearest 0.05 although its float equals that double; sweep the whole
     # domain of the property test above so no such tie is left to chance
     for n in range(1, 11):
-        for n_prime in range(n, 15):
+        for n_prime in range(1, 15):
             for alpha in (0.01, 0.05, 0.123, 0.31):
                 for tail in ("left", "right", "two"):
                     assert min_testable_frequency(
