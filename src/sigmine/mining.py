@@ -10,19 +10,24 @@ whose ints are shared by the database layout, so a kept family costs about
 one pointer per occurrence.
 
 ``_step`` advances a code's rightmost path, vertex labels and edge set by
-one quint; the miner and the minimality check share it. The miner carries
+one quint; the miner and ``minimum_code`` share it. The miner carries
 that state from parent to child instead of re-deriving it from the code, and
-walks the search tree with an explicit stack, so pattern depth is not
-bounded by Python's recursion limit. It holds a code's embeddings as one
-int32 array over the database's global vertex ids and finds all of a
-parent's rightmost-path extensions in one numpy join (``_Miner._children``);
-only children that are frequent and pass gSpan's first-edge test get
-embeddings. Every edge code comes from that join: the single-edge roots are
-the children of one-vertex parents, the vertices of each frequent label. The
-minimality check grows one small graph, held as a plain adjacency, into
-itself with the scalar ``_extend``; ``_minimal_quints`` yields the greedy
-minimal code quint by quint to both ``minimum_code`` and ``is_canonical``,
-which stops at the first quint that differs.
+walks the search tree with an explicit stack of sibling groups, so pattern
+depth is not bounded by Python's recursion limit. It holds a code's
+embeddings as one int32 array over the database's global vertex ids. When it
+reaches a sibling not joined yet, it checks that sibling and the ones after
+it of the same vertex count for minimality and finds all rightmost-path
+extensions of the minimal ones in one numpy join over their arrays laid
+side by side (``_Miner._children``), up to a fixed number of candidate
+cells; only children that are frequent and pass gSpan's first-edge test get
+embeddings.
+Every edge code comes from that join: the single-edge roots are the children
+of one-vertex codes, the vertices of each frequent label. The minimality
+check (``is_canonical``) is gSpan's isMin test: it walks the code over the
+small graph the code describes, held as a plain adjacency, and stops at the
+first extension that sorts below the code's own. ``minimum_code`` builds the
+greedy minimal code with the scalar ``_extend``, which the scalar reference
+miner of the tests shares.
 
 Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 
@@ -37,7 +42,7 @@ a time limit is a hook that raises once the clock passes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -208,54 +213,57 @@ def _extension_key(quint: Quint) -> tuple:
     return (1, -frm, el, tl)
 
 
-def _minimal_quints(
-    labels: Sequence[int], adjacency: Sequence[dict[int, int]]
-) -> Iterator[Quint]:
-    """Yield the minimal DFS code of a connected labeled graph, quint by quint.
+def minimum_code(graph: LabeledGraph) -> tuple[Quint, ...]:
+    """Canonical (minimal) DFS code of a connected labeled graph.
 
     Grows the code with the miner's rule, keeping at each step only the
     smallest extension and the embeddings of the graph into itself that
-    produce it. A consumer that stops early (``is_canonical`` at the first
-    quint that differs) skips the rest of the construction.
+    produce it: gSpan's greedy construction, an independent judge of
+    ``is_canonical``.
     """
-    if not any(adjacency):
+    labels = graph.vertex_labels
+    adjacency = _adjacency(graph)
+    if not graph.edges:
         if len(labels) != 1:
             raise ValueError("disconnected graph has no DFS code")
-        yield (0, 0, labels[0], NO_EDGE, labels[0])
-        return
+        return ((0, 0, labels[0], NO_EDGE, labels[0]),)
     directed = [
         ((labels[u], lbl, labels[v]), (u, v))
         for u, nbrs in enumerate(adjacency)
         for v, lbl in nbrs.items()
     ]
     first_key = min(directed)[0]
-    quint: Quint = (0, 1, *first_key)
-    yield quint
+    code: list[Quint] = [(0, 1, *first_key)]
     # an embedding maps pattern vertex -> graph vertex; injectivity plus the
     # pattern-level duplicate-edge check make a used-edge set redundant
     embeds = [pair for key, pair in directed if key == first_key]
-    state = _step(*_root_state(first_key[0]), quint)
-    for _ in range(sum(map(len, adjacency)) // 2 - 1):
+    state = _step(*_root_state(first_key[0]), code[0])
+    for _ in range(len(graph.edges) - 1):
         children: dict[Quint, list[tuple[int, tuple[int, ...]]]] = {}
         for assign in embeds:
             _extend(children, adjacency, labels, 0, assign, *state, True)
         if not children:
             raise ValueError("disconnected graph has no DFS code")
         quint = min(children, key=_extension_key)
-        yield quint
+        code.append(quint)
         embeds = [assign for _, assign in children[quint]]
         state = _step(*state, quint)
     if len(state[1]) < len(labels):
         raise ValueError("disconnected graph has no DFS code")
-
-
-def minimum_code(graph: LabeledGraph) -> tuple[Quint, ...]:
-    """Canonical (minimal) DFS code of a connected labeled graph."""
-    return tuple(_minimal_quints(graph.vertex_labels, _adjacency(graph)))
+    return tuple(code)
 
 
 def is_canonical(code: Sequence[Quint]) -> bool:
-    """True when the code is the minimal DFS code of the graph it describes."""
+    """True when the code is the minimal DFS code of the graph it describes.
+
+    gSpan's isMin test: walk the code over the graph it describes, keeping
+    the embeddings of each prefix into that graph. At each quint, an
+    extension of some kept embedding that sorts below the quint (in
+    ``_extension_key`` order) proves the code is not minimal; the
+    extensions equal to the quint are the embeddings of the next prefix.
+    The identity embedding realises every prefix, so the walk only ends
+    early on a smaller extension.
+    """
     if _is_singleton(code):
         return True
     labels = [code[0][2]]
@@ -266,26 +274,113 @@ def is_canonical(code: Sequence[Quint]) -> bool:
             adjacency.append({})
         adjacency[frm][to] = el
         adjacency[to][frm] = el
-    minimal = _minimal_quints(labels, adjacency)
-    if next(minimal) != code[0]:
-        return False
-    for quint, best in zip(code[1:], minimal):
-        if best != quint:
-            # quints extending a shared prefix compare by extension order,
-            # not by raw tuple order
-            if _extension_key(best) > _extension_key(quint):
-                raise AssertionError("greedy construction exceeded a valid code")
+    first = code[0][2:]
+    embeds = []
+    for u, nbrs in enumerate(adjacency):
+        lu = labels[u]
+        if lu > first[0]:
+            continue
+        for v, el in nbrs.items():
+            triple = (lu, el, labels[v])
+            if triple < first:
+                return False
+            if triple == first:
+                embeds.append((u, v))
+    # the rightmost path and edge set after the first quint
+    rmpath = (0, 1)
+    edges = {(0, 1)}
+    for frm, to, _, el, tl in code[1:]:
+        rightmost = rmpath[-1]
+        kept = []
+        # the path vertices a backward edge from the rightmost vertex may reach
+        open_path = [j for j in rmpath[:-1] if (j, rightmost) not in edges]
+        if frm > to:
+            # only backward edges to path vertices up to ``to`` compete
+            for assign in embeds:
+                r_nbrs = adjacency[assign[rightmost]]
+                for j in open_path:
+                    if j > to:
+                        break
+                    lbl = r_nbrs.get(assign[j])
+                    if lbl is None:
+                        continue
+                    if j < to or lbl < el:
+                        return False
+                    if lbl == el:
+                        kept.append(assign)
+            edges.add((to, frm))
+        else:
+            # every backward edge, and every forward edge from a path vertex
+            # deeper than ``frm``, sorts below a forward quint from ``frm``
+            cut = rmpath.index(frm) + 1
+            deeper = rmpath[cut:]
+            for assign in embeds:
+                r_nbrs = adjacency[assign[rightmost]]
+                for j in open_path:
+                    if assign[j] in r_nbrs:
+                        return False
+                for i in deeper:
+                    for w in adjacency[assign[i]]:
+                        if w not in assign:
+                            return False
+                for w, lbl in adjacency[assign[frm]].items():
+                    if w in assign or lbl > el:
+                        continue
+                    if lbl < el or labels[w] < tl:
+                        return False
+                    if labels[w] == tl:
+                        kept.append(assign + (w,))
+            rmpath = rmpath[:cut] + (to,)
+            edges.add((frm, to))
+        if not kept:
+            # no embedding realises the quint: not a DFS code of its graph
             return False
+        embeds = kept
     return True
+
+
+# Candidate cells one join holds at once: a candidate extension of an
+# embedding of a k-vertex code carries k + 1 vertices. It bounds the
+# temporaries of a join that batches siblings to about those of the largest
+# single join on the null-20k benchmark (32,862 candidates at k = 2), a few
+# MB; a code whose join alone exceeds it still joins alone.
+_JOIN_CELLS = 98304
+
+
+class _Siblings:
+    """The children of one code, grown one at a time in extension order.
+
+    Child i is ``code + (quints[i],)``, supported by the distinct graph
+    positions ``occs[i]``, with projection ``projs[i]``. ``status[i]`` is
+    None until the child is checked, then False if it was infrequent or not
+    minimal, True if it is minimal but not joined yet, and its own
+    ``_Siblings`` once joined.
+    """
+
+    __slots__ = ("code", "state", "quints", "occs", "projs", "status", "next")
+
+    def __init__(self, code: tuple[Quint, ...], state: _State):
+        self.code = code
+        self.state = state
+        self.quints: list[Quint] = []
+        self.occs: list[np.ndarray] = []
+        self.projs: list[np.ndarray | None] = []
+        self.status: list = []
+        self.next = 0
+
+
+# A code to join: its code, its state after its last quint, the first-edge
+# triple its children must not sort below, and its projection.
+_Member = tuple[tuple[Quint, ...], _State, tuple[int, int, int], np.ndarray]
 
 
 class _Miner:
     """One mining run over array projections.
 
     It reads the database's ``ArrayLayout``, built once per database and
-    shared by every run over it. A code's projection is an int32 ``(k, m)``
-    array with one embedding per column: entry ``[c, i]`` is the global
-    vertex that embedding i maps pattern vertex c to.
+    shared by every run over it. A projection is an int32 ``(k, m)`` array
+    with one embedding of a k-vertex code per column: entry ``[c, i]`` is
+    the global vertex that embedding i maps pattern vertex c to.
     """
 
     def __init__(
@@ -302,7 +397,10 @@ class _Miner:
 
         self.layout = layout = db.layout
         self.n = db.size
-        if (2 * layout.largest + len(layout.vlabels)) * len(layout.pair_el) * self.n >= 2**63:
+        # extension slots an int64 key has room for: a join spends 2k of them
+        # on each code of k vertices, and no code outgrows the largest graph
+        self.slots = 2**63 // (max(1, len(layout.pair_el)) * self.n)
+        if self.slots < 2 * layout.largest:
             raise ValueError("database too large for the miner's int64 extension keys")
         # a projection's match matrix times this is the matching pattern
         # vertex + 1, or 0 for none
@@ -315,8 +413,8 @@ class _Miner:
         distinct keys in ascending order as a list, ``occ`` (the distinct
         positions of each key in turn, ascending) and two lists of
         boundaries, one longer than the keys: key i owns ``occ[ob[i]:ob[i+1]]``
-        and ``order[rb[i]:rb[i+1]]``. Keys stay below (2 * largest graph +
-        vertex labels) * label pairs, which ``__init__`` checks, so
+        and ``order[rb[i]:rb[i+1]]``. Keys stay below ``slots`` times the
+        label pairs, which ``__init__`` and ``_children`` see to, so
         ``key * n + pos`` fits int64.
         """
         n = self.n
@@ -361,123 +459,193 @@ class _Miner:
                     self._emit(((0, 0, lbl, NO_EDGE, lbl),), occ[ob[i] : ob[i + 1]])
         if self.config.max_vertices is not None and self.config.max_vertices < 2:
             return
-        # each frequent label's vertices are a one-vertex parent whose children
-        # are the single-edge roots; the largest label is pushed first
-        stack = []
-        for i in reversed(range(len(keys))):
+        # each frequent label's vertices are a one-vertex code whose children
+        # are the single-edge roots
+        order = order.astype(np.int32)
+        members = []
+        for i, key in enumerate(keys):
             if ob[i + 1] - ob[i] >= self.sigma:
-                lbl = layout.vlabels[keys[i]]
-                proj = order[None, rb[i] : rb[i + 1]].astype(np.int32)
-                self._children(stack, (), proj, _root_state(lbl), True, (lbl, NO_EDGE, lbl))
+                lbl = layout.vlabels[key]
+                first = (lbl, NO_EDGE, lbl)
+                members.append(((), _root_state(lbl), first, order[None, rb[i] : rb[i + 1]]))
+        stack = []
+        while len(stack) < len(members):
+            stack += self._children(members[len(stack) :])
+        # the stack is the only owner of each group, so a group grown out is freed
+        stack.reverse()
         self._grow(stack)
 
-    def _grow(self, stack: list[tuple[tuple[Quint, ...], np.ndarray, np.ndarray, _State]]) -> None:
+    def _grow(self, stack: list[_Siblings]) -> None:
         """Grow every code on ``stack`` depth first, popping from its end.
 
-        An entry is (code, projection, its distinct graph positions, state of
-        the code without its last quint). Support is tested when an entry is
-        popped, against the threshold of that moment: ``on_emit`` may have
-        raised it while earlier siblings grew. A parent builds all its
-        children in one join (``_children``) and pushes them in reverse
-        extension order, so codes are visited and emitted in gSpan preorder.
+        The stack holds sibling groups; the one on top yields its next child.
+        Support is tested when a child is yielded, against the threshold of
+        that moment: ``on_emit`` may have raised it while earlier siblings
+        grew, even after the child was joined. A child not joined yet is
+        joined together with the siblings after it (``_batch``); its
+        children are pushed as a group once it has been emitted, so codes
+        are visited and emitted in gSpan preorder.
         """
-        max_vertices = self.config.max_vertices
         while stack:
-            code, proj, occ, state = stack.pop()
+            group = stack[-1]
+            i = group.next
+            if i == len(group.quints):
+                stack.pop()
+                continue
+            group.next = i + 1
+            occ = group.occs[i]
             if len(occ) < self.sigma:
                 continue
-            if len(code) > 1 and not is_canonical(code):
+            if group.status[i] is None or group.status[i] is True:
+                self._batch(group, i)
+            children = group.status[i]
+            group.status[i] = group.projs[i] = None
+            if children is False:
                 continue
-            self._emit(code, occ)
-            if len(occ) < self.sigma:
-                continue
-            state = _step(*state, code[-1])
-            forward = max_vertices is None or len(state[1]) < max_vertices
-            self._children(stack, code, proj, state, forward, code[0][2:])
+            self._emit(group.code + (group.quints[i],), occ)
+            if len(occ) >= self.sigma and children.quints:
+                stack.append(children)
 
-    def _children(
-        self,
-        stack: list,
-        code: tuple[Quint, ...],
-        proj: np.ndarray,
-        state: _State,
-        forward: bool,
-        first: tuple[int, int, int],
-    ) -> None:
-        """Push the children of ``code`` that can still be frequent and minimal.
+    def _batch(self, group: _Siblings, i: int) -> None:
+        """Check child i and the siblings after it of the same vertex count
+        for minimality, and join the minimal ones from i on in one pass.
 
-        Finds every rightmost-path extension of every embedding at once, as
-        the scalar ``_extend`` does one embedding at a time. The neighbours
-        of the embeddings' rightmost-path vertices (of the rightmost vertex
-        alone when ``forward`` is off) are listed from the CSR and compared
-        with the whole embedding. A neighbour outside it gives a forward
-        edge; the rightmost vertex's neighbour at pattern vertex j gives a
-        backward edge, unless the code already joins j to it. An extension's
-        int64 key is ``slot * P + (edge label, new label) pair``, with slot
-        j for a backward edge to j and ``2k - 1 - frm`` for a forward edge
-        from frm, so keys sort in ``_extension_key`` order. Only keys whose
-        support reaches the live threshold and that pass gSpan's first-edge
-        test get embeddings: a new edge whose label triple, read either way,
-        sorts below ``first``, the code's first-edge triple, means the code
-        is not minimal. A one-vertex parent labelled lbl (the empty ``code``)
-        passes ``(lbl, NO_EDGE, lbl)``, so its children, the single-edge
-        roots, lose exactly the edges that lead to a smaller label.
+        A sibling infrequent now stays so, as the threshold only rises. The
+        join stops at ``_JOIN_CELLS``; the siblings it leaves keep their
+        verdict and are joined when they are reached.
+        """
+        k = len(group.projs[i])
+        members: list[_Member] = []
+        at = []
+        for j in range(i, len(group.quints)):
+            if len(group.projs[j]) != k:
+                break
+            code = group.code + (group.quints[j],)
+            if group.status[j] is None:
+                group.status[j] = len(group.occs[j]) >= self.sigma and is_canonical(code)
+            if group.status[j] is True:
+                state = _step(*group.state, group.quints[j])
+                members.append((code, state, code[0][2:], group.projs[j]))
+                at.append(j)
+        if members:
+            for j, children in zip(at, self._children(members)):
+                group.status[j] = children
+
+    def _children(self, members: list[_Member]) -> list[_Siblings]:
+        """Join the rightmost-path extensions of codes of one vertex count.
+
+        Finds every rightmost-path extension of every embedding of the first
+        members at once, as the scalar ``_extend`` does one embedding at a
+        time, and returns one group of children per member joined: as many
+        members as keep the join within ``_JOIN_CELLS``, and at least one.
+        The members' projections are laid side by side, and each member's
+        embeddings are crossed with the vertices of its rightmost path (of
+        its rightmost vertex alone when the vertex limit stops forward
+        growth). The neighbours of those vertices are listed from the CSR
+        and compared with the whole embedding. A neighbour outside it gives
+        a forward edge; the rightmost vertex's neighbour at pattern vertex j
+        gives a backward edge, unless the code already joins j to it. An
+        extension's int64 key is ``(2k * member + slot) * P + (edge label,
+        new label) pair``, with slot j for a backward edge to j and
+        ``2k - 1 - frm`` for a forward edge from frm, so each member's keys
+        sort in ``_extension_key`` order. Only keys whose support reaches
+        the live threshold and that pass gSpan's first-edge test get
+        embeddings: a new edge whose label triple, read either way, sorts
+        below the member's first-edge triple means the code is not minimal.
+        A one-vertex code labelled lbl passes ``(lbl, NO_EDGE, lbl)``, so
+        its children, the single-edge roots, lose exactly the edges that
+        lead to a smaller label.
         """
         layout = self.layout
-        rmpath, labels, edges = state
-        k, m = proj.shape
         num_p = len(layout.pair_el)
-        rightmost = rmpath[-1]
-        path = rmpath if forward else rmpath[-1:]
-        # slot * P by (path vertex, matching pattern vertex + 1, 0 if none);
-        # -1 drops the extension
-        base = np.full((len(path), k + 1), -1)
-        if forward:
-            base[:, 0] = [(2 * k - 1 - i) * num_p for i in path]
-        for j in rmpath[:-1]:
-            if (j, rightmost) not in edges:
-                base[-1, j + 1] = j * num_p
-        flat = proj.take(path, axis=0).ravel()
+        k = len(members[0][3])
+        forward = self.config.max_vertices is None or k < self.config.max_vertices
+        members = members[: self.slots // (2 * k)]
+        projs = [member[3] for member in members]
+        proj = projs[0] if len(projs) == 1 else np.concatenate(projs, axis=1)
+        width = proj.shape[1]
+        # one row per (member, path vertex): the vertex, the member's columns,
+        # and its key base by matching pattern vertex + 1 (0 for none), -1 to
+        # drop the extension
+        rows, starts, counts, bases, ends = [], [], [], [], []
+        start = 0
+        for r, (_, (rmpath, _, edges), _, member_proj) in enumerate(members):
+            rightmost = rmpath[-1]
+            for v in rmpath if forward else rmpath[-1:]:
+                base = [-1] * (k + 1)
+                if forward:
+                    base[0] = (2 * k * r + 2 * k - 1 - v) * num_p
+                if v == rightmost:
+                    for j in rmpath[:-1]:
+                        if (j, rightmost) not in edges:
+                            base[j + 1] = (2 * k * r + j) * num_p
+                rows.append(v)
+                starts.append(start)
+                counts.append(member_proj.shape[1])
+                bases.append(base)
+            start += member_proj.shape[1]
+            ends.append(len(rows))
+        # the cells, (path vertex, embedding) pairs, as flat indices into proj
+        counts = np.array(counts)
+        pair = np.arange(len(rows)).repeat(counts)
+        cell = np.arange(len(pair))
+        cell += (np.array(rows) * width + starts - counts.cumsum() + counts).repeat(counts)
+        flat = proj.ravel().take(cell)
         deg = layout.deg[flat]
-        ends = deg.cumsum()
-        cand = np.arange(len(flat)).repeat(deg)
-        edge = (layout.nbr_off[flat] - ends + deg).repeat(deg)
+        cell_ends = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum(counts, out=cell_ends[1:])
+        cand_ends = np.zeros(len(flat) + 1, np.int64)
+        np.cumsum(deg, out=cand_ends[1:])
+        member_cells = cell_ends[ends].tolist()
+        member_cands = cand_ends[member_cells].tolist()
+        joined = 1
+        while joined < len(members) and member_cands[joined] * (k + 1) <= _JOIN_CELLS:
+            joined += 1
+        num_cells = member_cells[joined - 1]
+        deg = deg[:num_cells]
+        col = cell[:num_cells] % width
+        pair = pair[:num_cells] * (k + 1)
+
+        cand = np.arange(num_cells).repeat(deg)
+        edge = (layout.nbr_off[flat[:num_cells]] - cand_ends[:num_cells]).repeat(deg)
         edge += np.arange(len(edge))
         new = layout.nbr[edge]
-        col, src = np.divmod(cand, m)
-        grown = proj.take(src, axis=1)
-        held = self.vertex_weights[:k] @ (grown == new)
-        col *= k + 1
-        col += held
-        keys = base.ravel()[col]
+        # the candidates' embeddings, with the new vertex as an extra row
+        grown = np.empty((k + 1, len(cand)), np.int32)
+        proj.take(col[cand], axis=1, out=grown[:k])
+        grown[k] = new
+        held = self.vertex_weights[:k] @ (grown[:k] == new)
+        held += pair[cand]
+        keys = np.array(bases).ravel()[held]
         keep = (keys >= 0).nonzero()[0]
         keys = keys[keep]
         keys += layout.prank[edge[keep]]
         order, keys, occ, ob, rb = self._group(keys, layout.gpos[new[keep]])
 
         sigma = self.sigma
-        picked = []
+        groups = [_Siblings(code, state) for code, state, *_ in members[:joined]]
+        chosen = keep[order]
         for i, key in enumerate(keys):
             if ob[i + 1] - ob[i] < sigma:
                 continue
-            slot, pair = divmod(key, num_p)
+            slot, p = divmod(key, num_p)
+            r, slot = divmod(slot, 2 * k)
+            _, (rmpath, labels, _), first, _ = members[r]
             if slot < k:
-                quint = (rightmost, slot, labels[rightmost], layout.pair_el[pair], labels[slot])
+                quint = (rmpath[-1], slot, labels[rmpath[-1]], layout.pair_el[p], labels[slot])
             else:
                 frm = 2 * k - 1 - slot
-                quint = (frm, k, labels[frm], layout.pair_el[pair], layout.pair_tl[pair])
+                quint = (frm, k, labels[frm], layout.pair_el[p], layout.pair_tl[p])
             if min(quint[2:], quint[:1:-1]) < first:
                 continue
-            picked.append((quint, i))
-        for quint, i in reversed(picked):
-            at = keep[order[rb[i] : rb[i + 1]]]
-            if quint[0] > quint[1]:
-                child = grown[:, at]
-            else:
-                child = np.empty((k + 1, len(at)), np.int32)
-                child[:k] = grown[:, at]
-                child[k] = new[at]
-            stack.append((code + (quint,), child, occ[ob[i] : ob[i + 1]], state))
+            group = groups[r]
+            group.quints.append(quint)
+            group.occs.append(occ[ob[i] : ob[i + 1]])
+            # a backward child keeps the k rows, a forward one the new vertex too
+            rows_kept = grown[:k] if slot < k else grown
+            group.projs.append(rows_kept.take(chosen[rb[i] : rb[i + 1]], axis=1))
+            group.status.append(None)
+        return groups
 
 
 def mine(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .graphs import GraphDatabase, _integral_fields
 from .mining import Pattern
-from .stats import TailMode, pvalues_over_support
+from .stats import TailMode, _check_tail, pvalues_over_support
 
 # Pattern x permutation cells evaluated per block. It bounds the count and
 # lookup arrays of a block, and (through the word count) its slot matrix and
@@ -244,6 +244,7 @@ def empirical_fwer(
     The comparison is strict, matching the significance rule. An empty
     testable set can never produce a rejection, so its rate is 0.
     """
+    _check_tail(tail)
     if not testable:
         return 0.0
     samples = min_p_distribution(testable, plan, db, tail)

@@ -35,6 +35,7 @@ from .mining import MinerConfig, Pattern, code_string, mine
 from .stats import (
     ContingencyTable,
     TailMode,
+    _check_tail,
     fisher_pvalue,
     min_attainable_pvalue,
     min_testable_frequency,
@@ -321,6 +322,8 @@ def score_patterns(
     reproducible across runs and strategies. Patterns are scored in
     ascending frequency, so each margin's table is built once.
     """
+    # checked before the family is looked at: an empty one reads no table
+    _check_tail(tail)
     # NaN compares false with everything, so `not >= 1` rejects it too
     if not correction_factor >= 1.0:
         raise ValueError(f"correction_factor must be >= 1, got {correction_factor}")

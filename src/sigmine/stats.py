@@ -27,6 +27,11 @@ _TAILS = ("left", "right", "two")
 
 _OPPOSITE = {"left": "right", "right": "left", "two": "two"}
 
+
+def _check_tail(tail: str) -> None:
+    if tail not in _TAILS:
+        raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
+
 __all__ = [
     "TailMode",
     "ContingencyTable",
@@ -142,8 +147,7 @@ def fisher_pvalue(table: ContingencyTable, tail: TailMode = "two") -> TestResult
 
     The two-sided value is min(1, 2 * min(left, right)).
     """
-    if tail not in _TAILS:
-        raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
+    _check_tail(tail)
     f = table.frequency
     if table.n <= table.n_prime:
         lo, masses, cum_left, cum_right = _support_tables(f, table.n, table.n_prime)
@@ -166,8 +170,7 @@ def pvalues_over_support(
     Used by the permutation machinery to turn each recounted x into a p-value
     with one table lookup.
     """
-    if tail not in _TAILS:
-        raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
+    _check_tail(tail)
     if n > n_prime:
         # class 0's row of the opposite tail, read from x_prime = f - x down
         lo, pvals = pvalues_over_support(f, n_prime, n, _OPPOSITE[tail])
@@ -188,8 +191,7 @@ def min_attainable_pvalue(f: int, n: int, n_prime: int, tail: TailMode = "two") 
     extreme table; beyond m it stays flat at the f = m value, so the bound is
     monotone non-increasing in f. Two-sided values are doubled and capped at 1.
     """
-    if tail not in _TAILS:
-        raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
+    _check_tail(tail)
     if f < 0:
         raise ValueError(f"frequency must be non-negative, got {f}")
     if n < 1 or n_prime < 1:

@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 import tracemalloc
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sigmine import graphs
+from sigmine import graphs, mining
 from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
 from sigmine.mining import (
     NO_EDGE,
@@ -21,7 +22,7 @@ from sigmine.mining import (
     mine,
     minimum_code,
 )
-from sigmine.synth import random_database
+from sigmine.synth import planted_database, random_database
 
 # graph 0: the path A-x-B-y-C; graph 1: the same path closed into a triangle
 PATH_AND_TRIANGLE = """\
@@ -129,6 +130,67 @@ def test_is_canonical_rejects_rotated_triangle_code():
     assert not is_canonical(rotated)
     assert is_canonical(((0, 1, 0, 0, 1), (1, 2, 1, 1, 2), (2, 0, 2, 2, 0)))
     assert is_canonical(((0, 0, 3, NO_EDGE, 3),))
+
+
+def _first_difference(code):
+    """Index of the first quint where ``code`` leaves its graph's minimum code."""
+    minimum = minimum_code(oracles.code_to_graph(code))
+    return next(i for i, (a, b) in enumerate(zip(code, minimum)) if a != b)
+
+
+def test_is_canonical_rejects_at_the_first_quint():
+    # the edge B-A written from B; read from A its label triple is smaller
+    code = ((0, 1, 1, 0, 0),)
+    assert _first_difference(code) == 0
+    assert not is_canonical(code)
+
+
+def test_is_canonical_rejects_at_a_backward_quint():
+    # a triangle with a pendant vertex 3 that closes onto 1 before 0: the
+    # prefix is minimal, and the backward edge to 0 sorts first
+    code = ((0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (2, 0, 0, 0, 0), (2, 3, 0, 0, 0), (3, 1, 0, 0, 0))
+    assert is_canonical(code[:4])
+    assert _first_difference(code) == 4
+    assert not is_canonical(code)
+
+
+@pytest.mark.parametrize(
+    "code, at",
+    [
+        # a forward edge from the same vertex to a smaller label
+        (((0, 1, 0, 0, 0), (1, 2, 0, 0, 2), (1, 3, 0, 0, 1)), 1),
+        # a forward edge from a deeper vertex of the rightmost path
+        (((0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (0, 3, 0, 0, 0)), 2),
+        # a backward edge, which sorts before every forward one
+        (((0, 1, 0, 0, 0), (1, 2, 0, 0, 0), (2, 3, 0, 0, 0), (3, 0, 0, 1, 0), (3, 1, 0, 0, 0)), 2),
+    ],
+)
+def test_is_canonical_rejects_at_a_forward_quint(code, at):
+    assert code[at][0] < code[at][1]
+    assert is_canonical(code[:at])
+    assert _first_difference(code) == at
+    assert not is_canonical(code)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        LabeledGraph(0, (0,) * 4, tuple((u, v, 0) for u in range(4) for v in range(u + 1, 4))),
+        LabeledGraph(0, (0,) * 6, tuple((v, (v + 1) % 6, 0) for v in range(6))),
+        LabeledGraph(0, (0, 1) * 3, tuple((v, (v + 1) % 6, 0) for v in range(6))),
+    ],
+    ids=["K4", "C6", "C6-two-labels"],
+)
+def test_is_canonical_on_symmetric_graphs(graph):
+    # many embeddings of each prefix tie with the code's own quint, so the
+    # walk keeps several of them at every step; with two labels, codes that
+    # start from the larger one are rejected at the first quint
+    code = minimum_code(graph)
+    assert is_canonical(code)
+    rng = random.Random(0)
+    for _ in range(50):
+        other = oracles.random_dfs_code(graph, rng)
+        assert is_canonical(other) == (other == code)
 
 
 def test_minimum_code_rejects_disconnected_input():
@@ -320,6 +382,36 @@ def test_miner_emits_in_the_order_of_the_scalar_reference(
         assert all(a < b for a, b in zip(occurrences, occurrences[1:]))
 
 
+def test_raised_threshold_prunes_children_joined_with_earlier_siblings():
+    # siblings are joined together when the first of them is reached, so a
+    # later sibling's children exist before the first sibling's subtree is
+    # mined; a threshold raised in that subtree must still prune them
+    db = planted_database(40, 3)
+    batched = []
+    join = mining._Miner._children
+
+    def spy(miner, members):
+        groups = join(miner, members)
+        batched.append(len(members[0][3]) > 1 and len(groups) > 1)
+        return groups
+
+    def run(miner, at):
+        seen = []
+
+        def on_emit(frequency):
+            seen.append(frequency)
+            return 8 if len(seen) - 1 == at else 4
+
+        outcome = miner(db, MinerConfig(4), on_emit=on_emit)
+        return outcome.emitted_count, seen, [(p.code, p.occurrences) for p in outcome.patterns]
+
+    for at in range(0, 40, 5):
+        with mock.patch.object(mining._Miner, "_children", spy):
+            got = run(mine, at)
+        assert got == run(oracles.mine_reference, at)
+    assert any(batched)
+
+
 def test_memory_is_bounded_on_twenty_thousand_graphs():
     # a miner that holds its embeddings as tuples needs 44 MiB here
     db = random_database(20000, 0)
@@ -332,6 +424,23 @@ def test_memory_is_bounded_on_twenty_thousand_graphs():
     assert outcome.emitted_count == len(outcome.patterns) > 0
     assert all(p.frequency >= 200 and p.vertex_count <= 3 for p in outcome.patterns)
     assert peak < 24 * 2**20
+
+
+def test_peak_memory_at_the_root_frequency_of_twenty_thousand_graphs():
+    # sigma 18 is the null-20k benchmark's root frequency at seed 7. Joins
+    # that batch siblings stop at a fixed number of candidate cells, so the
+    # peak stays within 10% of the 9.18 MiB (9,628,426 bytes) a miner that
+    # joins one code at a time reached here
+    db = random_database(20000, 7)
+    db.layout  # built before tracing, as it is by a run's earlier mines
+    tracemalloc.start()
+    try:
+        outcome = mine(db, MinerConfig(min_frequency=18))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(outcome.patterns) == 5850
+    assert peak < 1.1 * 9628426
 
 
 def test_kept_family_memory_is_bounded_on_twenty_thousand_graphs():

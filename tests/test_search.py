@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
 from sigmine.mining import NO_EDGE, MinerConfig, Pattern, code_string, mine
-from sigmine.permute import PermutationPlan, min_p_distribution
+from sigmine.permute import PermutationPlan, empirical_fwer, min_p_distribution
 from sigmine.search import (
     STRATEGIES,
     _Session,
@@ -374,6 +374,16 @@ def test_unknown_tail_rejected_when_class_one_is_the_majority():
         score_patterns(testable, db, 0.9, "both")
     with pytest.raises(ValueError, match="tail"):
         min_p_distribution(testable, PermutationPlan(5, 0), db, "both")
+
+
+def test_unknown_tail_rejected_for_an_empty_family():
+    # an empty family reads no table, so the tail is checked before it
+    graphs = (edgeless(0, (0,)), edgeless(1, (1,)), edgeless(2, (0,)), edgeless(3, (1,)))
+    db = GraphDatabase.from_graphs(graphs, (1, 0, 1, 0), vertex_tokens=("A", "B"))
+    with pytest.raises(ValueError, match="tail"):
+        score_patterns([], db, 0.05, "both")
+    with pytest.raises(ValueError, match="tail"):
+        empirical_fwer([], 0.05, PermutationPlan(5, 0), db, "both")
 
 
 def test_scoring_memory_is_bounded_over_many_margins():
