@@ -3,8 +3,13 @@
 A database is an ordered collection of undirected, vertex- and edge-labeled
 simple graphs, each assigned to class 1 (positive) or class 0 (negative),
 whichever is larger. Label tokens from input files are interned into dense
-integer ids through per-database symbol tables. The flat numpy arrays the
-miner reads (``ArrayLayout``) are built once per database, on first use.
+integer ids through per-database symbol tables.
+
+A database stores its graphs flat, end to end, with per-graph offsets. The
+parser appends to that storage in one pass over the lines, and
+``from_graphs`` flattens checked ``LabeledGraph`` records into it. The
+miner's arrays (``ArrayLayout``) and the graphs as records
+(``GraphDatabase.graphs``) derive from it once, on first use.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -75,7 +80,8 @@ class LabeledGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        # plain ints, all the parser makes, are checked by type alone
+        # plain ints, all that the read-back and the generators make, are
+        # checked by type alone
         if type(self.graph_id) is not int:
             object.__setattr__(self, "graph_id", _as_int(self.graph_id, "graph id"))
         if not {int}.issuperset(map(type, self.vertex_labels)):
@@ -117,17 +123,31 @@ class LabeledGraph:
         return len(self.edges)
 
 
-def _top_labels(graphs: Sequence[LabeledGraph]) -> tuple[int, int]:
-    """The largest vertex label and edge label in ``graphs``, -1 where none."""
-    return (
-        max(chain.from_iterable(g.vertex_labels for g in graphs), default=-1),
-        max((e[2] for e in chain.from_iterable(g.edges for g in graphs)), default=-1),
-    )
+def _offsets(counts) -> np.ndarray:
+    """CSR offsets for per-graph ``counts``: graph i owns ``[off[i], off[i + 1])``."""
+    off = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
+
+
+def _frozen(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a fresh read-only int64 array of ``shape`` (-1 is free).
+
+    Raises TypeError unless its entries are integers (bools are not).
+    """
+    out = np.array(value)
+    if out.size and out.dtype.kind not in "iu":
+        raise TypeError(f"{name} must hold integers, got {out.dtype}")
+    out = out.astype(np.int64, copy=False).reshape(shape)
+    out.flags.writeable = False
+    return out
 
 
 class ArrayLayout:
     """A database as flat arrays over global vertex ids, the graphs end to end.
 
+    Derived from the database's flat storage with numpy alone: the global id
+    of a vertex is its graph's vertex offset plus its id in the graph.
     ``gpos`` gives a vertex's graph position and ``vrank`` the dense rank of
     its label, ``vlabels`` listing the labels by rank. A CSR (``nbr_off``,
     ``nbr``, with ``deg`` the neighbour counts) lists each vertex's
@@ -137,30 +157,21 @@ class ArrayLayout:
     ``positive`` is each position's class (1 or 0), ``largest`` is
     the vertex count of the largest graph, and ``ints`` holds one int per
     position for occurrence tuples to share instead of owning fresh ones.
+    Nothing here depends on the order or orientation of the stored edges.
     """
 
     def __init__(self, db: "GraphDatabase"):
-        graphs = db.graphs
-        n = len(graphs)
+        n = db.size
         self.ints = tuple(range(n))
         self.positive = np.array(db.original_classes, np.int64)
-        vcounts = np.fromiter((g.vertex_count for g in graphs), np.int64, n)
-        ecounts = np.fromiter((g.edge_count for g in graphs), np.int64, n)
-        offsets = np.zeros(n + 1, np.int64)
-        np.cumsum(vcounts, out=offsets[1:])
+        offsets = db.vertex_offsets
+        vcounts = np.diff(offsets)
         num_v = int(offsets[-1])
         self.largest = int(vcounts.max(initial=0))
         self.gpos = np.repeat(np.arange(n), vcounts)
-        vlabels, self.vrank = np.unique(
-            np.fromiter(chain.from_iterable(g.vertex_labels for g in graphs), np.int64, num_v),
-            return_inverse=True,
-        )
-        edges = np.fromiter(
-            chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-            np.int64,
-            3 * int(ecounts.sum()),
-        ).reshape(-1, 3)
-        shift = np.repeat(offsets[:-1], ecounts)
+        vlabels, self.vrank = np.unique(db.vertex_labels, return_inverse=True)
+        edges = db.edges
+        shift = np.repeat(offsets[:-1], np.diff(db.edge_offsets))
         u, v = edges[:, 0] + shift, edges[:, 1] + shift
         src, dst = np.concatenate((u, v)), np.concatenate((v, u))
         order = np.argsort(src * num_v + dst)
@@ -178,7 +189,7 @@ class ArrayLayout:
 
 @dataclass(frozen=True, eq=False)
 class GraphDatabase:
-    """Immutable two-class graph collection.
+    """Immutable two-class graph collection, stored as flat arrays.
 
     ``n`` counts class 1 and ``n_prime`` class 0, either may be the larger.
     Graph positions (0-based order of appearance) act as transaction ids
@@ -187,18 +198,33 @@ class GraphDatabase:
     token must be non-empty and free of whitespace, so that the transaction
     format can hold it. Two databases are equal, and hash alike, when
     ``serialize_database`` writes the same text for both.
+
+    Storage is flat, one entry per graph, vertex or edge, the graphs end to
+    end: graph position i has id ``graph_ids[i]``, its vertices' labels are
+    ``vertex_labels[vertex_offsets[i]:vertex_offsets[i + 1]]``, and its edges
+    are the rows ``edge_offsets[i]:edge_offsets[i + 1]`` of ``edges``, each
+    ``(u, v, label)`` with endpoints numbered within the graph, in any order
+    and orientation. The arrays are int64 and read-only. The checked ways in
+    are ``parse_database`` and ``from_graphs``; the constructor checks the
+    classes, graph ids, tokens and array shapes, not each edge. ``graphs``
+    reads the graphs back as ``LabeledGraph`` records (edges normalised and
+    sorted) on first use; ``layout`` is the miner's form, also built once.
     """
 
-    graphs: tuple[LabeledGraph, ...]
+    graph_ids: tuple[int, ...]
     original_classes: tuple[int, ...]
     vertex_tokens: tuple[str, ...]
     edge_tokens: tuple[str, ...]
+    vertex_labels: np.ndarray = field(repr=False)
+    vertex_offsets: np.ndarray = field(repr=False)
+    edges: np.ndarray = field(repr=False)
+    edge_offsets: np.ndarray = field(repr=False)
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.graphs) != len(self.original_classes):
+        if len(self.graph_ids) != len(self.original_classes):
             raise ValueError("one class per graph required")
-        if not self.graphs:
+        if not self.graph_ids:
             raise ValidityError("empty database")
         if not {int}.issuperset(map(type, self.original_classes)):
             classes = tuple(_as_int(cls, "class") for cls in self.original_classes)
@@ -209,26 +235,58 @@ class GraphDatabase:
         ones = sum(self.original_classes)
         if ones == 0 or ones == len(self.original_classes):
             raise ValidityError("both classes must be present")
+        if not {int}.issuperset(map(type, self.graph_ids)):
+            graph_ids = tuple(_as_int(gid, "graph id") for gid in self.graph_ids)
+            object.__setattr__(self, "graph_ids", graph_ids)
         seen_ids = set()
-        for g in self.graphs:
-            if g.graph_id in seen_ids:
-                raise ValueError(f"duplicate graph id {g.graph_id}")
-            seen_ids.add(g.graph_id)
+        for gid in self.graph_ids:
+            if gid in seen_ids:
+                raise ValueError(f"duplicate graph id {gid}")
+            seen_ids.add(gid)
         # a token the parser could not read back would break serialize_database
         for kind, tokens in (("vertex", self.vertex_tokens), ("edge", self.edge_tokens)):
             for token in tokens:
                 if token.split() != [token]:
                     raise ValueError(f"{kind} token {token!r} is empty or holds whitespace")
-        top_vertex, top_edge = _top_labels(self.graphs)
+        size = len(self.graph_ids)
+        for name, shape in (
+            ("vertex_labels", (-1,)),
+            ("vertex_offsets", (size + 1,)),
+            ("edges", (-1, 3)),
+            ("edge_offsets", (size + 1,)),
+        ):
+            object.__setattr__(self, name, _frozen(getattr(self, name), name, shape))
+        for kind, offsets, rows in (
+            ("vertex", self.vertex_offsets, self.vertex_labels),
+            ("edge", self.edge_offsets, self.edges),
+        ):
+            if offsets[0] != 0 or offsets[-1] != len(rows) or (np.diff(offsets) < 0).any():
+                raise ValueError(f"{kind} offsets do not split the {len(rows)} {kind} rows")
+        top_vertex = int(self.vertex_labels.max(initial=-1))
         if top_vertex >= len(self.vertex_tokens):
             raise ValueError(f"vertex label {top_vertex} has no vertex token")
+        top_edge = int(self.edges[:, 2].max(initial=-1))
         if top_edge >= len(self.edge_tokens):
             raise ValueError(f"edge label {top_edge} has no edge token")
         object.__setattr__(self, "n", ones)
 
     @property
     def size(self) -> int:
-        return len(self.graphs)
+        return len(self.graph_ids)
+
+    @cached_property
+    def graphs(self) -> tuple[LabeledGraph, ...]:
+        """The graphs as validated ``LabeledGraph`` records, read back on first use."""
+        labels, edges = self.vertex_labels.tolist(), self.edges.tolist()
+        voff, eoff = self.vertex_offsets.tolist(), self.edge_offsets.tolist()
+        return tuple(
+            LabeledGraph(
+                gid,
+                tuple(labels[voff[i] : voff[i + 1]]),
+                tuple(map(tuple, edges[eoff[i] : eoff[i + 1]])),
+            )
+            for i, gid in enumerate(self.graph_ids)
+        )
 
     @cached_property
     def layout(self) -> ArrayLayout:
@@ -249,15 +307,34 @@ class GraphDatabase:
     ) -> "GraphDatabase":
         """Build a database from in-memory graphs, defaulting tokens to str(id).
 
+        The graphs were checked when they were constructed; they are
+        flattened into the database's storage and kept as its ``graphs``.
         Raises ValueError when a label has no entry in a token table passed in.
         """
         graphs = tuple(graphs)
-        top_vertex, top_edge = _top_labels(graphs)
+        vertex_labels = np.fromiter(
+            chain.from_iterable(g.vertex_labels for g in graphs), np.int64
+        )
+        edges = np.fromiter(
+            chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.int64
+        ).reshape(-1, 3)
         if vertex_tokens is None:
-            vertex_tokens = tuple(str(i) for i in range(top_vertex + 1))
+            vertex_tokens = tuple(map(str, range(vertex_labels.max(initial=-1) + 1)))
         if edge_tokens is None:
-            edge_tokens = tuple(str(i) for i in range(top_edge + 1))
-        return cls(graphs, tuple(classes), tuple(vertex_tokens), tuple(edge_tokens))
+            edge_tokens = tuple(map(str, range(edges[:, 2].max(initial=-1) + 1)))
+        db = cls(
+            tuple(g.graph_id for g in graphs),
+            tuple(classes),
+            tuple(vertex_tokens),
+            tuple(edge_tokens),
+            vertex_labels,
+            _offsets([g.vertex_count for g in graphs]),
+            edges,
+            _offsets([g.edge_count for g in graphs]),
+        )
+        # reading the graphs back would rebuild these same records
+        db.__dict__["graphs"] = graphs
+        return db
 
     def __eq__(self, other: object) -> bool:
         # the text names labels by token, so dense ids assigned in a different
@@ -270,21 +347,18 @@ class GraphDatabase:
         return hash(serialize_database(self))
 
 
-def _iter_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
-    lines = source.splitlines() if isinstance(source, str) else source
-    for no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        yield no, line
+def _lines(source: str | IO[str]) -> Iterable[str]:
+    return source.splitlines() if isinstance(source, str) else source
 
 
 def _parse_labels_file(source: str | IO[str]) -> dict[int, int]:
     out: dict[int, int] = {}
-    for no, line in _iter_lines(source):
-        parts = line.split()
+    for no, raw in enumerate(_lines(source), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("%"):
+            continue
         if len(parts) != 2:
-            raise ParseError(no, f"expected '<graph_id> <class>', got {line!r}")
+            raise ParseError(no, f"expected '<graph_id> <class>', got {raw.strip()!r}")
         try:
             gid = int(parts[0])
         except ValueError:
@@ -312,98 +386,122 @@ def parse_database(
     that use them, and every undirected edge appears exactly once. Blank lines
     and lines starting with '%' are ignored. When a labels file is supplied it
     is authoritative and must cover every graph.
+
+    One pass checks each line once and appends straight to the database's
+    flat storage; no per-graph record is built.
     """
     labels_map = _parse_labels_file(labels_source) if labels_source is not None else None
     # token -> dense id, in order of first appearance
     vertex_ids: dict[str, int] = {}
     edge_ids: dict[str, int] = {}
 
-    graphs: list[LabeledGraph] = []
-    classes: list[int | None] = []
+    graph_ids: list[int] = []
+    inline: list[int | None] = []
     seen_ids: set[int] = set()
+    vertex_counts: list[int] = []
+    edge_counts: list[int] = []
+    vertex_labels: list[int] = []
+    # (u, v, label) of every edge, flat; u and v stay small ints within the graph
+    edges: list[int] = []
 
-    cur_id: int | None = None
-    cur_class: int | None = None
-    cur_labels: list[int] = []
-    cur_edges: list[tuple[int, int, int]] = []
-    cur_edge_pairs: set[tuple[int, int]] = set()
+    # the open graph's vertex and edge counts and its (min, max) endpoint pairs
+    nv = ne = 0
+    pairs: set[tuple[int, int]] = set()
 
-    def flush() -> None:
-        if cur_id is None:
-            return
-        graphs.append(LabeledGraph(cur_id, tuple(cur_labels), tuple(cur_edges)))
-        classes.append(cur_class)
-
-    for no, line in _iter_lines(graph_source):
-        parts = line.split()
+    for no, raw in enumerate(_lines(graph_source), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
         kind = parts[0]
-        if kind == "t":
-            if len(parts) not in (3, 4) or parts[1] != "#":
-                raise ParseError(no, f"expected 't # <graph_id> [<class>]', got {line!r}")
-            flush()
+        if kind == "e":
+            if not graph_ids:
+                raise ParseError(no, "edge line before any 't' line")
+            if len(parts) != 4:
+                raise ParseError(no, f"expected 'e <src> <dst> <edge_label>', got {raw.strip()!r}")
             try:
-                cur_id = int(parts[2])
+                u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise ParseError(no, f"graph id must be an integer, got {parts[2]!r}") from None
-            if cur_id in seen_ids:
-                raise ParseError(no, f"duplicate graph id {cur_id}")
-            seen_ids.add(cur_id)
-            cur_class = None
-            if len(parts) == 4:
-                if parts[3] not in ("0", "1"):
-                    raise LabelError(f"line {no}: class must be 0 or 1, got {parts[3]!r}")
-                cur_class = int(parts[3])
-            cur_labels = []
-            cur_edges = []
-            cur_edge_pairs = set()
+                raise ParseError(no, f"edge endpoints must be integers in {raw.strip()!r}") from None
+            if u == v:
+                raise ParseError(no, f"self-loop at vertex {u}")
+            if not (0 <= u < nv and 0 <= v < nv):
+                raise ParseError(no, f"edge ({u}, {v}) references an undeclared vertex")
+            pair = (u, v) if u < v else (v, u)
+            if pair in pairs:
+                raise ParseError(no, f"parallel edge ({u}, {v})")
+            pairs.add(pair)
+            lbl = edge_ids.get(parts[3])
+            if lbl is None:
+                lbl = edge_ids[parts[3]] = len(edge_ids)
+            edges += (u, v, lbl)
+            ne += 1
         elif kind == "v":
-            if cur_id is None:
+            if not graph_ids:
                 raise ParseError(no, "vertex line before any 't' line")
             if len(parts) != 3:
-                raise ParseError(no, f"expected 'v <vertex_id> <vertex_label>', got {line!r}")
+                raise ParseError(no, f"expected 'v <vertex_id> <vertex_label>', got {raw.strip()!r}")
             try:
                 vid = int(parts[1])
             except ValueError:
                 raise ParseError(no, f"vertex id must be an integer, got {parts[1]!r}") from None
-            if vid != len(cur_labels):
+            if vid != nv:
                 raise ParseError(
-                    no, f"vertex ids must be 0-based and consecutive; expected {len(cur_labels)}, got {vid}"
+                    no, f"vertex ids must be 0-based and consecutive; expected {nv}, got {vid}"
                 )
-            cur_labels.append(vertex_ids.setdefault(parts[2], len(vertex_ids)))
-        elif kind == "e":
-            if cur_id is None:
-                raise ParseError(no, "edge line before any 't' line")
-            if len(parts) != 4:
-                raise ParseError(no, f"expected 'e <src> <dst> <edge_label>', got {line!r}")
+            lbl = vertex_ids.get(parts[2])
+            if lbl is None:
+                lbl = vertex_ids[parts[2]] = len(vertex_ids)
+            vertex_labels.append(lbl)
+            nv += 1
+        elif kind == "t":
+            if len(parts) not in (3, 4) or parts[1] != "#":
+                raise ParseError(no, f"expected 't # <graph_id> [<class>]', got {raw.strip()!r}")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                gid = int(parts[2])
             except ValueError:
-                raise ParseError(no, f"edge endpoints must be integers in {line!r}") from None
-            if u == v:
-                raise ParseError(no, f"self-loop at vertex {u}")
-            if not (0 <= u < len(cur_labels) and 0 <= v < len(cur_labels)):
-                raise ParseError(no, f"edge ({u}, {v}) references an undeclared vertex")
-            pair = (min(u, v), max(u, v))
-            if pair in cur_edge_pairs:
-                raise ParseError(no, f"parallel edge ({u}, {v})")
-            cur_edge_pairs.add(pair)
-            cur_edges.append((u, v, edge_ids.setdefault(parts[3], len(edge_ids))))
-        else:
+                raise ParseError(no, f"graph id must be an integer, got {parts[2]!r}") from None
+            if gid in seen_ids:
+                raise ParseError(no, f"duplicate graph id {gid}")
+            seen_ids.add(gid)
+            cls = None
+            if len(parts) == 4:
+                if parts[3] not in ("0", "1"):
+                    raise LabelError(f"line {no}: class must be 0 or 1, got {parts[3]!r}")
+                cls = int(parts[3])
+            if graph_ids:
+                vertex_counts.append(nv)
+                edge_counts.append(ne)
+            graph_ids.append(gid)
+            inline.append(cls)
+            nv = ne = 0
+            pairs = set()
+        elif not kind.startswith("%"):
             raise ParseError(no, f"unknown record type {kind!r}")
-    flush()
+    if graph_ids:
+        vertex_counts.append(nv)
+        edge_counts.append(ne)
 
-    final_classes: list[int] = []
-    for g, inline in zip(graphs, classes):
-        if labels_map is not None:
-            if g.graph_id not in labels_map:
-                raise LabelError(f"graph id {g.graph_id} missing from the labels file")
-            final_classes.append(labels_map[g.graph_id])
-        else:
-            if inline is None:
-                raise LabelError(f"graph id {g.graph_id} has no class assignment")
-            final_classes.append(inline)
+    if labels_map is not None:
+        for gid in graph_ids:
+            if gid not in labels_map:
+                raise LabelError(f"graph id {gid} missing from the labels file")
+        classes = tuple(map(labels_map.__getitem__, graph_ids))
+    else:
+        for gid, cls in zip(graph_ids, inline):
+            if cls is None:
+                raise LabelError(f"graph id {gid} has no class assignment")
+        classes = tuple(inline)
 
-    return GraphDatabase(tuple(graphs), tuple(final_classes), tuple(vertex_ids), tuple(edge_ids))
+    return GraphDatabase(
+        tuple(graph_ids),
+        classes,
+        tuple(vertex_ids),
+        tuple(edge_ids),
+        vertex_labels,
+        _offsets(vertex_counts),
+        edges,
+        _offsets(edge_counts),
+    )
 
 
 def serialize_database(db: GraphDatabase) -> str:

@@ -122,11 +122,16 @@ def _display_row(rec: SignificanceRecord, db: GraphDatabase) -> dict:
 
 
 def _read_text(path: str) -> str:
-    """The file's text; bytes that are not UTF-8 are a parse failure naming it."""
+    """The file's text without a leading UTF-8 byte-order mark.
+
+    Bytes that are not UTF-8 are a parse failure naming the file.
+    """
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        # after a byte-order mark, the error's offsets count from behind it
+        data = exc.object
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(line, f"byte 0x{data[exc.start]:02x} in {path} is not UTF-8") from None
 

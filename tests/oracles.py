@@ -20,6 +20,10 @@ must agree with exactly:
   ``mining._extend``, which the minimality check is built on), so the array
   miner must emit the same patterns in the same order.
 
+``layout_reference`` builds the miner's ``ArrayLayout`` fields from the
+graphs read back as records, with plain lists and sorting, to judge the
+layout the package derives from its flat storage.
+
 ``code_to_graph`` turns a DFS code back into a graph, after checking that
 the code is well formed, for the isomorphism oracles above.
 ``random_dfs_code`` writes a valid, usually non-minimal, DFS code of a graph
@@ -278,6 +282,40 @@ def random_dfs_code(graph, rng):
             code.append((ids[new], j, labels[new], nbrs[new][w], labels[w]))
         path.append(new)
     return tuple(code)
+
+
+def layout_reference(db) -> dict:
+    """The fields of ``db.layout`` as plain lists, from ``db.graphs``."""
+    gpos, labels, adjacency, largest = [], [], [], 0
+    for pos, g in enumerate(db.graphs):
+        base = len(labels)
+        gpos += [pos] * g.vertex_count
+        labels += g.vertex_labels
+        near = [{} for _ in g.vertex_labels]
+        for u, v, lbl in g.edges:
+            near[u][base + v] = near[v][base + u] = lbl
+        adjacency += near
+        largest = max(largest, g.vertex_count)
+    vlabels = sorted(set(labels))
+    steps = [(w, near[w]) for near in adjacency for w in sorted(near)]
+    pairs = sorted({(lbl, labels[w]) for w, lbl in steps})
+    offsets = [0]
+    for near in adjacency:
+        offsets.append(offsets[-1] + len(near))
+    return {
+        "gpos": gpos,
+        "vrank": [vlabels.index(lbl) for lbl in labels],
+        "nbr": [w for w, _ in steps],
+        "nbr_off": offsets,
+        "deg": [len(near) for near in adjacency],
+        "prank": [pairs.index((lbl, labels[w])) for w, lbl in steps],
+        "positive": list(db.original_classes),
+        "vlabels": vlabels,
+        "pair_el": [el for el, _ in pairs],
+        "pair_tl": [tl for _, tl in pairs],
+        "largest": largest,
+        "ints": tuple(range(db.size)),
+    }
 
 
 def occurrence_bits(positions) -> int:

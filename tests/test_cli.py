@@ -421,6 +421,26 @@ class TestCommandLine:
         assert err.startswith("sigmine: error:") and err.count("\n") == 1
         assert str(bad) in err and "line 2" in err and "Traceback" not in err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # files saved by Windows editors start with one
+        graphs = serialize_database(planted_database(20, seed=5, background_vertices=6))
+        labels = "".join(f"{gid} {gid % 2}\n" for gid in range(20))
+        reports = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            paths = []
+            for name, text in (("in.graphs", graphs), ("in.labels", labels)):
+                paths.append(tmp_path / f"{len(bom)}{name}")
+                paths[-1].write_bytes(bom + text.encode("utf-8"))
+            out = tmp_path / f"{len(bom)}.csv"
+            argv = ["--input", str(paths[0]), "--labels", str(paths[1]), "--output", str(out)]
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] and reports[0].count(b"\n") > 1
+        bad = tmp_path / "bad.graphs"
+        bad.write_bytes(b"\xef\xbb\xbft # 0 1\nv 0 A\xff\n")
+        assert main(["--input", str(bad)]) == 2
+        assert "line 2: byte 0xff" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "exc, code", [(MemoryError, 4), (KeyboardInterrupt, 130)]
     )

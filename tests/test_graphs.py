@@ -1,8 +1,12 @@
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from sigmine.graphs import (
     GraphDatabase,
     LabeledGraph,
@@ -132,39 +136,52 @@ def test_missing_inline_class_without_labels_file():
         parse_database(text)
 
 
+GOOD_PAIR = "t # 0 1\nv 0 A\nt # 1 0\nv 0 A\n"
+
+# one malformed input per raise in parse_database and _parse_labels_file:
+# (graph text, labels text, error type, exact message, line number or None)
+PARSE_ERRORS = {
+    "bad header": ("t 0 1\n", None, ParseError, "line 1: expected 't # <graph_id> [<class>]', got 't 0 1'", 1),
+    "header arity": ("t # 0 1 2\n", None, ParseError, "line 1: expected 't # <graph_id> [<class>]', got 't # 0 1 2'", 1),
+    "graph id": ("t # x 1\n", None, ParseError, "line 1: graph id must be an integer, got 'x'", 1),
+    "duplicate graph id": ("t # 7 1\nv 0 A\nt # 7 0\nv 0 A\n", None, ParseError, "line 3: duplicate graph id 7", 3),
+    "inline class": ("t # 0 3\nv 0 A\n", None, LabelError, "line 1: class must be 0 or 1, got '3'", None),
+    "vertex before t": ("% c\nv 0 A\n", None, ParseError, "line 2: vertex line before any 't' line", 2),
+    "vertex arity": ("t # 0 1\nv 0\n", None, ParseError, "line 2: expected 'v <vertex_id> <vertex_label>', got 'v 0'", 2),
+    "vertex id": ("t # 0 1\nv a A\n", None, ParseError, "line 2: vertex id must be an integer, got 'a'", 2),
+    "non-consecutive vertex": (
+        "t # 0 1\nv 0 A\nv 2 B\n", None, ParseError,
+        "line 3: vertex ids must be 0-based and consecutive; expected 1, got 2", 3,
+    ),
+    "edge before t": ("\ne 0 1 x\n", None, ParseError, "line 2: edge line before any 't' line", 2),
+    "edge arity": ("t # 0 1\nv 0 A\nv 1 A\ne 0 1\n", None, ParseError, "line 4: expected 'e <src> <dst> <edge_label>', got 'e 0 1'", 4),
+    "endpoint": ("t # 0 1\nv 0 A\ne 0 b x\n", None, ParseError, "line 3: edge endpoints must be integers in 'e 0 b x'", 3),
+    "self-loop": ("t # 0 1\nv 0 A\ne 0 0 x\n", None, ParseError, "line 3: self-loop at vertex 0", 3),
+    "undeclared vertex": ("t # 0 1\nv 0 A\ne 0 1 x\n", None, ParseError, "line 3: edge (0, 1) references an undeclared vertex", 3),
+    "negative endpoint": ("t # 0 1\nv 0 A\ne -1 0 x\n", None, ParseError, "line 3: edge (-1, 0) references an undeclared vertex", 3),
+    "parallel edge": (
+        "t # 0 1\nv 0 A\nv 1 B\ne 0 1 x\n  e 1 0 y  \n", None, ParseError,
+        "line 5: parallel edge (1, 0)", 5,
+    ),
+    "unknown record": ("t # 0 1\nw 0 A\n", None, ParseError, "line 2: unknown record type 'w'", 2),
+    "missing class": ("t # 0\nv 0 A\nt # 1 0\nv 0 A\n", None, LabelError, "graph id 0 has no class assignment", None),
+    "labels arity": (GOOD_PAIR, "0 1 junk\n", ParseError, "line 1: expected '<graph_id> <class>', got '0 1 junk'", 1),
+    "labels graph id": (GOOD_PAIR, "% c\nx 1\n", ParseError, "line 2: graph id must be an integer, got 'x'", 2),
+    "labels class": (GOOD_PAIR, "0 1\n1 2\n", LabelError, "line 2: class must be 0 or 1, got '2'", None),
+    "labels duplicate": (GOOD_PAIR, "0 1\n\n0 0\n", LabelError, "line 3: duplicate class for graph id 0", None),
+    "labels missing graph": (GOOD_PAIR, "0 1\n", LabelError, "graph id 1 missing from the labels file", None),
+    "one class": ("t # 0 1\nv 0 A\nt # 1 1\nv 0 A\n", None, ValidityError, "both classes must be present", None),
+    "empty": ("% nothing here\n", None, ValidityError, "empty database", None),
+}
+
+
 def test_parse_errors_carry_line_numbers():
-    bad_vertex = "t # 0 1\nv 0 A\nv 2 B\n"
-    with pytest.raises(ParseError, match="line 3") as e:
-        parse_database(bad_vertex)
-    assert e.value.line_no == 3
-
-    self_loop = "t # 0 1\nv 0 A\ne 0 0 x\n"
-    with pytest.raises(ParseError, match="self-loop"):
-        parse_database(self_loop)
-
-    parallel = "t # 0 1\nv 0 A\nv 1 B\ne 0 1 x\ne 1 0 y\n"
-    with pytest.raises(ParseError, match="parallel edge"):
-        parse_database(parallel)
-
-    dangling = "t # 0 1\nv 0 A\ne 0 1 x\n"
-    with pytest.raises(ParseError, match="undeclared vertex"):
-        parse_database(dangling)
-
-    headless = "v 0 A\n"
-    with pytest.raises(ParseError, match="before any 't' line"):
-        parse_database(headless)
-
-    unknown = "t # 0 1\nw 0 A\n"
-    with pytest.raises(ParseError, match="unknown record type"):
-        parse_database(unknown)
-
-    bad_header = "t 0 1\n"
-    with pytest.raises(ParseError):
-        parse_database(bad_header)
-
-    dup_gid = "t # 7 1\nv 0 A\nt # 7 0\nv 0 A\n"
-    with pytest.raises(ParseError, match="duplicate graph id"):
-        parse_database(dup_gid)
+    for case, (graphs, labels, kind, message, line_no) in PARSE_ERRORS.items():
+        for source in (str, io.StringIO):
+            with pytest.raises(kind) as e:
+                parse_database(source(graphs), None if labels is None else source(labels))
+            held = (type(e.value), str(e.value), getattr(e.value, "line_no", None))
+            assert held == (kind, message, line_no), (case, source)
 
 
 def test_class_validation():
@@ -208,12 +225,12 @@ def test_from_graphs_rejects_labels_without_tokens():
 def test_constructor_rejects_labels_without_tokens():
     # every construction path checks the token tables, not only from_graphs;
     # unchecked, this database mines and then fails in code_string
-    graphs = (LabeledGraph(0, (2,), ()), LabeledGraph(1, (2,), ()))
+    # graphs 0: (2,) and 1: (2,), in the constructor's flat storage
     with pytest.raises(ValueError, match="vertex label 2 has no vertex token"):
-        GraphDatabase(graphs, (1, 0), ("A",), ())
-    edged = (LabeledGraph(0, (0, 0), ((0, 1, 0),)), LabeledGraph(1, (0,), ()))
+        GraphDatabase((0, 1), (1, 0), ("A",), (), [2, 2], [0, 1, 2], [], [0, 0, 0])
+    # graphs 0: (0, 0) with edge (0, 1, 0), and 1: (0,)
     with pytest.raises(ValueError, match="edge label 0 has no edge token"):
-        GraphDatabase(edged, (1, 0), ("A",), ())
+        GraphDatabase((0, 1), (1, 0), ("A",), (), [0, 0, 0], [0, 2, 3], [[0, 1, 0]], [0, 1, 1])
 
 
 def test_from_graphs_defaults_tokens():
@@ -260,3 +277,102 @@ def test_ids_labels_endpoints_and_classes_must_be_integers(field, value):
     }[field]
     assert held == 1 and type(held) is int
     assert parse_database(serialize_database(db)) == db
+
+
+LAYOUT_FIELDS = (
+    "gpos", "vrank", "nbr", "nbr_off", "deg", "prank", "positive",
+    "vlabels", "pair_el", "pair_tl", "largest", "ints",
+)
+
+
+def assert_same_layout(a, b):
+    for name in LAYOUT_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        else:
+            assert x == y, name
+
+
+@st.composite
+def first_appearance_db(draw):
+    """A random database whose dense labels number their tokens in file order.
+
+    Parsing its serialization then assigns the same dense ids, so the parsed
+    graphs equal these. Graph 0 never has edges, and sometimes none does.
+    """
+    gids = draw(st.lists(st.integers(0, 500), min_size=2, max_size=7, unique=True))
+    edgeless = draw(st.booleans())
+    drawn = []
+    for i, gid in enumerate(gids):
+        nv = draw(st.integers(1, 5))
+        labels = [draw(st.integers(0, 3)) for _ in range(nv)]
+        edges = [
+            (u, v, draw(st.integers(0, 2)))
+            for u in range(nv)
+            for v in range(u + 1, nv)
+            if i > 0 and not edgeless and draw(st.booleans())
+        ]
+        drawn.append(LabeledGraph(gid, tuple(labels), tuple(edges)))
+    vmap, emap = {}, {}
+    graphs = [
+        LabeledGraph(
+            g.graph_id,
+            tuple(vmap.setdefault(lbl, len(vmap)) for lbl in g.vertex_labels),
+            tuple((u, v, emap.setdefault(lbl, len(emap))) for u, v, lbl in g.edges),
+        )
+        for g in drawn
+    ]
+    classes = [draw(st.integers(0, 1)) for _ in gids]
+    assume(0 < sum(classes) < len(classes))
+    return GraphDatabase.from_graphs(graphs, classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(first_appearance_db(), st.randoms(use_true_random=False))
+def test_parsed_layout_equals_from_graphs_layout(db, rng):
+    parsed = parse_database(serialize_database(db))
+    assert parsed.graphs == db.graphs
+    assert parsed.graph_ids == db.graph_ids
+    assert_same_layout(parsed.layout, db.layout)
+    reference = oracles.layout_reference(db)
+    for name in LAYOUT_FIELDS:
+        held = getattr(db.layout, name)
+        assert (held.tolist() if isinstance(held, np.ndarray) else held) == reference[name], name
+
+    # the same graphs with every edge's order and orientation scrambled and
+    # the classes in a labels file: read back normalised, laid out alike
+    lines, labels = [], [f"{max(db.graph_ids) + 1} 0"]
+    for g, cls in zip(db.graphs, db.original_classes):
+        lines.append(f"t # {g.graph_id}")
+        lines += [f"v {vid} {db.vertex_tokens[lbl]}" for vid, lbl in enumerate(g.vertex_labels)]
+        edges = [(v, u, lbl) if rng.random() < 0.5 else (u, v, lbl) for u, v, lbl in g.edges]
+        rng.shuffle(edges)
+        lines += [f"e {u} {v} {db.edge_tokens[lbl]}" for u, v, lbl in edges]
+        labels.append(f"{g.graph_id} {cls}")
+    rng.shuffle(labels)
+    scrambled = parse_database("\n".join(lines), "\n".join(labels))
+    assert scrambled == db
+    assert scrambled.original_classes == db.original_classes
+    rebuilt = GraphDatabase.from_graphs(
+        scrambled.graphs, scrambled.original_classes, scrambled.vertex_tokens, scrambled.edge_tokens
+    )
+    assert_same_layout(scrambled.layout, rebuilt.layout)
+
+
+def test_flat_storage_of_a_parsed_database():
+    db = parse_database("t # 4 1\nv 0 A\nv 1 B\nv 2 A\ne 2 0 y\ne 1 0 x\nt # 9 0\nv 0 B\n")
+    assert db.graph_ids == (4, 9)
+    assert db.vertex_labels.tolist() == [0, 1, 0, 1]
+    assert db.vertex_offsets.tolist() == [0, 3, 4]
+    # edges are stored as written; the graphs read back normalised and sorted
+    assert db.edges.tolist() == [[2, 0, 0], [1, 0, 1]]
+    assert db.edge_offsets.tolist() == [0, 2, 2]
+    assert db.graphs[0].edges == ((0, 1, 1), (0, 2, 0))
+    assert not db.edges.flags.writeable
+    with pytest.raises(ValueError, match="edge offsets do not split"):
+        GraphDatabase((4, 9), (1, 0), ("A",), ("x",), [0, 0], [0, 1, 2], [[0, 1, 0]], [0, 0, 0])
+    with pytest.raises(TypeError, match="vertex_labels must hold integers"):
+        GraphDatabase((4, 9), (1, 0), ("A",), (), [0.0, 0], [0, 1, 2], [], [0, 0, 0])
+    with pytest.raises(TypeError, match="graph id must be an integer"):
+        GraphDatabase((4, "9"), (1, 0), ("A",), (), [0, 0], [0, 1, 2], [], [0, 0, 0])
