@@ -37,17 +37,14 @@ from .search import (
     score_patterns,
 )
 from .stats import (
-    ContingencyTable,
-    TestResult,
-    fisher_pvalue,
     min_attainable_pvalue,
     min_testable_frequency,
+    pvalues_over_support,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContingencyTable",
     "GraphDatabase",
     "LabelError",
     "LabeledGraph",
@@ -60,19 +57,18 @@ __all__ = [
     "RootSearchResult",
     "RunConfig",
     "SignificanceRecord",
-    "TestResult",
     "ValidityError",
     "code_string",
     "effective_num_tests",
     "empirical_fwer",
     "find_root",
-    "fisher_pvalue",
     "min_attainable_pvalue",
     "min_p_distribution",
     "min_testable_frequency",
     "mine",
     "minimum_code",
     "parse_database",
+    "pvalues_over_support",
     "run_pipeline",
     "score_patterns",
     "serialize_database",

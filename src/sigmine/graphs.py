@@ -196,8 +196,9 @@ class GraphDatabase:
     throughout the package. Classes are the integers 0 and 1 (``_as_int``
     rules). Every vertex and edge label must index its token table, and every
     token must be non-empty and free of whitespace, so that the transaction
-    format can hold it. Two databases are equal, and hash alike, when
-    ``serialize_database`` writes the same text for both.
+    format can hold it. Two databases are equal when ``serialize_database``
+    writes the same text for both; they are compared and hashed without
+    rendering it where the ids, classes or counts already tell.
 
     Storage is flat, one entry per graph, vertex or edge, the graphs end to
     end: graph position i has id ``graph_ids[i]``, its vertices' labels are
@@ -337,14 +338,24 @@ class GraphDatabase:
         return db
 
     def __eq__(self, other: object) -> bool:
-        # the text names labels by token, so dense ids assigned in a different
-        # order still compare equal
         if not isinstance(other, GraphDatabase):
             return NotImplemented
-        return serialize_database(self) == serialize_database(other)
+        if self is other:
+            return True
+        # the text writes the ids, classes and every vertex and edge, so
+        # databases that differ in these differ in text; it names labels by
+        # token, so dense ids assigned in a different order still compare equal
+        return (
+            self.graph_ids == other.graph_ids
+            and self.original_classes == other.original_classes
+            and np.array_equal(self.vertex_offsets, other.vertex_offsets)
+            and np.array_equal(self.edge_offsets, other.edge_offsets)
+            and serialize_database(self) == serialize_database(other)
+        )
 
     def __hash__(self) -> int:
-        return hash(serialize_database(self))
+        # equal text means equal ids and classes, so this agrees with __eq__
+        return hash((self.graph_ids, self.original_classes))
 
 
 def _lines(source: str | IO[str]) -> Iterable[str]:

@@ -175,7 +175,7 @@ def min_p_distribution(
     for f, members in groupby(patterns, key=lambda p: p.frequency):
         stop = start + sum(1 for _ in members)
         lo, pvals = pvalues_over_support(f, db.n, db.n_prime, tail)
-        groups.append((start, stop, lo, np.array(pvals)))
+        groups.append((start, stop, lo, pvals))
         start = stop
 
     # numpy shuffles 8-byte items about 40% faster than single bytes, so each

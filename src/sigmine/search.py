@@ -28,17 +28,17 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Literal, Sequence
 
 from .graphs import GraphDatabase
 from .mining import MinerConfig, Pattern, code_string, mine
 from .stats import (
-    ContingencyTable,
     TailMode,
     _check_tail,
-    fisher_pvalue,
     min_attainable_pvalue,
     min_testable_frequency,
+    pvalues_over_support,
 )
 
 Strategy = Literal["dynamic", "onepass", "decremental", "incremental", "bisection"]
@@ -320,30 +320,29 @@ def score_patterns(
     Significance is a strict comparison. Records are sorted by ascending
     p-value with ties broken by the pattern's code string, so output order is
     reproducible across runs and strategies. Patterns are scored in
-    ascending frequency, so each margin's table is built once.
+    ascending frequency, one row of p-values and one psi per margin, as the
+    permutation stage reads them.
     """
     # checked before the family is looked at: an empty one reads no table
     _check_tail(tail)
-    # NaN compares false with everything, so `not >= 1` rejects it too
+    # NaN compares false with everything, so these tests reject it too
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not correction_factor >= 1.0:
         raise ValueError(f"correction_factor must be >= 1, got {correction_factor}")
     threshold = alpha / correction_factor
     records = []
-    for pattern in sorted(patterns, key=lambda p: p.frequency):
-        table = ContingencyTable(
-            x=pattern.x, x_prime=pattern.x_prime, n=db.n, n_prime=db.n_prime
-        )
-        p = fisher_pvalue(table, tail).pvalue
-        min_p = min_attainable_pvalue(pattern.frequency, db.n, db.n_prime, tail)
-        records.append(
-            SignificanceRecord(
-                pattern=pattern,
-                p_value=p,
-                min_p=min_p,
-                corrected_threshold=threshold,
-                significant=p < threshold,
-            )
-        )
+    ordered = sorted(patterns, key=lambda p: p.frequency)
+    for f, members in groupby(ordered, key=lambda p: p.frequency):
+        lo, row = pvalues_over_support(f, db.n, db.n_prime, tail)
+        min_p = min_attainable_pvalue(f, db.n, db.n_prime, tail)
+        for pattern in members:
+            i = pattern.x - lo
+            if not 0 <= i < len(row):
+                raise ValueError(
+                    f"x={pattern.x}, x_prime={pattern.x_prime} do not fit the class sizes"
+                )
+            p = float(row[i])
+            records.append(SignificanceRecord(pattern, p, min_p, threshold, p < threshold))
     records.sort(key=lambda r: (r.p_value, code_string(r.pattern.code, db)))
     return tuple(records)
-

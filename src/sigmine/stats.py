@@ -1,91 +1,45 @@
 """Exact association statistics for 2x2 tables with fixed margins.
 
 Everything here derives from the hypergeometric distribution of the class 1
-count of a pattern: exact tail p-values (left, right, and doubled
-two-sided), and the frequency-indexed lower bound on the attainable p-value
-that drives testability pruning. All of it reads one table per margin,
-built by the exact ratio recurrence; a point mass is
-``fisher_pvalue(table).q_at_x``. Only the few most recent tables are cached,
-so callers that read many margins read them in ascending order.
+count x of a pattern with frequency f: exact tail p-values (left, right, and
+doubled two-sided), and the frequency-indexed lower bound psi(f) on the
+attainable p-value that drives testability pruning. Both read one table per
+margin, built by the exact ratio recurrence and kept as read-only float64
+arrays of the left and right tails. ``pvalues_over_support`` is its one
+reader: it returns the row of p-values for every attainable x, which scoring
+and the permutation stage index by x. psi is read off the two ends of the
+same table. Only the few most recent tables are cached, so callers that
+read many margins read them in ascending order.
 
 Callers pass the input's classes (``n`` and ``x`` count class 1, "right"
 means enrichment in class 1), whichever is larger. Only this module knows
-that the tables are built for the smaller class: when that is class 0 it
-reads them at ``x_prime`` with the left and right tails exchanged.
+that the tables are built for the smaller class: when that is class 0,
+``pvalues_over_support`` reads the table backwards with the tails exchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
+
+import numpy as np
 
 TailMode = Literal["left", "right", "two"]
 
 _TAILS = ("left", "right", "two")
 
-_OPPOSITE = {"left": "right", "right": "left", "two": "two"}
-
-
-def _check_tail(tail: str) -> None:
-    if tail not in _TAILS:
-        raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
-
 __all__ = [
     "TailMode",
-    "ContingencyTable",
-    "TestResult",
-    "fisher_pvalue",
     "pvalues_over_support",
     "min_attainable_pvalue",
     "min_testable_frequency",
 ]
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """One pattern's counts: x of the n in class 1 contain it, x_prime of the n_prime in class 0."""
-
-    x: int
-    x_prime: int
-    n: int
-    n_prime: int
-
-    def __post_init__(self) -> None:
-        for name in ("x", "x_prime", "n", "n_prime"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.n < 1 or self.n_prime < 1:
-            raise ValueError("both class sizes must be at least 1")
-        if not 0 <= self.x <= self.n:
-            raise ValueError(f"x={self.x} outside [0, {self.n}]")
-        if not 0 <= self.x_prime <= self.n_prime:
-            raise ValueError(f"x_prime={self.x_prime} outside [0, {self.n_prime}]")
-
-    @property
-    def frequency(self) -> int:
-        return self.x + self.x_prime
-
-
-@dataclass(frozen=True)
-class TestResult:
-    """Point mass and tail sums for one table. ``pvalue`` picks the requested tail."""
-
-    q_at_x: float
-    p_left: float
-    p_right: float
-    p_two: float
-    tail_used: TailMode
-
-    @property
-    def pvalue(self) -> float:
-        if self.tail_used == "left":
-            return self.p_left
-        if self.tail_used == "right":
-            return self.p_right
-        return self.p_two
+def _check_tail(tail: str) -> None:
+    if tail not in _TAILS:
+        raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
 
 
 def _support(f: int, n: int, n_prime: int) -> tuple[int, int]:
@@ -113,15 +67,15 @@ def _running_tail(values: list[float]) -> list[float]:
 
 
 @lru_cache(maxsize=4)
-def _support_tables(
-    f: int, n: int, n_prime: int
-) -> tuple[int, tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Normalized masses plus left/right cumulative tails over the support of one margin.
+def _support_tables(f: int, n: int, n_prime: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, left, right): the cumulative tails over the support of one margin, indexed x - lo.
 
     Masses are built by the exact ratio recurrence outward from the mode and
     normalized by their compensated sum. This keeps relative error near machine
     precision even for margins in the tens of thousands, where naive log-space
-    summation loses a couple of digits.
+    summation loses a couple of digits. Each tail starts with its end mass
+    exactly, since the first compensated step adds nothing. The arrays are
+    read-only because the cache hands them to every caller.
     """
     lo, hi = _support(f, n, n_prime)
     size = hi - lo + 1
@@ -137,59 +91,44 @@ def _support_tables(
         weights[x - 1 - lo] = weights[x - lo] * ratio
     total = math.fsum(weights)
     masses = [w / total for w in weights]
-    cum_left = _running_tail(masses)
-    cum_right = list(reversed(_running_tail(list(reversed(masses)))))
-    return lo, tuple(masses), tuple(cum_left), tuple(cum_right)
-
-
-def fisher_pvalue(table: ContingencyTable, tail: TailMode = "two") -> TestResult:
-    """Exact left, right, and doubled two-sided p-values for one table.
-
-    The two-sided value is min(1, 2 * min(left, right)).
-    """
-    _check_tail(tail)
-    f = table.frequency
-    if table.n <= table.n_prime:
-        lo, masses, cum_left, cum_right = _support_tables(f, table.n, table.n_prime)
-        i = table.x - lo
-    else:
-        # the tables count class 0, whose left tail is class 1's right tail
-        lo, masses, cum_right, cum_left = _support_tables(f, table.n_prime, table.n)
-        i = table.x_prime - lo
-    p_left = cum_left[i]
-    p_right = cum_right[i]
-    p_two = min(1.0, 2.0 * min(p_left, p_right))
-    return TestResult(masses[i], p_left, p_right, p_two, tail)
+    left = np.array(_running_tail(masses))
+    right = np.array(_running_tail(masses[::-1])[::-1])
+    left.flags.writeable = right.flags.writeable = False
+    return lo, left, right
 
 
 def pvalues_over_support(
     f: int, n: int, n_prime: int, tail: TailMode = "two"
-) -> tuple[int, tuple[float, ...]]:
+) -> tuple[int, np.ndarray]:
     """(lo, p-values indexed by x - lo) for every attainable x at a fixed margin.
 
-    Used by the permutation machinery to turn each recounted x into a p-value
-    with one table lookup.
+    The one reader of a margin's table: scoring looks up each pattern's x in
+    the row, the permutation stage each recounted x. The row is a float64
+    array that callers must not write to. The two-sided value is
+    min(1, 2 * min(left, right)).
     """
     _check_tail(tail)
     if n > n_prime:
-        # class 0's row of the opposite tail, read from x_prime = f - x down
-        lo, pvals = pvalues_over_support(f, n_prime, n, _OPPOSITE[tail])
-        return f - lo - len(pvals) + 1, pvals[::-1]
-    lo, _, cum_left, cum_right = _support_tables(f, n, n_prime)
+        # the table counts class 0, x_prime = f - x, whose left tail is
+        # class 1's right tail
+        lo, right, left = _support_tables(f, n_prime, n)
+        lo, left, right = f - lo - len(left) + 1, left[::-1], right[::-1]
+    else:
+        lo, left, right = _support_tables(f, n, n_prime)
     if tail == "left":
-        return lo, cum_left
+        return lo, left
     if tail == "right":
-        return lo, cum_right
-    two = tuple(min(1.0, 2.0 * min(l, r)) for l, r in zip(cum_left, cum_right))
-    return lo, two
+        return lo, right
+    return lo, np.minimum(1.0, 2.0 * np.minimum(left, right))
 
 
 def min_attainable_pvalue(f: int, n: int, n_prime: int, tail: TailMode = "two") -> float:
     """Smallest p-value any table with margin f can reach.
 
     With m = min(n, n_prime), for f <= m this is the point mass of the most
-    extreme table; beyond m it stays flat at the f = m value, so the bound is
-    monotone non-increasing in f. Two-sided values are doubled and capped at 1.
+    extreme table, the end of a tail; beyond m it stays flat at the f = m
+    value, so the bound is monotone non-increasing in f. Two-sided values are
+    doubled and capped at 1.
     """
     _check_tail(tail)
     if f < 0:
@@ -197,10 +136,10 @@ def min_attainable_pvalue(f: int, n: int, n_prime: int, tail: TailMode = "two") 
     if n < 1 or n_prime < 1:
         raise ValueError("both class sizes must be at least 1")
     small, large = sorted((n, n_prime))
-    _, masses, _, _ = _support_tables(min(f, small), small, large)
-    # Mathematically masses[-1] <= masses[0] since small <= large; the min
+    _, left, right = _support_tables(min(f, small), small, large)
+    # Mathematically right[-1] <= left[0] since small <= large; the min
     # guards float ties so that tail sums can never round below this bound.
-    one_sided = min(masses[0], masses[-1])
+    one_sided = float(min(left[0], right[-1]))
     if tail == "two":
         return min(1.0, 2.0 * one_sided)
     return one_sided

@@ -79,6 +79,17 @@ def test_round_trip_keeps_a_token_that_looks_like_a_comment():
     assert again.edge_tokens == ("%e",)
 
 
+def test_hash_and_unequal_ids_do_not_read_graphs_back():
+    text = "t # 0 1\nv 0 A\nv 1 B\ne 0 1 x\nt # 1 0\nv 0 A\n"
+    db = parse_database(text)
+    other = parse_database(text.replace("t # 1 0", "t # 7 0"))
+    assert hash(db) == hash(parse_database(text))
+    assert db != other
+    assert db == db
+    assert "graphs" not in db.__dict__ and "graphs" not in other.__dict__
+    assert db == parse_database(text)
+
+
 def test_equality_is_token_resolved():
     a = GraphDatabase.from_graphs(
         [LabeledGraph(0, (0, 1), ((0, 1, 0),)), LabeledGraph(1, (0,), ())],

@@ -21,7 +21,7 @@ from sigmine.permute import (
     write_min_p_samples,
 )
 from sigmine.search import find_root
-from sigmine.stats import min_attainable_pvalue
+from sigmine.stats import min_attainable_pvalue, pvalues_over_support
 from sigmine.synth import random_database
 
 CONFIG = MinerConfig(min_frequency=1)
@@ -157,14 +157,15 @@ class TestMinPDistribution:
         plan = PermutationPlan(40, 5)
         samples = min_p_distribution([pattern], plan, enriched_db, "right")
         bits = oracles.occurrence_bits(pattern.occurrences)
-        from sigmine.stats import ContingencyTable, fisher_pvalue
+        lo, row = pvalues_over_support(pattern.frequency, 10, 10, "right")
 
         for j, sample in enumerate(samples):
             mask = oracles.permutation_mask(plan, j, 10, 20)
             x = sum(1 for t in pattern.occurrences if mask >> t & 1)
             assert x == (bits & mask).bit_count()
-            table = ContingencyTable(x=x, x_prime=pattern.frequency - x, n=10, n_prime=10)
-            assert sample == fisher_pvalue(table, "right").pvalue
+            assert sample == row[x - lo]
+            exact = oracles.fisher(x, pattern.frequency, 10, 10, "right")
+            assert sample == pytest.approx(float(exact), rel=1e-12)
 
 
     @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
 from sigmine.mining import NO_EDGE, MinerConfig, Pattern, code_string, mine
 from sigmine.permute import PermutationPlan, empirical_fwer, min_p_distribution
@@ -15,12 +16,8 @@ from sigmine.search import (
     find_root,
     score_patterns,
 )
-from sigmine.stats import (
-    ContingencyTable,
-    fisher_pvalue,
-    min_attainable_pvalue,
-    min_testable_frequency,
-)
+from sigmine.stats import min_attainable_pvalue, min_testable_frequency
+from sigmine.synth import planted_database
 from test_mining import PATH_AND_TRIANGLE
 
 CONFIG = MinerConfig(min_frequency=1)
@@ -333,6 +330,13 @@ class TestSignificantSet:
         with pytest.raises(ValueError):
             score_patterns(r.testable, enriched_db, 0.05, "two", 0.5)
 
+    def test_counts_beyond_the_class_sizes_rejected(self, enriched_db):
+        # a hand-built pattern's x must index its margin's row, never wrap
+        for x, x_prime in ((11, 0), (0, 11), (12, 3)):
+            pattern = Pattern(((0, 0, 0, NO_EDGE, 0),), (), x, x_prime)
+            with pytest.raises(ValueError, match="class sizes"):
+                score_patterns([pattern], enriched_db, 0.05, "two", 1.0)
+
     def test_nan_factor_rejected(self, enriched_db):
         # a NaN factor would give every record a NaN threshold and mark
         # nothing significant
@@ -374,6 +378,22 @@ def test_unknown_tail_rejected_when_class_one_is_the_majority():
         score_patterns(testable, db, 0.9, "both")
     with pytest.raises(ValueError, match="tail"):
         min_p_distribution(testable, PermutationPlan(5, 0), db, "both")
+
+
+def test_alpha_outside_the_unit_interval_rejected():
+    # before this was checked, alpha = 1.5 marked all 14 testable patterns
+    # significant, NaN marked none and -1 gave a negative threshold
+    db = planted_database(40, 3)
+    testable = find_root(db, 0.05, CONFIG).testable
+    assert len(testable) == 14
+    for bad in (1.5, float("nan"), -1.0, 0.0, 1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            score_patterns(testable, db, bad, "two", float(len(testable)))
+        with pytest.raises(ValueError, match="alpha"):
+            score_patterns([], db, bad)
+    # the tail is checked first
+    with pytest.raises(ValueError, match="tail"):
+        score_patterns(testable, db, 1.5, "both")
 
 
 def test_unknown_tail_rejected_for_an_empty_family():
@@ -484,13 +504,7 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
     records = score_patterns(r.testable, db, alpha, tail, max(1.0, float(len(r.testable))))
     for rec in records:
         assert rec.min_p <= rec.p_value
-        table_p = fisher_pvalue(
-            ContingencyTable(
-                x=rec.pattern.x,
-                x_prime=rec.pattern.x_prime,
-                n=db.n,
-                n_prime=db.n_prime,
-            ),
-            tail,
-        ).pvalue
-        assert rec.p_value == table_p
+        assert type(rec.p_value) is type(rec.min_p) is float
+        assert type(rec.significant) is bool
+        exact = oracles.fisher(rec.pattern.x, rec.pattern.frequency, db.n, db.n_prime, tail)
+        assert rec.p_value == pytest.approx(float(exact), rel=1e-12)

@@ -1,13 +1,10 @@
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from sigmine.stats import (
-    ContingencyTable,
-    fisher_pvalue,
     min_attainable_pvalue,
     min_testable_frequency,
     pvalues_over_support,
@@ -24,43 +21,59 @@ def margin_setup(draw):
     return n, n_prime, f
 
 
+def pvalue(x, f, n, n_prime, tail="two"):
+    lo, row = pvalues_over_support(f, n, n_prime, tail)
+    return row[x - lo]
+
+
 def test_fisher_tails_worked_table():
-    r = fisher_pvalue(ContingencyTable(x=3, x_prime=0, n=4, n_prime=4))
-    assert r.q_at_x == approx(4 / 56, rel=1e-12)
-    assert r.p_right == approx(1 / 14, rel=1e-12)
-    assert r.p_left == approx(1.0, rel=1e-12)
-    assert r.p_two == approx(1 / 7, rel=1e-12)
+    assert pvalue(3, 3, 4, 4, "right") == approx(1 / 14, rel=1e-12)
+    assert pvalue(3, 3, 4, 4, "left") == approx(1.0, rel=1e-12)
+    assert pvalue(3, 3, 4, 4, "two") == approx(1 / 7, rel=1e-12)
 
 
 def test_two_sided_caps_at_one():
-    r = fisher_pvalue(ContingencyTable(x=1, x_prime=1, n=2, n_prime=2))
-    assert r.p_two == 1.0
+    assert pvalue(1, 2, 2, 2, "two") == 1.0
 
 
 def test_result_picks_requested_tail():
-    t = ContingencyTable(x=3, x_prime=0, n=4, n_prime=4)
-    assert fisher_pvalue(t, "right").pvalue == approx(1 / 14, rel=1e-12)
-    assert fisher_pvalue(t, "left").pvalue == approx(1.0, rel=1e-12)
-    assert fisher_pvalue(t, "two").pvalue == approx(1 / 7, rel=1e-12)
+    # x = 3 of the four class 1 graphs at margin 3 is enriched in class 1
+    # whichever class is larger, so its left and right rows swap with it
+    for n, n_prime in ((4, 4), (4, 2), (4, 9)):
+        for tail in ("left", "right", "two"):
+            exact = oracles.fisher(3, 3, n, n_prime, tail)
+            assert pvalue(3, 3, n, n_prime, tail) == approx(float(exact), rel=1e-12)
+    assert pvalue(3, 3, 4, 2, "right") < pvalue(3, 3, 4, 2, "left") == 1.0
 
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        ContingencyTable(x=6, x_prime=0, n=5, n_prime=5)
+        pvalues_over_support(11, 5, 5)
     with pytest.raises(ValueError):
-        ContingencyTable(x=0, x_prime=-1, n=5, n_prime=5)
+        pvalues_over_support(-1, 5, 5)
     with pytest.raises(ValueError):
-        ContingencyTable(x=1.0, x_prime=0, n=5, n_prime=5)
+        pvalues_over_support(0, -1, 5)
     with pytest.raises(ValueError):
-        ContingencyTable(x=0, x_prime=0, n=0, n_prime=5)
+        min_attainable_pvalue(2, 0, 5)
+
+
+def test_rows_are_read_only_floats():
+    # the cache shares each table with every caller
+    for n, n_prime in ((4, 7), (7, 4)):
+        for tail in ("left", "right"):
+            lo, row = pvalues_over_support(3, n, n_prime, tail)
+            assert row.dtype == np.float64
+            with pytest.raises(ValueError):
+                row[0] = 0.5
+    assert type(min_attainable_pvalue(3, 4, 7, "left")) is float
+    assert type(min_attainable_pvalue(3, 7, 4, "two")) is float
 
 
 def test_bad_tail_rejected():
-    t = ContingencyTable(x=1, x_prime=0, n=2, n_prime=2)
-    with pytest.raises(ValueError):
-        fisher_pvalue(t, "both")
     with pytest.raises(ValueError):
         pvalues_over_support(2, 2, 2, "upper")
+    with pytest.raises(ValueError):
+        pvalues_over_support(2, 3, 2, "both")
     with pytest.raises(ValueError):
         min_attainable_pvalue(2, 2, 2, "lower")
 
@@ -94,14 +107,14 @@ def test_alpha_domain_checked():
 
 
 @given(margin_setup())
-def test_masses_sum_to_one(setup):
+def test_tail_complement_identity(setup):
+    # P(X <= x) + P(X >= x + 1) = 1 over the whole support
     n, n_prime, f = setup
-    lo, hi = max(0, f - n_prime), min(f, n)
-    total = math.fsum(
-        fisher_pvalue(ContingencyTable(x=x, x_prime=f - x, n=n, n_prime=n_prime)).q_at_x
-        for x in range(lo, hi + 1)
-    )
-    assert total == approx(1.0, rel=1e-12)
+    _, left = pvalues_over_support(f, n, n_prime, "left")
+    _, right = pvalues_over_support(f, n, n_prime, "right")
+    for i in range(len(left) - 1):
+        assert left[i] + right[i + 1] == approx(1.0, rel=1e-12)
+    assert left[-1] == approx(1.0, rel=1e-12) and right[0] == approx(1.0, rel=1e-12)
 
 
 @given(margin_setup(), st.data())
@@ -109,31 +122,25 @@ def test_mass_and_tails_match_exact_oracle(setup, data):
     n, n_prime, f = setup
     lo, hi = max(0, f - n_prime), min(f, n)
     x = data.draw(st.integers(lo, hi))
-    r = fisher_pvalue(ContingencyTable(x=x, x_prime=f - x, n=n, n_prime=n_prime))
-    assert r.q_at_x == approx(float(oracles.mass(x, f, n, n_prime)), rel=1e-11)
-    assert r.p_left == approx(float(oracles.left_tail(x, f, n, n_prime)), rel=1e-11)
-    assert r.p_right == approx(float(oracles.right_tail(x, f, n, n_prime)), rel=1e-11)
-    assert r.p_two == approx(float(oracles.fisher(x, f, n, n_prime, "two")), rel=1e-11)
-
-
-@given(margin_setup(), st.data())
-def test_tail_complement_identity(setup, data):
-    n, n_prime, f = setup
-    lo, hi = max(0, f - n_prime), min(f, n)
-    x = data.draw(st.integers(lo, hi))
-    r = fisher_pvalue(ContingencyTable(x=x, x_prime=f - x, n=n, n_prime=n_prime))
-    assert r.p_left + r.p_right - r.q_at_x == approx(1.0, rel=1e-12)
-
-
-@given(margin_setup(), st.data())
-def test_pvalue_never_below_attainable_bound(setup, data):
-    n, n_prime, f = setup
-    lo, hi = max(0, f - n_prime), min(f, n)
-    x = data.draw(st.integers(lo, hi))
     for tail in ("left", "right", "two"):
-        r = fisher_pvalue(ContingencyTable(x=x, x_prime=f - x, n=n, n_prime=n_prime), tail)
+        exact = oracles.fisher(x, f, n, n_prime, tail)
+        assert pvalue(x, f, n, n_prime, tail) == approx(float(exact), rel=1e-11)
+    # each tail's first entry is its end mass alone
+    assert pvalue(lo, f, n, n_prime, "left") == approx(
+        float(oracles.mass(lo, f, n, n_prime)), rel=1e-11
+    )
+    assert pvalue(hi, f, n, n_prime, "right") == approx(
+        float(oracles.mass(hi, f, n, n_prime)), rel=1e-11
+    )
+
+
+@given(margin_setup())
+def test_pvalue_never_below_attainable_bound(setup):
+    n, n_prime, f = setup
+    for tail in ("left", "right", "two"):
+        _, row = pvalues_over_support(f, n, n_prime, tail)
         # float-level >=, not approximate: testability pruning relies on it
-        assert r.pvalue >= min_attainable_pvalue(f, n, n_prime, tail)
+        assert row.min() >= min_attainable_pvalue(f, n, n_prime, tail)
 
 
 @given(st.integers(1, 12), st.data())
@@ -147,13 +154,14 @@ def test_attainable_bound_monotone_in_frequency(n, data):
 
 @given(margin_setup())
 def test_pvalues_over_support_match_pointwise(setup):
+    # every attainable x of the row against rational arithmetic
     n, n_prime, f = setup
     for tail in ("left", "right", "two"):
         lo, pvals = pvalues_over_support(f, n, n_prime, tail)
+        assert (lo, len(pvals)) == (max(0, f - n_prime), min(f, n) - lo + 1)
         for i, p in enumerate(pvals):
-            x = lo + i
-            r = fisher_pvalue(ContingencyTable(x=x, x_prime=f - x, n=n, n_prime=n_prime), tail)
-            assert p == r.pvalue
+            exact = oracles.fisher(lo + i, f, n, n_prime, tail)
+            assert p == approx(float(exact), rel=1e-11)
 
 
 @given(st.integers(1, 10), st.data(), st.sampled_from([0.01, 0.05, 0.123, 0.31]))
@@ -184,13 +192,9 @@ def test_large_margin_tails_stay_accurate(x):
     # margins in the tens of thousands: relative error must hold at 1e-10
     n = n_prime = 50_000
     f = 1_000
-    r = fisher_pvalue(ContingencyTable(x=x, x_prime=f - x, n=n, n_prime=n_prime))
-    for got, want in (
-        (r.p_left, oracles.left_tail(x, f, n, n_prime)),
-        (r.p_right, oracles.right_tail(x, f, n, n_prime)),
-        (r.p_two, oracles.fisher(x, f, n, n_prime, "two")),
-    ):
-        assert got == approx(float(want), rel=1e-10)
+    for tail in ("left", "right", "two"):
+        want = oracles.fisher(x, f, n, n_prime, tail)
+        assert pvalue(x, f, n, n_prime, tail) == approx(float(want), rel=1e-10)
 
 
 def test_large_margin_attainable_bound_accurate():
