@@ -18,9 +18,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sigmine.mining import MinerConfig, mine
+from sigmine.mining import MinerConfig
 from sigmine.permute import PermutationPlan, effective_num_tests, min_p_distribution
-from sigmine.search import find_root, score_patterns
+from sigmine.search import find_root, full_family, score_patterns
 from sigmine.synth import planted_database
 
 
@@ -71,8 +71,8 @@ def main() -> int:
         cap = int(cap_text)
         config = MinerConfig(min_frequency=1, max_vertices=cap)
 
-        full = mine(db, MinerConfig(min_frequency=2, max_vertices=cap))
-        bonferroni = len(full.patterns)
+        full = full_family(db, config)
+        bonferroni = len(full)
 
         result = find_root(db, args.alpha, config, args.tail)
         testable = len(result.testable)
@@ -84,7 +84,7 @@ def main() -> int:
         samples = min_p_distribution(result.testable, plan, db, args.tail)
         m_eff = effective_num_tests(samples, args.alpha, testable)
 
-        sig_bf = significant_count(full.patterns, db, args.alpha, args.tail, bonferroni)
+        sig_bf = significant_count(full, db, args.alpha, args.tail, bonferroni)
         sig_ta = significant_count(result.testable, db, args.alpha, args.tail, testable)
         sig_ef = significant_count(result.testable, db, args.alpha, args.tail, m_eff)
 

@@ -34,9 +34,8 @@ Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 A run can be steered through a hook called at every emission. The hook may
 raise the support threshold while the run is in progress (the live threshold
 is miner state, so ``MinerConfig`` stays immutable), and an exception it
-raises ends the run. The miner knows no budget and no deadline: the root
-search raises thresholds and aborts over-budget probes through the hook, and
-a time limit is a hook that raises once the clock passes it.
+raises ends the run. The miner knows no budget and no deadline: ``search._run``
+composes sigma raising, the pattern budget and a deadline in its one hook.
 """
 
 from __future__ import annotations

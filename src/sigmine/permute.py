@@ -245,6 +245,9 @@ def empirical_fwer(
     testable set can never produce a rejection, so its rate is 0.
     """
     _check_tail(tail)
+    # a cut outside the p-values' range means nothing; NaN fails this test too
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     if not testable:
         return 0.0
     samples = min_p_distribution(testable, plan, db, tail)

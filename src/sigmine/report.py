@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence
 
 from .graphs import GraphDatabase, ParseError, _integral_fields, parse_database
-from .mining import MinerConfig, Pattern, code_string, mine
+from .mining import MinerConfig, Pattern, code_string
 from .permute import (
     PermutationPlan,
     effective_num_tests,
@@ -31,6 +30,7 @@ from .search import (
     Strategy,
     TraceEntry,
     find_root,
+    full_family,
     score_patterns,
 )
 from .stats import TailMode
@@ -92,6 +92,8 @@ class RunConfig:
         # NaN compares false with everything, so `not > 0` rejects it too
         if self.bf_timeout is not None and not self.bf_timeout > 0:
             raise ValueError("bf_timeout must be positive or None")
+        if self.bf_timeout is not None and self.correction != "bonferroni_full":
+            raise ValueError("bf_timeout needs the bonferroni_full correction")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.min_p_out is not None and self.correction != "efftests":
@@ -136,27 +138,21 @@ def _read_text(path: str) -> str:
         raise ParseError(line, f"byte 0x{data[exc.start]:02x} in {path} is not UTF-8") from None
 
 
-class _Timeout(Exception):
-    """The bonferroni-full enumeration ran past ``bf_timeout``."""
-
-
 def run_pipeline(config: RunConfig) -> Report:
     """Execute one full run and assemble the report in memory.
 
     I/O and parse failures propagate to the caller; everything after a
     successful parse produces a report, possibly with empty records.
-    ``bf_timeout`` is enforced by the bonferroni-full run's emission hook,
-    which ends the enumeration at the first emission past the limit; the
-    report then has status "bf_timeout" and no records.
+    The root search is ``search.find_root``; bonferroni-full's family is
+    ``search.full_family``, which stops at its first emission past
+    ``bf_timeout``. The report then has status "bf_timeout" and no records.
     """
     graph_text = _read_text(config.input)
     labels_text = _read_text(config.labels) if config.labels else None
     db = parse_database(graph_text, labels_text)
 
     miner_config = MinerConfig(
-        min_frequency=1,
-        max_vertices=config.max_vertices,
-        count_singletons=config.count_singletons,
+        1, max_vertices=config.max_vertices, count_singletons=config.count_singletons
     )
     result = find_root(db, config.alpha, miner_config, config.tail, config.strategy)
 
@@ -170,30 +166,14 @@ def run_pipeline(config: RunConfig) -> Report:
         if config.correction == "tarone":
             factor = len(result.testable) or None
         elif config.correction == "bonferroni_full":
-            full_config = replace(miner_config, min_frequency=2)
-            on_emit = None
-            if config.bf_timeout is not None:
-                deadline = time.monotonic() + config.bf_timeout
-
-                def on_emit(frequency: int) -> int:
-                    if time.monotonic() > deadline:
-                        raise _Timeout
-                    return full_config.min_frequency
-
-            try:
-                full = mine(db, full_config, on_emit)
-                factor = len(full.patterns) or None
-                family = full.patterns
-            except _Timeout:
-                status = "bf_timeout"
-        else:
-            if result.testable:
-                plan = PermutationPlan(config.permutations, config.seed)
-                min_p_samples = min_p_distribution(result.testable, plan, db, config.tail)
-                m_eff = effective_num_tests(
-                    min_p_samples, config.alpha, len(result.testable)
-                )
-                factor = m_eff
+            family = full_family(db, miner_config, config.bf_timeout)
+            if family is None:
+                status, family = "bf_timeout", ()
+            factor = len(family) or None
+        elif result.testable:
+            plan = PermutationPlan(config.permutations, config.seed)
+            min_p_samples = min_p_distribution(result.testable, plan, db, config.tail)
+            factor = m_eff = effective_num_tests(min_p_samples, config.alpha, len(result.testable))
 
     records: tuple[SignificanceRecord, ...] = ()
     if factor is not None:

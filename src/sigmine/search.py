@@ -6,14 +6,13 @@ where psi is the frequency-indexed lower bound on attainable p-values. The
 predicate "count fits the budget" is monotone in sigma: raising sigma can only
 shrink the count and grow the budget.
 
-``find_root`` is the one entry point. It finds the minimum testable frequency,
-hands it to a strategy, and assembles the result. A strategy is a policy for
-which mining runs to make; five exploit the monotonicity differently but must
-return identical results. The budgeted probes of ``incremental`` and
-``bisection`` abort a run once it emits one pattern more than the budget at
-its threshold; the default, ``dynamic``, mines once and raises its own
-threshold as it goes. Both steer the miner through its ``on_emit`` hook, so
-the budget is known only here.
+``find_root`` and ``full_family`` are the two ways in. ``find_root`` finds the
+minimum testable frequency, hands it to a strategy, and assembles the result.
+A strategy is a policy for which mining runs to make; five exploit the
+monotonicity differently but must return identical results. ``full_family``
+is bonferroni-full's family. Every mining run goes through ``_run``, whose one
+``on_emit`` hook carries the pattern budget of the probes, the sigma raising
+of ``dynamic`` and a deadline, so the miner knows neither budget nor clock.
 
 Because psi plateaus once sigma exceeds the smaller class size m, the root can
 lie above m on degenerate inputs; every strategy escalates upward past m in
@@ -92,8 +91,35 @@ class SignificanceRecord:
     significant: bool
 
 
-class _BudgetExceeded(Exception):
-    """A probe emitted one pattern more than its budget."""
+class _Stopped(Exception):
+    """A run emitted one pattern more than its budget, or passed its deadline."""
+
+
+def _run(
+    db: GraphDatabase, config: MinerConfig, sigma: int, budget: int | None = None,
+    raise_sigma: Callable[[int], int] | None = None, deadline: float | None = None,
+) -> tuple[tuple[Pattern, ...] | None, int]:
+    """Mine at ``sigma``: the patterns (None if stopped) and the emission count.
+
+    The run stops at its ``budget + 1``-th emission or at the first one past
+    the ``time.monotonic()`` ``deadline``. ``raise_sigma`` sees the support of
+    every emission and returns the threshold from then on.
+    """
+    emitted = 0
+
+    def on_emit(frequency: int) -> int:
+        nonlocal emitted
+        emitted += 1
+        if budget is not None and emitted > budget:
+            raise _Stopped
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Stopped
+        return sigma if raise_sigma is None else raise_sigma(frequency)
+
+    try:
+        return mine(db, replace(config, min_frequency=sigma), on_emit).patterns, emitted
+    except _Stopped:
+        return None, emitted
 
 
 class _Session:
@@ -125,34 +151,13 @@ class _Session:
         return budget is None or count <= budget
 
     def mine_at(
-        self,
-        sigma: int,
-        budget: int | None = None,
-        raise_sigma: Callable[[int], int] | None = None,
+        self, sigma: int, budget: int | None = None, raise_sigma: Callable[[int], int] | None = None
     ) -> tuple[Pattern, ...] | None:
-        """Mine at ``sigma`` and record the run; None when the budget tripped.
-
-        The run aborts at its ``budget + 1``-th emission. ``raise_sigma``, when
-        given, sees the support of every emission and returns the miner's
-        threshold from then on.
-        """
-        emitted = 0
-
-        def on_emit(frequency: int) -> int:
-            nonlocal emitted
-            emitted += 1
-            if budget is not None and emitted > budget:
-                raise _BudgetExceeded
-            return sigma if raise_sigma is None else raise_sigma(frequency)
-
-        config = replace(self.config, min_frequency=sigma)
+        """``_run`` at ``sigma``, recorded in the trace; None when the budget tripped."""
         t0 = time.perf_counter()
-        try:
-            patterns = mine(self.db, config, on_emit=on_emit).patterns
-            status = "completed"
-        except _BudgetExceeded:
-            patterns, status = None, "terminated_early"
+        patterns, emitted = _run(self.db, self.config, sigma, budget, raise_sigma)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
+        status = "completed" if patterns is not None else "terminated_early"
         self.trace.append(TraceEntry(sigma, budget, status, emitted, elapsed_ms))
         return patterns
 
@@ -306,6 +311,18 @@ def find_root(
         testable=tuple(testable),
         trace=tuple(session.trace),
     )
+
+
+def full_family(
+    db: GraphDatabase, config: MinerConfig, timeout: float | None = None
+) -> tuple[Pattern, ...] | None:
+    """Every pattern with support >= 2, bonferroni-full's family; None past ``timeout``.
+
+    ``config`` sets the vertex cap and singleton rule, as for ``find_root``.
+    The clock is read at each emission. No trace records this run.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    return _run(db, config, 2, deadline=deadline)[0]
 
 
 def score_patterns(

@@ -21,7 +21,7 @@ from sigmine.permute import (
     empirical_fwer,
     min_p_distribution,
 )
-from sigmine.search import STRATEGIES, find_root, score_patterns
+from sigmine.search import STRATEGIES, find_root, full_family, score_patterns
 from sigmine.stats import min_attainable_pvalue, pvalues_over_support
 from sigmine.synth import planted_database, random_database
 
@@ -172,8 +172,7 @@ def test_c5_correction_factor_ordering_and_gap():
         config = MinerConfig(1, max_vertices=max_vertices)
         result = find_root(db, 0.05, config, "two")
         assert result.testable
-        full = mine(db, MinerConfig(2, max_vertices=max_vertices))
-        bonferroni = len(full.patterns)
+        bonferroni = len(full_family(db, config))
         plan = PermutationPlan(1000, 21)
         samples = min_p_distribution(result.testable, plan, db, "two")
         m_eff = effective_num_tests(samples, 0.05, len(result.testable))

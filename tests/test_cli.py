@@ -70,10 +70,13 @@ class TestRunConfigValidation:
             {"max_vertices": 0},
             {"permutations": 0},
             {"fwer_permutations": -1},
-            {"bf_timeout": 0.0},
+            {"bf_timeout": 0.0, "correction": "bonferroni_full"},
             {"format": "xml"},
             {"seed": -1},
-            {"bf_timeout": float("nan")},
+            {"bf_timeout": float("nan"), "correction": "bonferroni_full"},
+            # a deadline only the bonferroni-full enumeration reads
+            {"bf_timeout": 1.0},
+            {"bf_timeout": 1.0, "correction": "efftests"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

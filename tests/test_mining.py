@@ -22,6 +22,7 @@ from sigmine.mining import (
     mine,
     minimum_code,
 )
+from sigmine.search import full_family
 from sigmine.synth import planted_database, random_database
 
 # graph 0: the path A-x-B-y-C; graph 1: the same path closed into a triangle
@@ -450,12 +451,12 @@ def test_kept_family_memory_is_bounded_on_twenty_thousand_graphs():
     db.layout  # built before tracing, as it is by a run's earlier mines
     tracemalloc.start()
     try:
-        outcome = mine(db, MinerConfig(min_frequency=2, max_vertices=3))
+        family = full_family(db, MinerConfig(min_frequency=1, max_vertices=3))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(outcome.patterns) == 134
-    assert sum(p.frequency for p in outcome.patterns) == 158254
+    assert len(family) == 134
+    assert sum(p.frequency for p in family) == 158254
     assert held < 3 * 2**20
 
 

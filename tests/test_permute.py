@@ -22,7 +22,7 @@ from sigmine.permute import (
 )
 from sigmine.search import find_root
 from sigmine.stats import min_attainable_pvalue, pvalues_over_support
-from sigmine.synth import random_database
+from sigmine.synth import planted_database, random_database
 
 CONFIG = MinerConfig(min_frequency=1)
 
@@ -300,6 +300,16 @@ class TestEmpiricalFwer:
         floor = min_attainable_pvalue(pattern.frequency, 10, 10, "right")
         plan = PermutationPlan(300, 17)
         assert empirical_fwer([pattern], floor, plan, enriched_db, "right") == 0.0
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 5.0])
+    def test_threshold_outside_the_unit_interval_rejected(self, threshold):
+        db = planted_database(40, 3)
+        result = find_root(db, 0.05, CONFIG, "two")
+        assert len(result.testable) == 14
+        plan = PermutationPlan(50, 0)
+        for family in (result.testable, ()):
+            with pytest.raises(ValueError, match="threshold"):
+                empirical_fwer(family, threshold, plan, db, "two")
 
     def test_empty_testable_is_zero(self, enriched_db):
         plan = PermutationPlan(10, 0)

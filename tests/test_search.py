@@ -14,10 +14,11 @@ from sigmine.search import (
     STRATEGIES,
     _Session,
     find_root,
+    full_family,
     score_patterns,
 )
 from sigmine.stats import min_attainable_pvalue, min_testable_frequency
-from sigmine.synth import planted_database
+from sigmine.synth import planted_database, random_database
 from test_mining import PATH_AND_TRIANGLE
 
 CONFIG = MinerConfig(min_frequency=1)
@@ -217,6 +218,38 @@ def test_budget_aborts_enumeration():
             assert patterns is None
     assert len(session.trace) == 4
     assert sum(t.emitted for t in session.trace) == 5 + 6 + 6 + 1
+
+
+FAMILY_DATABASES = {
+    "planted-0": lambda: planted_database(12, 0),
+    "planted-1": lambda: planted_database(12, 1),
+    "random-0": lambda: random_database(
+        10, 0, num_vertex_labels=2, num_edge_labels=1, edge_probability=0.4
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_DATABASES)
+@pytest.mark.parametrize("max_vertices", [None, 1, 3])
+@pytest.mark.parametrize("singletons", [True, False])
+def test_full_family_is_every_pattern_of_support_two(name, max_vertices, singletons):
+    db = FAMILY_DATABASES[name]()
+    config = MinerConfig(1, max_vertices=max_vertices, count_singletons=singletons)
+    got = {}
+    for p in full_family(db, config):
+        g = oracles.code_to_graph(p.code)
+        key = oracles.canonical_key(g.vertex_labels, g.edges)
+        assert key not in got, "pattern emitted twice"
+        got[key] = (p.occurrences, p.vertex_count, p.edge_count)
+    assert got == oracles.mine_exhaustively(db, 2, max_vertices, singletons)
+
+
+def test_full_family_stops_at_its_timeout():
+    db = planted_database(40, 3)
+    assert full_family(db, CONFIG, timeout=1e-9) is None
+    family = full_family(db, CONFIG)
+    assert len(family) == 133
+    assert full_family(db, CONFIG, timeout=math.inf) == family
 
 
 class TestDegenerateInputs:
