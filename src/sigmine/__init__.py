@@ -29,7 +29,7 @@ from .permute import (
     empirical_fwer,
     min_p_distribution,
 )
-from .report import Report, RunConfig, run_pipeline, write_report
+from .report import Report, RunConfig, run_pipeline
 from .search import (
     RootSearchResult,
     SignificanceRecord,
@@ -72,5 +72,4 @@ __all__ = [
     "run_pipeline",
     "score_patterns",
     "serialize_database",
-    "write_report",
 ]

@@ -3,18 +3,19 @@
 Exit codes: 0 for a produced report (including empty ones), 1 for usage
 errors, 2 for I/O or parse failures (input that is not UTF-8 included), 3
 when a full-enumeration correction hit its time limit and the report carries
-only the partial summary, 4 when the run ran out of memory, and 130 when it
-was interrupted. No failure prints a traceback.
+only the partial summary (a line on stderr says so), 4 when the run ran out
+of memory, and 130 when it was interrupted. No failure prints a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 from .graphs import LabelError, ParseError, ValidityError
-from .permute import write_min_p_samples
-from .report import RunConfig, render_report, run_pipeline, write_report, write_trace
+from .report import RunConfig, render_min_p, render_report, render_trace, run_pipeline
 from .search import STRATEGIES
 
 
@@ -111,28 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run's configuration; the output paths stay on ``args``."""
     if args.max_vertices < 0:
         raise ValueError("--max-vertices must be 0 (unlimited) or positive")
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    return RunConfig(
-        input=args.input,
-        labels=args.labels,
-        alpha=args.alpha,
-        tail=args.tail,
-        strategy=args.strategy,
-        max_vertices=args.max_vertices if args.max_vertices > 0 else None,
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    given.update(
+        max_vertices=args.max_vertices or None,
         correction=args.correction.replace("-", "_"),
-        permutations=args.permutations,
-        fwer_permutations=args.fwer_permutations,
-        seed=args.seed,
-        output=args.output,
-        format=args.format,
-        trace=args.trace,
         count_singletons=args.count_singletons == "on",
-        bf_timeout=args.bf_timeout,
-        min_p_out=args.min_p_out,
     )
+    config = RunConfig(**given)
+    if args.min_p_out is not None and config.correction != "efftests":
+        raise ValueError("min_p_out needs the efftests correction")
+    return config
 
 
 def main(argv=None) -> int:
@@ -166,21 +160,23 @@ def _run(argv) -> int:
         return 2
 
     try:
-        if config.output:
-            write_report(report, config.output, config.format)
+        text = render_report(report, config.format)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
         else:
-            sys.stdout.write(render_report(report, config.format))
-        if config.trace:
-            write_trace(report.search.trace, config.trace)
-        if config.min_p_out:
-            write_min_p_samples(config.min_p_out, report.min_p_samples or ())
+            sys.stdout.write(text)
+        if args.trace:
+            Path(args.trace).write_text(render_trace(report.search.trace), encoding="utf-8")
+        if args.min_p_out:
+            samples = report.min_p_samples or ()
+            Path(args.min_p_out).write_text(render_min_p(samples), encoding="utf-8")
     except OSError as exc:
         print(f"sigmine: error: {exc}", file=sys.stderr)
         return 2
 
-    if report.summary["status"] == "no_testable":
-        print(
-            "sigmine: no testable subgraphs at this level; empty report written",
-            file=sys.stderr,
-        )
-    return 3 if report.summary["status"] == "bf_timeout" else 0
+    status = report.summary["status"]
+    if status == "no_testable":
+        print("sigmine: no testable subgraphs at this level; empty report written", file=sys.stderr)
+    if status == "bf_timeout":
+        print("sigmine: --bf-timeout reached; the report holds the summary only", file=sys.stderr)
+    return 3 if status == "bf_timeout" else 0

@@ -205,11 +205,11 @@ class GraphDatabase:
     ``vertex_labels[vertex_offsets[i]:vertex_offsets[i + 1]]``, and its edges
     are the rows ``edge_offsets[i]:edge_offsets[i + 1]`` of ``edges``, each
     ``(u, v, label)`` with endpoints numbered within the graph, in any order
-    and orientation. The arrays are int64 and read-only. The checked ways in
-    are ``parse_database`` and ``from_graphs``; the constructor checks the
-    classes, graph ids, tokens and array shapes, not each edge. ``graphs``
-    reads the graphs back as ``LabeledGraph`` records (edges normalised and
-    sorted) on first use; ``layout`` is the miner's form, also built once.
+    and orientation. The arrays are int64 and read-only. The constructor
+    checks the classes, graph ids, tokens and array shapes, and every label
+    and edge row as ``LabeledGraph`` checks a graph's. ``graphs`` reads the
+    graphs back as ``LabeledGraph`` records (edges normalised and sorted) on
+    first use; ``layout`` is the miner's form, also built once.
     """
 
     graph_ids: tuple[int, ...]
@@ -263,6 +263,7 @@ class GraphDatabase:
         ):
             if offsets[0] != 0 or offsets[-1] != len(rows) or (np.diff(offsets) < 0).any():
                 raise ValueError(f"{kind} offsets do not split the {len(rows)} {kind} rows")
+        self._check_rows()
         top_vertex = int(self.vertex_labels.max(initial=-1))
         if top_vertex >= len(self.vertex_tokens):
             raise ValueError(f"vertex label {top_vertex} has no vertex token")
@@ -270,6 +271,39 @@ class GraphDatabase:
         if top_edge >= len(self.edge_tokens):
             raise ValueError(f"edge label {top_edge} has no edge token")
         object.__setattr__(self, "n", ones)
+
+    def _check_rows(self) -> None:
+        """Raise ValueError at the first label or edge row ``LabeledGraph`` would reject."""
+        negative = np.flatnonzero(self.vertex_labels < 0)
+        if negative.size:
+            i = np.searchsorted(self.vertex_offsets, negative[0], "right") - 1
+            raise ValueError(f"graph {self.graph_ids[i]}: negative vertex label")
+        graph = np.repeat(np.arange(self.size), np.diff(self.edge_offsets))
+        first = self.vertex_offsets[graph]
+        u, v, label = self.edges.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        outside = (lo < 0) | (hi >= self.vertex_offsets[graph + 1] - first)
+        # global ids of the pair: two valid rows share a key only when they
+        # join the same pair of one graph, and a shared key flags the later
+        # row, so a false repeat never comes before the bad row it shares with
+        key = (lo + first) * int(self.vertex_offsets[-1]) + hi + first
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(len(key), bool)
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = np.flatnonzero((label < 0) | (u == v) | outside | repeat)
+        if not bad.size:
+            return
+        i = bad[0]
+        a, b = int(u[i]), int(v[i])
+        if label[i] < 0:
+            problem = f"negative label on edge ({a}, {b})"
+        elif a == b:
+            problem = f"self-loop at vertex {a}"
+        elif outside[i]:
+            problem = f"edge ({a}, {b}) references a missing vertex"
+        else:
+            problem = f"parallel edge ({lo[i]}, {hi[i]})"
+        raise ValueError(f"graph {self.graph_ids[graph[i]]}: {problem}")
 
     @property
     def size(self) -> int:

@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -253,9 +253,3 @@ def empirical_fwer(
     samples = min_p_distribution(testable, plan, db, tail)
     return sum(1 for s in samples if s < threshold) / len(samples)
 
-
-def write_min_p_samples(path, samples: Iterable[float]) -> None:
-    """One sample per line, full round-trip precision."""
-    with open(path, "w", encoding="ascii") as handle:
-        for sample in samples:
-            handle.write(f"{sample:.17g}\n")

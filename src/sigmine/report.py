@@ -1,9 +1,11 @@
 """End-to-end pipeline: parse, search, correct, test, serialize.
 
-Output files are a pure function of the input database and the run
-configuration, seed included. Timing numbers therefore stay on the in-memory
-objects and out of the serialized report; the trace file is the one place
-wall-clock durations are written, and it is explicitly not byte-stable.
+``run_pipeline`` builds the report in memory and each ``render_*`` function
+gives the text of one file a run writes. Output files are a pure function of
+the input database and the run configuration, seed included. Timing numbers
+therefore stay on the in-memory objects and out of the serialized report; the
+trace file is the one place wall-clock durations are written, and it is
+explicitly not byte-stable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .graphs import GraphDatabase, ParseError, _integral_fields, parse_database
 from .mining import MinerConfig, Pattern, code_string
@@ -64,12 +66,9 @@ class RunConfig:
     permutations: int = 1000
     fwer_permutations: int = 0
     seed: int = 0
-    output: str | None = None
     format: Literal["csv", "json"] = "csv"
-    trace: str | None = None
     count_singletons: bool = True
     bf_timeout: float | None = None
-    min_p_out: str | None = None
 
     def __post_init__(self):
         _integral_fields(self, "max_vertices", "permutations", "fwer_permutations", "seed")
@@ -96,8 +95,6 @@ class RunConfig:
             raise ValueError("bf_timeout needs the bonferroni_full correction")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.min_p_out is not None and self.correction != "efftests":
-            raise ValueError("min_p_out needs the efftests correction")
 
 
 @dataclass(frozen=True)
@@ -236,10 +233,6 @@ def render_report(report: Report, fmt: Literal["csv", "json"]) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_report(report: Report, path, fmt: Literal["csv", "json"]) -> None:
-    Path(path).write_text(render_report(report, fmt), encoding="utf-8")
-
-
 def render_trace(trace: Sequence[TraceEntry]) -> str:
     lines = ["sigma,budget,status,emitted,millis"]
     for entry in trace:
@@ -250,5 +243,6 @@ def render_trace(trace: Sequence[TraceEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace(trace: Sequence[TraceEntry], path) -> None:
-    Path(path).write_text(render_trace(trace), encoding="utf-8")
+def render_min_p(samples: Iterable[float]) -> str:
+    """One permutation min-p sample per line, full round-trip precision."""
+    return "".join(f"{sample:.17g}\n" for sample in samples)

@@ -321,6 +321,9 @@ def full_family(
     ``config`` sets the vertex cap and singleton rule, as for ``find_root``.
     The clock is read at each emission. No trace records this run.
     """
+    # NaN compares false with everything, so `not > 0` rejects it too
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be positive or None, got {timeout}")
     deadline = None if timeout is None else time.monotonic() + timeout
     return _run(db, config, 2, deadline=deadline)[0]
 

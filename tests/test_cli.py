@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args
 
@@ -379,8 +380,6 @@ class TestCommandLine:
 
     def test_min_p_out_needs_efftests(self, toy_path, tmp_path, capsys):
         dump = tmp_path / "minp.txt"
-        with pytest.raises(ValueError, match="efftests"):
-            RunConfig(input=toy_path, min_p_out=str(dump))
         assert main(["--input", toy_path, "--min-p-out", str(dump)]) == 1
         assert "efftests" in capsys.readouterr().err
         assert not dump.exists()
@@ -459,7 +458,7 @@ class TestCommandLine:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("sigmine:")
 
-    def test_bf_timeout_exits_three(self, tmp_path):
+    def test_bf_timeout_exits_three(self, tmp_path, capsys):
         db = planted_database(
             40, seed=9, background_vertices=10, edge_probability=0.45
         )
@@ -483,6 +482,9 @@ class TestCommandLine:
         assert code == 3
         payload = json.loads(out.read_text())
         assert payload["summary"]["status"] == "bf_timeout"
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sigmine: ")
+        assert "--bf-timeout" in lines[0] and "summary only" in lines[0]
 
     def test_no_testable_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "tiny.graphs"
@@ -511,6 +513,13 @@ class TestCommandLine:
         from sigmine.cli import config_from_args
 
         assert config_from_args(args).max_vertices is None
+
+    def test_every_run_option_is_a_config_field(self):
+        # the parsed flags minus the output paths and the ignored --threads
+        # are exactly what the run reads, so none is copied by hand
+        options = set(vars(build_parser().parse_args(["--input", "x"])))
+        outputs = {"threads", "output", "trace", "min_p_out"}
+        assert options - outputs == {f.name for f in fields(RunConfig)}
 
     def test_negative_max_vertices_is_a_usage_error(self, toy_path, capsys):
         assert main(["--input", toy_path, "--max-vertices", "-1"]) == 1

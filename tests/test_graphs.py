@@ -244,6 +244,42 @@ def test_constructor_rejects_labels_without_tokens():
         GraphDatabase((0, 1), (1, 0), ("A",), (), [0, 0, 0], [0, 2, 3], [[0, 1, 0]], [0, 1, 1])
 
 
+# graphs 0 and 1 of two vertices each (0-1 and 2-3 in the flat storage)
+TWO_PAIRS = ((0, 1), (1, 0), ("A", "B"), ("e",))
+BAD_ROWS = {
+    # vertex 2 is graph 1's first vertex, so this edge leaves its graph
+    "other graph's vertex": (
+        [0, 0, 1, 1], [[0, 2, 0], [0, 1, 0]], [0, 1, 2],
+        "graph 0: edge (0, 2) references a missing vertex",
+    ),
+    # label -1 would read the last token
+    "negative vertex label": (
+        [0, -1, 0, 0], [[0, 1, 0], [0, 1, 0]], [0, 1, 2], "graph 0: negative vertex label",
+    ),
+    "self-loop": (
+        [0, 0, 1, 1], [[0, 0, 0], [0, 1, 0]], [0, 1, 2], "graph 0: self-loop at vertex 0",
+    ),
+    "parallel pair": (
+        [0, 0, 1, 1], [[0, 1, 0], [1, 0, 0]], [0, 2, 2], "graph 0: parallel edge (0, 1)",
+    ),
+    "negative edge label": (
+        [0, 0, 1, 1], [[0, 1, 0], [1, 0, -1]], [0, 1, 2],
+        "graph 1: negative label on edge (1, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_constructor_checks_every_row(case):
+    # rows LabeledGraph rejects used to pass the constructor and then mine
+    # into patterns the graphs do not hold
+    labels, edges, edge_offsets, message = BAD_ROWS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GraphDatabase(*TWO_PAIRS, labels, [0, 2, 4], edges, edge_offsets)
+    # one edge (0, 1) in each graph, the same pair in flat ids 0-1 and 2-3
+    GraphDatabase(*TWO_PAIRS, [0, 0, 1, 1], [0, 2, 4], [[0, 1, 0], [1, 0, 0]], [0, 1, 2])
+
+
 def test_from_graphs_defaults_tokens():
     db = GraphDatabase.from_graphs(
         [LabeledGraph(0, (0, 2), ((0, 1, 1),)), LabeledGraph(1, (1,), ())],

@@ -18,8 +18,8 @@ from sigmine.permute import (
     effective_num_tests,
     empirical_fwer,
     min_p_distribution,
-    write_min_p_samples,
 )
+from sigmine.report import render_min_p
 from sigmine.search import find_root
 from sigmine.stats import min_attainable_pvalue, pvalues_over_support
 from sigmine.synth import planted_database, random_database
@@ -342,10 +342,9 @@ class TestEmpiricalFwer:
         assert rate <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / plan.iterations)
 
 
-def test_write_min_p_samples_round_trips(tmp_path):
-    path = tmp_path / "minp.txt"
+def test_render_min_p_round_trips():
     samples = (0.12345678901234567, 1.0, sys.float_info.min)
-    write_min_p_samples(path, samples)
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = render_min_p(samples).splitlines()
     assert len(lines) == 3
     assert tuple(float(line) for line in lines) == samples
+    assert render_min_p(()) == ""

@@ -252,6 +252,13 @@ def test_full_family_stops_at_its_timeout():
     assert full_family(db, CONFIG, timeout=math.inf) == family
 
 
+@pytest.mark.parametrize("timeout", [math.nan, -1.0, 0.0])
+def test_full_family_rejects_a_timeout_that_is_not_positive(timeout):
+    # NaN never compares past the clock and would never stop the run
+    with pytest.raises(ValueError, match="timeout"):
+        full_family(planted_database(40, 3), CONFIG, timeout)
+
+
 class TestDegenerateInputs:
     def test_no_testable_frequency(self):
         db = GraphDatabase.from_graphs(
