@@ -195,10 +195,11 @@ class GraphDatabase:
     Graph positions (0-based order of appearance) act as transaction ids
     throughout the package. Classes are the integers 0 and 1 (``_as_int``
     rules). Every vertex and edge label must index its token table, and every
-    token must be non-empty and free of whitespace, so that the transaction
-    format can hold it. Two databases are equal when ``serialize_database``
-    writes the same text for both; they are compared and hashed without
-    rendering it where the ids, classes or counts already tell.
+    token must be non-empty, unique in its table and free of whitespace, so
+    that the transaction format can hold it. Two databases are equal when
+    ``serialize_database`` writes the same text for both; they are compared
+    and hashed without rendering it where the ids, classes or counts already
+    tell.
 
     Storage is flat, one entry per graph, vertex or edge, the graphs end to
     end: graph position i has id ``graph_ids[i]``, its vertices' labels are
@@ -246,9 +247,13 @@ class GraphDatabase:
             seen_ids.add(gid)
         # a token the parser could not read back would break serialize_database
         for kind, tokens in (("vertex", self.vertex_tokens), ("edge", self.edge_tokens)):
+            seen_tokens = set()
             for token in tokens:
                 if token.split() != [token]:
                     raise ValueError(f"{kind} token {token!r} is empty or holds whitespace")
+                if token in seen_tokens:
+                    raise ValueError(f"{kind} token {token!r} names two labels")
+                seen_tokens.add(token)
         size = len(self.graph_ids)
         for name, shape in (
             ("vertex_labels", (-1,)),
@@ -273,11 +278,7 @@ class GraphDatabase:
         object.__setattr__(self, "n", ones)
 
     def _check_rows(self) -> None:
-        """Raise ValueError at the first label or edge row ``LabeledGraph`` would reject."""
-        negative = np.flatnonzero(self.vertex_labels < 0)
-        if negative.size:
-            i = np.searchsorted(self.vertex_offsets, negative[0], "right") - 1
-            raise ValueError(f"graph {self.graph_ids[i]}: negative vertex label")
+        """Screen the rows with numpy; the first bad graph, built as a ``LabeledGraph``, raises."""
         graph = np.repeat(np.arange(self.size), np.diff(self.edge_offsets))
         first = self.vertex_offsets[graph]
         u, v, label = self.edges.T
@@ -290,20 +291,16 @@ class GraphDatabase:
         order = np.argsort(key, kind="stable")
         repeat = np.zeros(len(key), bool)
         repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
-        bad = np.flatnonzero((label < 0) | (u == v) | outside | repeat)
-        if not bad.size:
-            return
-        i = bad[0]
-        a, b = int(u[i]), int(v[i])
-        if label[i] < 0:
-            problem = f"negative label on edge ({a}, {b})"
-        elif a == b:
-            problem = f"self-loop at vertex {a}"
-        elif outside[i]:
-            problem = f"edge ({a}, {b}) references a missing vertex"
-        else:
-            problem = f"parallel edge ({lo[i]}, {hi[i]})"
-        raise ValueError(f"graph {self.graph_ids[graph[i]]}: {problem}")
+        vertex_graph = np.repeat(np.arange(self.size), np.diff(self.vertex_offsets))
+        bad = np.concatenate((
+            vertex_graph[self.vertex_labels < 0], graph[(label < 0) | (u == v) | outside | repeat]
+        ))
+        if bad.size:
+            i = int(bad.min())
+            v0, v1 = self.vertex_offsets[i : i + 2]
+            e0, e1 = self.edge_offsets[i : i + 2]
+            labels, edges = self.vertex_labels[v0:v1].tolist(), self.edges[e0:e1].tolist()
+            LabeledGraph(self.graph_ids[i], tuple(labels), tuple(edges))
 
     @property
     def size(self) -> int:

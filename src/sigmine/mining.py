@@ -34,8 +34,9 @@ Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 A run can be steered through a hook called at every emission. The hook may
 raise the support threshold while the run is in progress (the live threshold
 is miner state, so ``MinerConfig`` stays immutable), and an exception it
-raises ends the run. The miner knows no budget and no deadline: ``search._run``
-composes sigma raising, the pattern budget and a deadline in its one hook.
+raises ends the run. The miner only enumerates: it returns every pattern it
+emitted, and its caller keeps what it needs. ``search._run`` composes sigma
+raising, the pattern budget and a deadline in its one hook.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ class Pattern:
 @dataclass(frozen=True)
 class MiningOutcome:
     patterns: tuple[Pattern, ...]
-    emitted_count: int
+
+    @property
+    def emitted_count(self) -> int:
+        return len(self.patterns)
 
 
 def _is_singleton(code: Sequence[Quint]) -> bool:
@@ -392,7 +396,6 @@ class _Miner:
         self.on_emit = on_emit
         self.sigma = config.min_frequency
         self.patterns: list[Pattern] = []
-        self.emitted = 0
 
         self.layout = layout = db.layout
         self.n = db.size
@@ -437,16 +440,12 @@ class _Miner:
         return order, pair_keys[key_pairs].tolist(), pairs - pair_keys * n, ob, rb
 
     def _emit(self, code: tuple[Quint, ...], occ: np.ndarray) -> None:
-        self.emitted += 1
         # the layout's shared ints, not fresh ones from tolist, fill the tuple
         occurrences = tuple(map(self.layout.ints.__getitem__, occ.tolist()))
         x = int(self.layout.positive[occ].sum())
         self.patterns.append(Pattern(code, occurrences, x, len(occurrences) - x))
         if self.on_emit is not None:
-            sigma = self.on_emit(len(occurrences))
-            if sigma > self.sigma:
-                self.sigma = sigma
-                self.patterns = [p for p in self.patterns if p.frequency >= sigma]
+            self.sigma = max(self.sigma, self.on_emit(len(occurrences)))
 
     def run(self) -> None:
         layout = self.layout
@@ -654,17 +653,16 @@ def mine(
 ) -> MiningOutcome:
     """Enumerate all connected patterns with support >= config.min_frequency.
 
-    ``on_emit`` is called with the support of each emitted pattern and returns
-    the support threshold from then on; a return below the current threshold
-    is ignored. Raising the threshold prunes every later child below it, stops
-    growth of the pattern just emitted if it fell below, and drops the
-    patterns kept so far that fell below, so the outcome holds exactly the
-    emitted patterns at or above the final threshold. ``emitted_count`` still
-    counts every emission. An exception raised by ``on_emit`` ends the run
-    and propagates to the caller; that is how a caller stops a run at a
-    pattern budget or a time limit, since the miner has no deadline of its
-    own.
+    The outcome holds every emitted pattern, in emission order. ``on_emit``
+    is called with the support of each and returns the support threshold
+    from then on; a return below the current threshold is ignored. Raising
+    the threshold prunes every later child below it and stops growth of the
+    pattern just emitted if it fell below; the patterns emitted before it
+    stay in the outcome, and the caller keeps those it needs. An exception
+    raised by ``on_emit`` ends the run and propagates to the caller; that is
+    how a caller stops a run at a pattern budget or a time limit, since the
+    miner has no deadline of its own.
     """
     miner = _Miner(db, config, on_emit)
     miner.run()
-    return MiningOutcome(tuple(miner.patterns), miner.emitted)
+    return MiningOutcome(tuple(miner.patterns))

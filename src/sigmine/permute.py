@@ -6,7 +6,7 @@ words, one bit per transaction. Permutation masks are drawn a block at a time
 and packed the same way; every permuted positive count in a block is then a
 word-by-word AND and popcount, and one table lookup per margin turns the
 counts into p-values. This packed form is the only occurrence representation
-in the package.
+the permutation stage reads.
 
 The stream is fixed: mask j is numpy's
 ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(j,))))`` shuffling m

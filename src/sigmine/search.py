@@ -59,17 +59,15 @@ class RootSearchResult:
     """Outcome of a root-frequency search.
 
     status "no_testable" means no frequency up to m clears alpha; the numeric
-    fields are then None and ``testable`` is empty. ``root_budget`` is
-    alpha / psi(root_frequency), the hypothesis budget at the root; the
-    testable patterns are exactly those with frequency >= root_frequency.
-    ``trace`` records every mining run with its cost; the run and emission
-    counts are read from it.
+    fields are then None and ``testable`` is empty. The testable patterns are
+    exactly those with frequency >= root_frequency, and at most
+    alpha / psi(root_frequency) of them. ``trace`` records every mining run
+    with its cost; the run and emission counts are read from it.
     """
 
     status: Literal["ok", "no_testable"]
     min_testable_frequency: int | None
     root_frequency: int | None
-    root_budget: float | None
     testable: tuple[Pattern, ...]
     trace: tuple[TraceEntry, ...]
 
@@ -87,7 +85,6 @@ class SignificanceRecord:
     pattern: Pattern
     p_value: float
     min_p: float
-    corrected_threshold: float
     significant: bool
 
 
@@ -132,15 +129,12 @@ class _Session:
         self.tail = tail
         self.trace: list[TraceEntry] = []
 
-    def bound(self, sigma: int) -> float:
-        return min_attainable_pvalue(sigma, self.db.n, self.db.n_prime, self.tail)
-
     def budget(self, sigma: int) -> int | None:
         """floor(alpha / psi(sigma)), the largest admissible pattern count.
 
         None means unlimited (the bound underflowed to zero, so any count fits).
         """
-        min_p = self.bound(sigma)
+        min_p = min_attainable_pvalue(sigma, self.db.n, self.db.n_prime, self.tail)
         if min_p <= 0.0:
             return None
         ratio = self.alpha / min_p
@@ -182,8 +176,9 @@ def _dynamic(session: _Session, sigma_min: int):
     patterns proving it exist, and raising sigma only drops patterns, so every
     sigma passed lies below the root. The miner prunes below the live sigma,
     which loses nothing at or above the root because support is anti-monotone.
-    The final sigma is therefore the root and the patterns kept are the
-    testable set. Above m the budget is flat and the same loop climbs on.
+    The final sigma is therefore the root. The count there fits, so
+    ``_scan_up`` keeps it and the run's patterns at or above it, the testable
+    set. Above m the budget is flat and the same loop climbs on.
     """
     histogram: Counter[int] = Counter()
     sigma, count, budget = sigma_min, 0, session.budget(sigma_min)
@@ -200,7 +195,7 @@ def _dynamic(session: _Session, sigma_min: int):
         return sigma
 
     patterns = session.mine_at(sigma_min, raise_sigma=raise_sigma)
-    return sigma, patterns
+    return _scan_up(session, sigma, patterns)
 
 
 def _onepass(session: _Session, sigma_min: int):
@@ -298,16 +293,13 @@ def find_root(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}") from None
     session = _Session(db, alpha, config, tail)
     sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
-    sigma_rt, testable, root_budget = None, (), None
+    sigma_rt, testable = None, ()
     if sigma_min is not None:
         sigma_rt, testable = policy(session, sigma_min)
-        bound = session.bound(sigma_rt)
-        root_budget = alpha / bound if bound > 0.0 else math.inf
     return RootSearchResult(
         status="ok" if sigma_min is not None else "no_testable",
         min_testable_frequency=sigma_min,
         root_frequency=sigma_rt,
-        root_budget=root_budget,
         testable=tuple(testable),
         trace=tuple(session.trace),
     )
@@ -363,6 +355,6 @@ def score_patterns(
                     f"x={pattern.x}, x_prime={pattern.x_prime} do not fit the class sizes"
                 )
             p = float(row[i])
-            records.append(SignificanceRecord(pattern, p, min_p, threshold, p < threshold))
+            records.append(SignificanceRecord(pattern, p, min_p, p < threshold))
     records.sort(key=lambda r: (r.p_value, code_string(r.pattern.code, db)))
     return tuple(records)

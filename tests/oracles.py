@@ -359,8 +359,8 @@ def min_p_reference(testable, plan, db, tail="two"):
 def mine_reference(db, config, on_emit=None):
     """The scalar miner: one ``_extend`` call per embedding, children as tuples.
 
-    Emits what ``mining.mine`` emits, in the same order, and steers the same
-    way through ``on_emit``; it has no deadline.
+    Emits what ``mining.mine`` emits, in the same order, returns every
+    emission, and steers the same way through ``on_emit``; it has no deadline.
     """
     from sigmine.mining import (
         NO_EDGE,
@@ -376,18 +376,13 @@ def mine_reference(db, config, on_emit=None):
 
     sigma = config.min_frequency
     patterns = []
-    emitted = 0
 
     def emit(code, occurrences):
-        nonlocal sigma, patterns, emitted
-        emitted += 1
+        nonlocal sigma
         x = sum(db.original_classes[t] for t in occurrences)
         patterns.append(Pattern(code, occurrences, x, len(occurrences) - x))
         if on_emit is not None:
-            raised = on_emit(len(occurrences))
-            if raised > sigma:
-                sigma = raised
-                patterns = [p for p in patterns if p.frequency >= sigma]
+            sigma = max(sigma, on_emit(len(occurrences)))
 
     if config.count_singletons:
         by_label = {}
@@ -398,7 +393,7 @@ def mine_reference(db, config, on_emit=None):
             if len(by_label[lbl]) >= sigma:
                 emit(((0, 0, lbl, NO_EDGE, lbl),), tuple(sorted(by_label[lbl])))
     if config.max_vertices is not None and config.max_vertices < 2:
-        return MiningOutcome(tuple(patterns), emitted)
+        return MiningOutcome(tuple(patterns))
     roots = {}
     for pos, g in enumerate(db.graphs):
         vl = g.vertex_labels
@@ -427,4 +422,4 @@ def mine_reference(db, config, on_emit=None):
             _extend(children, adjacencies[pos], graph_labels, pos, assign, *state, forward)
         for quint in sorted(children, key=_extension_key, reverse=True):
             stack.append((code + (quint,), children[quint], state))
-    return MiningOutcome(tuple(patterns), emitted)
+    return MiningOutcome(tuple(patterns))

@@ -413,6 +413,13 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "line 4" in err
 
+    def test_unwritable_output_exits_two(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["--input", toy_path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sigmine: error:") and err.count("\n") == 1
+        assert str(out) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--input", "--labels"])
     def test_non_utf8_input_exits_two(self, toy_path, tmp_path, capsys, flag):
         bad = tmp_path / "bad.txt"

@@ -70,6 +70,16 @@ def test_tokens_the_format_cannot_hold_are_rejected():
             GraphDatabase.from_graphs(graphs, [1, 0], edge_tokens=(bad,))
 
 
+def test_a_token_table_names_each_label_once():
+    # two labels named A would mine two singletons that both render as A,
+    # and the serialized text would parse back with the two merged
+    graphs = [LabeledGraph(0, (0, 1), ((0, 1, 0),)), LabeledGraph(1, (1,), ())]
+    with pytest.raises(ValueError, match="vertex token 'A' names two labels"):
+        GraphDatabase.from_graphs(graphs, (1, 0), vertex_tokens=("A", "A"), edge_tokens=("e",))
+    with pytest.raises(ValueError, match="edge token 'e' names two labels"):
+        GraphDatabase.from_graphs(graphs, (1, 0), ("A", "B"), ("e", "e"))
+
+
 def test_round_trip_keeps_a_token_that_looks_like_a_comment():
     graphs = [LabeledGraph(0, (0, 1), ((0, 1, 0),)), LabeledGraph(1, (1,), ())]
     db = GraphDatabase.from_graphs(graphs, [1, 0], ("%x", "c"), ("%e",))
@@ -242,6 +252,12 @@ def test_constructor_rejects_labels_without_tokens():
     # graphs 0: (0, 0) with edge (0, 1, 0), and 1: (0,)
     with pytest.raises(ValueError, match="edge label 0 has no edge token"):
         GraphDatabase((0, 1), (1, 0), ("A",), (), [0, 0, 0], [0, 2, 3], [[0, 1, 0]], [0, 1, 1])
+
+
+def test_constructor_rejects_a_repeated_graph_id():
+    # the parser names the line of a repeated id; a library caller gets the id
+    with pytest.raises(ValueError, match="duplicate graph id 0"):
+        GraphDatabase((0, 0), (1, 0), ("A",), (), [0, 0], [0, 1, 2], [], [0, 0, 0])
 
 
 # graphs 0 and 1 of two vertices each (0-1 and 2-3 in the flat storage)

@@ -155,6 +155,12 @@ def test_is_canonical_rejects_at_a_backward_quint():
     assert not is_canonical(code)
 
 
+def test_is_canonical_rejects_a_code_that_repeats_an_edge():
+    # the backward quint joins 1 to 0 a second time, so no embedding of the
+    # prefix realises it: the code describes no simple graph
+    assert not is_canonical(((0, 1, 0, 0, 0), (1, 0, 0, 1, 0)))
+
+
 @pytest.mark.parametrize(
     "code, at",
     [
@@ -378,6 +384,8 @@ def test_miner_emits_in_the_order_of_the_scalar_reference(
 
     got = run(mine)
     assert got == run(oracles.mine_reference)
+    # one pattern per hook call, raised thresholds included
+    assert got[0] == len(got[1]) == len(got[2])
     for _, occurrences, _, _ in got[2]:
         assert type(occurrences) is tuple
         assert all(a < b for a, b in zip(occurrences, occurrences[1:]))
@@ -410,6 +418,7 @@ def test_raised_threshold_prunes_children_joined_with_earlier_siblings():
         with mock.patch.object(mining._Miner, "_children", spy):
             got = run(mine, at)
         assert got == run(oracles.mine_reference, at)
+        assert got[0] == len(got[1]) == len(got[2])
     assert any(batched)
 
 

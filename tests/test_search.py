@@ -76,7 +76,9 @@ class TestWorkedExample:
             assert r.min_testable_frequency == 4
             assert r.root_frequency == 5
             assert codes(r, toy_db) == ["A"]
-            assert r.root_budget == pytest.approx(6.3, rel=1e-12)
+        # the budget at the root, alpha / psi(5)
+        budget = 0.05 / min_attainable_pvalue(5, toy_db.n, toy_db.n_prime, "two")
+        assert budget == pytest.approx(6.3, rel=1e-12)
 
     def test_invocation_counts(self, toy_db):
         counts = {
@@ -132,7 +134,6 @@ class TestWorkedExample:
         assert len(records) == 1
         rec = records[0]
         assert code_string(rec.pattern.code, toy_db) == "A"
-        assert rec.corrected_threshold == 0.05
         # x = 5 of 5 positives: two-sided p is 2 / C(10,5) dominated at the
         # extreme, which is also exactly the attainable bound at f = 5
         assert rec.p_value == pytest.approx(2 / 252, rel=1e-12)
@@ -220,6 +221,17 @@ def test_budget_aborts_enumeration():
     assert sum(t.emitted for t in session.trace) == 5 + 6 + 6 + 1
 
 
+def test_budget_is_unlimited_where_the_bound_underflows():
+    # psi(1000) at 1000 graphs per class, 2 / C(2000, 1000), is below the
+    # smallest double, so alpha / psi has no float and any count fits
+    db = random_database(2000, 0)
+    assert (db.n, db.n_prime) == (1000, 1000)
+    assert min_attainable_pvalue(1000, 1000, 1000, "two") == 0.0
+    session = _Session(db, 0.05, CONFIG, "two")
+    assert session.budget(1000) is None
+    assert session.fits(10**9, 1000)
+
+
 FAMILY_DATABASES = {
     "planted-0": lambda: planted_database(12, 0),
     "planted-1": lambda: planted_database(12, 1),
@@ -269,7 +281,6 @@ class TestDegenerateInputs:
             assert r.status == "no_testable"
             assert r.min_testable_frequency is None
             assert r.root_frequency is None
-            assert r.root_budget is None
             assert r.testable == ()
             assert r.fsm_invocations == 0
         assert score_patterns(r.testable, db, 0.05, "two", 1.0) == ()
@@ -344,7 +355,6 @@ class TestSignificantSet:
         ]
         a, b = records
         assert a.p_value == pytest.approx(1 / 184756, rel=1e-12)
-        assert a.corrected_threshold == 0.025
         assert a.significant
         assert b.p_value == 1.0
         assert not b.significant
@@ -535,7 +545,7 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
     )
     assert frozenset((p.code, p.occurrences) for p in r.testable) == expected
     assert len(r.testable) <= count(r.min_testable_frequency)
-    assert len(r.testable) <= r.root_budget
+    assert len(r.testable) <= alpha / bound(sigma_rt)
 
     # every testable pattern is individually testable at the root budget
     for p in r.testable:

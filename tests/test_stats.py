@@ -186,6 +186,15 @@ def test_min_testable_breaks_float_ties_exactly():
                     ) == oracles.min_testable(alpha, n, n_prime, tail)
 
 
+def test_min_testable_takes_a_float_bound_one_step_above_alpha():
+    # psi(2) at n = 2, n' = 10 is exactly 2 / C(12, 2) = 1/33; alpha is the
+    # double nearest 1/33, which lies above it, but the float bound rounds
+    # one step higher, so only the rational test admits frequency 2
+    alpha = 0.030303030303030304
+    assert min_attainable_pvalue(2, 2, 10, "two") > alpha
+    assert min_testable_frequency(alpha, 2, 10, "two") == 2
+
+
 @settings(deadline=None)
 @given(st.sampled_from([480, 500, 513, 560, 650, 800]))
 def test_large_margin_tails_stay_accurate(x):
