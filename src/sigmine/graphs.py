@@ -249,6 +249,8 @@ class GraphDatabase:
         for kind, tokens in (("vertex", self.vertex_tokens), ("edge", self.edge_tokens)):
             seen_tokens = set()
             for token in tokens:
+                if not isinstance(token, str):
+                    raise TypeError(f"{kind} token {token!r} is not a str")
                 if token.split() != [token]:
                     raise ValueError(f"{kind} token {token!r} is empty or holds whitespace")
                 if token in seen_tokens:

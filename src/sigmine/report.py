@@ -2,7 +2,8 @@
 
 ``run_pipeline`` builds the report in memory and each ``render_*`` function
 gives the text of one file a run writes. Output files are a pure function of
-the input database and the run configuration, seed included. Timing numbers
+the input database and the run configuration, seed included, and the search
+strategy changes none of them, only what the run costs. Timing numbers
 therefore stay on the in-memory objects and out of the serialized report; the
 trace file is the one place wall-clock durations are written, and it is
 explicitly not byte-stable.
@@ -107,17 +108,9 @@ class Report:
 
 def _display_row(rec: SignificanceRecord, db: GraphDatabase) -> dict:
     p = rec.pattern
-    return {
-        "pattern": code_string(p.code, db),
-        "vertices": p.vertex_count,
-        "edges": p.edge_count,
-        "frequency": p.frequency,
-        "x": p.x,
-        "x_prime": p.x_prime,
-        "p_value": rec.p_value,
-        "min_p": rec.min_p,
-        "significant": rec.significant,
-    }
+    values = (code_string(p.code, db), p.vertex_count, p.edge_count, p.frequency,
+              p.x, p.x_prime, rec.p_value, rec.min_p, rec.significant)
+    return dict(zip(CSV_HEADER, values, strict=True))
 
 
 def _read_text(path: str) -> str:
@@ -156,7 +149,6 @@ def run_pipeline(config: RunConfig) -> Report:
     status = result.status
     factor: float | int | None = None
     family: Sequence[Pattern] = result.testable
-    m_eff = None
     min_p_samples = None
 
     if result.status == "ok":
@@ -170,7 +162,7 @@ def run_pipeline(config: RunConfig) -> Report:
         elif result.testable:
             plan = PermutationPlan(config.permutations, config.seed)
             min_p_samples = min_p_distribution(result.testable, plan, db, config.tail)
-            factor = m_eff = effective_num_tests(min_p_samples, config.alpha, len(result.testable))
+            factor = effective_num_tests(min_p_samples, config.alpha, len(result.testable))
 
     records: tuple[SignificanceRecord, ...] = ()
     if factor is not None:
@@ -190,14 +182,11 @@ def run_pipeline(config: RunConfig) -> Report:
         "sigma_min": result.min_testable_frequency,
         "sigma_rt": result.root_frequency,
         "num_testable": len(result.testable),
-        "strategy": config.strategy,
-        "fsm_invocations": result.fsm_invocations,
         "correction": config.correction,
         "correction_factor": factor,
         "corrected_threshold": (
             config.alpha / factor if factor is not None else None
         ),
-        "m_eff": m_eff,
         "empirical_fwer": fwer,
         "seed": config.seed,
     }

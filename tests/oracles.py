@@ -17,7 +17,7 @@ must agree with exactly:
   numpy's own stream.
 - ``mine_reference`` is the scalar miner: it grows every embedding one tuple
   at a time with the package's own growth rule (``mining._step`` and
-  ``mining._extend``, which the minimality check is built on), so the array
+  ``mining._extend``, which ``mining.minimum_code`` is built on), so the array
   miner must emit the same patterns in the same order.
 
 ``layout_reference`` builds the miner's ``ArrayLayout`` fields from the

@@ -107,7 +107,13 @@ class TestPipeline:
         assert s["num_testable"] == 1
         assert s["correction_factor"] == 1
         assert s["corrected_threshold"] == 0.05
-        assert s["m_eff"] is None and s["empirical_fwer"] is None
+        assert s["empirical_fwer"] is None
+        # results only: the strategy and its mining runs go to the trace
+        assert tuple(s) == (
+            "status", "n", "n_prime", "alpha", "tail", "sigma_min", "sigma_rt",
+            "num_testable", "correction", "correction_factor", "corrected_threshold",
+            "empirical_fwer", "seed",
+        )
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row["pattern"] == "A"
@@ -116,13 +122,12 @@ class TestPipeline:
 
     def test_strategy_flag_never_changes_csv_bytes(self, toy_path, planted_path):
         for path in (toy_path, planted_path):
-            renders = {
-                render_report(
-                    run_pipeline(RunConfig(input=path, strategy=s)), "csv"
-                )
-                for s in STRATEGIES
-            }
-            assert len(renders) == 1
+            for fmt in ("csv", "json"):
+                renders = {
+                    render_report(run_pipeline(RunConfig(input=path, strategy=s)), fmt)
+                    for s in STRATEGIES
+                }
+                assert len(renders) == 1, fmt
 
     def test_correction_factor_ordering(self, planted_path):
         tarone = run_pipeline(RunConfig(input=planted_path))
@@ -131,9 +136,8 @@ class TestPipeline:
             RunConfig(input=planted_path, correction="efftests", permutations=300)
         )
         num_testable = tarone.summary["num_testable"]
-        assert eff.summary["m_eff"] <= num_testable
+        assert eff.summary["correction_factor"] <= num_testable
         assert num_testable < bf.summary["correction_factor"]
-        assert eff.summary["correction_factor"] == eff.summary["m_eff"]
 
     def test_bonferroni_records_cover_enumeration(self, toy_path):
         report = run_pipeline(RunConfig(input=toy_path, correction="bonferroni_full"))
@@ -189,7 +193,7 @@ class TestPipeline:
         first = run_pipeline(config)
         second = run_pipeline(config)
         assert render_report(first, "json") == render_report(second, "json")
-        assert 1.0 <= first.summary["m_eff"] <= first.summary["num_testable"]
+        assert 1.0 <= first.summary["correction_factor"] <= first.summary["num_testable"]
         assert 0.0 <= first.summary["empirical_fwer"] <= 1.0
         assert first.min_p_samples is not None
         assert len(first.min_p_samples) == 200

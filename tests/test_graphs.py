@@ -61,12 +61,14 @@ def test_round_trip_is_identity():
 
 
 def test_tokens_the_format_cannot_hold_are_rejected():
-    # serialized, these would read "v 0 a b" and "v 0", which do not parse
+    # serialized, these would read "v 0 a b" and "v 0", which do not parse;
+    # a bytes token rendered as b'A' and then failed to sort beside str codes
     graphs = [LabeledGraph(0, (0, 1), ((0, 1, 0),)), LabeledGraph(1, (1,), ())]
-    for bad in ("a b", "", "a\tb"):
-        with pytest.raises(ValueError, match=re.escape(f"vertex token {bad!r}")):
+    for bad in ("a b", "", "a\tb", 0, b"A"):
+        error = ValueError if isinstance(bad, str) else TypeError
+        with pytest.raises(error, match=re.escape(f"vertex token {bad!r}")):
             GraphDatabase.from_graphs(graphs, [1, 0], vertex_tokens=(bad, "c"))
-        with pytest.raises(ValueError, match=re.escape(f"edge token {bad!r}")):
+        with pytest.raises(error, match=re.escape(f"edge token {bad!r}")):
             GraphDatabase.from_graphs(graphs, [1, 0], edge_tokens=(bad,))
 
 
@@ -258,6 +260,24 @@ def test_constructor_rejects_a_repeated_graph_id():
     # the parser names the line of a repeated id; a library caller gets the id
     with pytest.raises(ValueError, match="duplicate graph id 0"):
         GraphDatabase((0, 0), (1, 0), ("A",), (), [0, 0], [0, 1, 2], [], [0, 0, 0])
+
+
+def test_constructor_checks_classes_and_stores_plain_int_ids():
+    graphs = [LabeledGraph(0, (0,), ()), LabeledGraph(1, (0,), ())]
+    with pytest.raises(ValueError, match="one class per graph required"):
+        GraphDatabase.from_graphs(graphs, [1, 0, 0])
+    # three one-vertex graphs; the parser rejects a bad class before this check
+    single = (("A",), (), [0, 0, 0], [0, 1, 2, 3], [], [0, 0, 0, 0])
+    with pytest.raises(LabelError, match="class must be 0 or 1, got 2"):
+        GraphDatabase((0, 1, 2), (1, 0, 2), *single)
+    db = GraphDatabase((np.int64(0), np.int64(1), np.int64(2)), (1, 0, 0), *single)
+    assert list(map(type, db.graph_ids)) == [int, int, int]
+
+
+def test_a_database_is_unequal_to_other_types():
+    db = parse_database(THREE_GRAPHS)
+    assert db != object()
+    assert not db == "t # 0 1"
 
 
 # graphs 0 and 1 of two vertices each (0-1 and 2-3 in the flat storage)

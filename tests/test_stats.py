@@ -55,6 +55,8 @@ def test_table_validation():
         pvalues_over_support(0, -1, 5)
     with pytest.raises(ValueError):
         min_attainable_pvalue(2, 0, 5)
+    with pytest.raises(ValueError, match="frequency must be non-negative, got -1"):
+        min_attainable_pvalue(-1, 3, 3)
 
 
 def test_rows_are_read_only_floats():

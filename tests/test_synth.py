@@ -58,3 +58,5 @@ def test_planted_database_enriches_class_one():
 def test_planted_database_validation():
     with pytest.raises(ValueError):
         planted_database(10, seed=0, motif_size=9, background_vertices=8)
+    with pytest.raises(ValueError, match="need at least two graphs"):
+        planted_database(1, 0)
