@@ -15,7 +15,14 @@ from dataclasses import fields
 from pathlib import Path
 
 from .graphs import LabelError, ParseError, ValidityError
-from .report import RunConfig, render_min_p, render_report, render_trace, run_pipeline
+from .report import (
+    Report,
+    RunConfig,
+    iter_report,
+    render_min_p,
+    render_trace,
+    run_pipeline,
+)
 from .search import STRATEGIES
 
 
@@ -129,6 +136,20 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def write_report(report: Report, fmt: str, path: str | None) -> None:
+    """Write the report to ``path``, or to stdout if it is None or empty.
+
+    The pieces of ``iter_report`` are written as they come, so neither the
+    whole text nor an encoded copy of it is ever held.
+    """
+    pieces = iter_report(report, fmt)
+    if not path:
+        sys.stdout.writelines(pieces)
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(pieces)
+
+
 def main(argv=None) -> int:
     try:
         return _run(argv)
@@ -160,11 +181,7 @@ def _run(argv) -> int:
         return 2
 
     try:
-        text = render_report(report, config.format)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        write_report(report, config.format, args.output)
         if args.trace:
             Path(args.trace).write_text(render_trace(report.search.trace), encoding="utf-8")
         if args.min_p_out:

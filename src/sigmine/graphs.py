@@ -169,22 +169,53 @@ class ArrayLayout:
         num_v = int(offsets[-1])
         self.largest = int(vcounts.max(initial=0))
         self.gpos = np.repeat(np.arange(n), vcounts)
-        vlabels, self.vrank = np.unique(db.vertex_labels, return_inverse=True)
+        vlabels, self.vrank = _dense_ranks(db.vertex_labels, len(db.vertex_tokens))
         edges = db.edges
+        elabels, erank = _dense_ranks(edges[:, 2], len(db.edge_tokens))
+        # each edge is listed from both ends, each end once as src
         shift = np.repeat(offsets[:-1], np.diff(db.edge_offsets))
-        u, v = edges[:, 0] + shift, edges[:, 1] + shift
+        u = edges[:, 0] + shift
+        v = edges[:, 1] + shift
+        del shift
         src, dst = np.concatenate((u, v)), np.concatenate((v, u))
-        order = np.argsort(src * num_v + dst)
-        self.nbr = dst[order].astype(np.int32)
-        self.nbr_off = np.searchsorted(src[order], np.arange(num_v + 1))
-        self.deg = self.nbr_off[1:] - self.nbr_off[:-1]
-        elabels, erank = np.unique(np.tile(edges[:, 2], 2)[order], return_inverse=True)
-        pairs, self.prank = np.unique(
-            erank * len(vlabels) + self.vrank[self.nbr], return_inverse=True
-        )
+        del u, v
+        self.deg = np.bincount(src, minlength=num_v)
+        self.nbr_off = _offsets(self.deg)
+        src *= num_v
+        src += dst
+        order = np.argsort(src)
+        del src
+        self.nbr = dst.astype(np.int32)[order]
+        del dst
+        # the half at position i of (u, v) belongs to edge i mod E
+        np.remainder(order, max(1, len(edges)), out=order)
+        pair = erank[order]
+        del order, erank
+        pair *= len(vlabels)
+        pair += self.vrank[self.nbr]
+        pairs, self.prank = _dense_ranks(pair, len(elabels) * len(vlabels))
+        del pair
         self.vlabels = vlabels.tolist()
         self.pair_el = elabels[pairs // len(vlabels)].tolist()
         self.pair_tl = vlabels[pairs % len(vlabels)].tolist()
+
+
+def _dense_ranks(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` in ascending order, and each value's rank among them.
+
+    ``values`` are ints in ``[0, size)``; the result equals
+    ``np.unique(values, return_inverse=True)``. A table of ``size`` entries
+    marks the values present, so no copy of ``values`` is sorted. Labels
+    index their token tables, but a pair's range is the product of two
+    label counts, so a range much longer than ``values`` is sorted instead.
+    """
+    if size > 4 * len(values) + 64:
+        return np.unique(values, return_inverse=True)
+    present = np.zeros(size, bool)
+    present[values] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    return np.flatnonzero(present), rank[values]
 
 
 @dataclass(frozen=True, eq=False)

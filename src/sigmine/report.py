@@ -1,25 +1,27 @@
 """End-to-end pipeline: parse, search, correct, test, serialize.
 
 ``run_pipeline`` builds the report in memory and each ``render_*`` function
-gives the text of one file a run writes. Output files are a pure function of
-the input database and the run configuration, seed included, and the search
-strategy changes none of them, only what the run costs. Timing numbers
-therefore stay on the in-memory objects and out of the serialized report; the
-trace file is the one place wall-clock durations are written, and it is
-explicitly not byte-stable.
+gives the text of one file a run writes; ``iter_report`` gives the report's
+text one record at a time, so that a writer never holds all of it. Output
+files are a pure function of the input database and the run configuration,
+seed included, and the search strategy changes none of them, only what the
+run costs. Timing numbers therefore stay on the in-memory objects and out of
+the serialized report; the trace file is the one place wall-clock durations
+are written, and it is explicitly not byte-stable.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
-from .graphs import GraphDatabase, ParseError, _integral_fields, parse_database
-from .mining import MinerConfig, Pattern, code_string
+from .graphs import ParseError, _integral_fields, parse_database
+from .mining import MinerConfig, Pattern
 from .permute import (
     PermutationPlan,
     effective_num_tests,
@@ -100,17 +102,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Report:
+    """A run's summary, its records in report order, its root search and min-p samples."""
+
     summary: dict
-    rows: tuple[dict, ...]
+    records: tuple[SignificanceRecord, ...]
     search: RootSearchResult
     min_p_samples: tuple[float, ...] | None = field(default=None, repr=False)
-
-
-def _display_row(rec: SignificanceRecord, db: GraphDatabase) -> dict:
-    p = rec.pattern
-    values = (code_string(p.code, db), p.vertex_count, p.edge_count, p.frequency,
-              p.x, p.x_prime, rec.p_value, rec.min_p, rec.significant)
-    return dict(zip(CSV_HEADER, values, strict=True))
 
 
 def _read_text(path: str) -> str:
@@ -137,9 +134,9 @@ def run_pipeline(config: RunConfig) -> Report:
     ``search.full_family``, which stops at its first emission past
     ``bf_timeout``. The report then has status "bf_timeout" and no records.
     """
-    graph_text = _read_text(config.input)
     labels_text = _read_text(config.labels) if config.labels else None
-    db = parse_database(graph_text, labels_text)
+    # no name holds the graph text, so it is freed once parsed
+    db = parse_database(_read_text(config.input), labels_text)
 
     miner_config = MinerConfig(
         1, max_vertices=config.max_vertices, count_singletons=config.count_singletons
@@ -190,13 +187,19 @@ def run_pipeline(config: RunConfig) -> Report:
         "empirical_fwer": fwer,
         "seed": config.seed,
     }
-    rows = tuple(_display_row(rec, db) for rec in records)
     return Report(
         summary=summary,
-        rows=rows,
+        records=records,
         search=result,
         min_p_samples=min_p_samples,
     )
+
+
+def _cells(rec: SignificanceRecord) -> tuple:
+    """The record's values in ``CSV_HEADER`` order."""
+    p = rec.pattern
+    return (rec.code_string, p.vertex_count, p.edge_count, p.frequency,
+            p.x, p.x_prime, rec.p_value, rec.min_p, rec.significant)
 
 
 def _format_cell(value) -> str:
@@ -207,19 +210,70 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_value(value) -> str:
+    """``value`` as ``json.dumps(value, allow_nan=False)`` writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    return encode_basestring_ascii(value)
+
+
+# one record as json.dumps(..., indent=2) lays it out inside the records list
+_JSON_RECORD = "    {{\n" + ",\n".join(f'      "{key}": {{}}' for key in CSV_HEADER) + "\n    }}"
+
+
+class _LastRow:
+    """The target of a ``csv.writer``, which writes each row in one call."""
+
+    def write(self, line: str) -> None:
+        self.line = line
+
+
+def _csv_pieces(report: Report) -> Iterator[str]:
+    target = _LastRow()
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    yield target.line
+    for rec in report.records:
+        writer.writerow(map(_format_cell, _cells(rec)))
+        yield target.line
+
+
+def _json_pieces(report: Report) -> Iterator[str]:
+    text = json.dumps({"summary": report.summary, "records": []}, indent=2, allow_nan=False)
+    if not report.records:
+        yield text + "\n"
+        return
+    # the text ends '"records": []\n}'; records go between the brackets
+    yield text[: -len("]\n}")]
+    separator = "\n"
+    for rec in report.records:
+        yield separator + _JSON_RECORD.format(*map(_json_value, _cells(rec)))
+        separator = ",\n"
+    yield "\n  ]\n}\n"
+
+
+def iter_report(report: Report, fmt: Literal["csv", "json"]) -> Iterator[str]:
+    """The report's text in pieces: a head, one piece per record, then any tail.
+
+    The pieces join to ``render_report(report, fmt)``. An unknown format
+    raises ValueError here, before any piece is made.
+    """
+    if fmt == "csv":
+        return _csv_pieces(report)
+    if fmt == "json":
+        return _json_pieces(report)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def render_report(report: Report, fmt: Literal["csv", "json"]) -> str:
     """Serialize to text. Byte-identical for identical config and input."""
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in report.rows:
-            writer.writerow(_format_cell(row[key]) for key in CSV_HEADER)
-        return buffer.getvalue()
-    if fmt == "json":
-        payload = {"summary": report.summary, "records": list(report.rows)}
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    return "".join(iter_report(report, fmt))
 
 
 def render_trace(trace: Sequence[TraceEntry]) -> str:

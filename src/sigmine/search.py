@@ -82,10 +82,13 @@ class RootSearchResult:
 
 @dataclass(frozen=True)
 class SignificanceRecord:
+    """One scored pattern; ``code_string`` is ``code_string(pattern.code, db)``."""
+
     pattern: Pattern
     p_value: float
     min_p: float
     significant: bool
+    code_string: str
 
 
 class _Stopped(Exception):
@@ -355,6 +358,7 @@ def score_patterns(
                     f"x={pattern.x}, x_prime={pattern.x_prime} do not fit the class sizes"
                 )
             p = float(row[i])
-            records.append(SignificanceRecord(pattern, p, min_p, p < threshold))
-    records.sort(key=lambda r: (r.p_value, code_string(r.pattern.code, db)))
+            code = code_string(pattern.code, db)
+            records.append(SignificanceRecord(pattern, p, min_p, p < threshold, code))
+    records.sort(key=lambda r: (r.p_value, r.code_string))
     return tuple(records)

@@ -49,8 +49,8 @@ FIELDS = {
     sigmine.RootSearchResult: (
         "status", "min_testable_frequency", "root_frequency", "testable", "trace",
     ),
-    sigmine.SignificanceRecord: ("pattern", "p_value", "min_p", "significant"),
-    sigmine.Report: ("summary", "rows", "search", "min_p_samples"),
+    sigmine.SignificanceRecord: ("pattern", "p_value", "min_p", "significant", "code_string"),
+    sigmine.Report: ("summary", "records", "search", "min_p_samples"),
     sigmine.RunConfig: (
         "input", "labels", "alpha", "tail", "strategy", "max_vertices", "correction",
         "permutations", "fwer_permutations", "seed", "format", "count_singletons",

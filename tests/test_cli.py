@@ -114,11 +114,11 @@ class TestPipeline:
             "num_testable", "correction", "correction_factor", "corrected_threshold",
             "empirical_fwer", "seed",
         )
-        assert len(report.rows) == 1
-        row = report.rows[0]
-        assert row["pattern"] == "A"
-        assert row["x"] == 5 and row["x_prime"] == 0
-        assert row["significant"] is True
+        assert len(report.records) == 1
+        rec = report.records[0]
+        assert rec.code_string == "A"
+        assert rec.pattern.x == 5 and rec.pattern.x_prime == 0
+        assert rec.significant is True
 
     def test_strategy_flag_never_changes_csv_bytes(self, toy_path, planted_path):
         for path in (toy_path, planted_path):
@@ -143,8 +143,8 @@ class TestPipeline:
         report = run_pipeline(RunConfig(input=toy_path, correction="bonferroni_full"))
         # frequencies {A: 5, B: 4, C: 4} clear the sigma = 2 cut, D does not
         assert report.summary["correction_factor"] == 3
-        assert [row["pattern"] for row in report.rows] == ["A", "B", "C"]
-        flags = {row["pattern"]: row["significant"] for row in report.rows}
+        assert [rec.code_string for rec in report.records] == ["A", "B", "C"]
+        flags = {rec.code_string: rec.significant for rec in report.records}
         assert flags["A"] is True
 
     def test_bf_timeout_marks_partial_summary(self, tmp_path):
@@ -161,7 +161,7 @@ class TestPipeline:
         assert report.summary["status"] == "bf_timeout"
         assert report.summary["sigma_rt"] is not None
         assert report.summary["correction_factor"] is None
-        assert report.rows == ()
+        assert report.records == ()
 
     def test_bf_timeout_fires_promptly(self, tmp_path):
         # the full sigma-2 enumeration of this database takes several
@@ -214,14 +214,14 @@ class TestPipeline:
             )
         )
         assert capped.summary["correction_factor"] < full.summary["correction_factor"]
-        assert all(row["vertices"] == 1 for row in capped.rows)
+        assert all(rec.pattern.vertex_count == 1 for rec in capped.records)
 
     def test_singleton_flag_changes_family(self, toy_path):
         off = run_pipeline(RunConfig(input=toy_path, count_singletons=False))
         # the toy database has no edges at all, so nothing remains
         assert off.summary["num_testable"] == 0
         assert off.summary["correction_factor"] is None
-        assert off.rows == ()
+        assert off.records == ()
 
     def test_labels_file_overrides_classes(self, toy_path, tmp_path):
         labels = tmp_path / "flip.labels"
@@ -230,10 +230,10 @@ class TestPipeline:
             encoding="utf-8",
         )
         report = run_pipeline(RunConfig(input=toy_path, labels=str(labels)))
-        row = report.rows[0]
+        rec = report.records[0]
         # A still occurs in graphs 0..4, which are now class 0
-        assert row["pattern"] == "A"
-        assert row["x"] == 0 and row["x_prime"] == 5
+        assert rec.code_string == "A"
+        assert rec.pattern.x == 0 and rec.pattern.x_prime == 5
 
     def test_class_one_majority_reports_input_classes(self, tmp_path):
         graphs = tuple(edgeless(i, (0,)) for i in range(3)) + (edgeless(3, (1,)),)
@@ -246,9 +246,9 @@ class TestPipeline:
             RunConfig(input=str(path), alpha=0.9, tail="right")
         )
         assert report.summary["n"] == 3 and report.summary["n_prime"] == 1
-        by_pattern = {row["pattern"]: row for row in report.rows}
-        assert by_pattern["A"]["x"] == 3 and by_pattern["A"]["x_prime"] == 0
-        assert by_pattern["A"]["p_value"] == pytest.approx(0.25, rel=1e-12)
+        by_pattern = {rec.code_string: rec for rec in report.records}
+        assert by_pattern["A"].pattern.x == 3 and by_pattern["A"].pattern.x_prime == 0
+        assert by_pattern["A"].p_value == pytest.approx(0.25, rel=1e-12)
 
     @pytest.mark.parametrize("tail, mirror", [("right", "left"), ("left", "right"), ("two", "two")])
     def test_flipping_every_class_mirrors_the_report(self, tmp_path, tail, mirror):
@@ -298,7 +298,7 @@ class TestPipeline:
         assert report.summary["status"] == "no_testable"
         assert report.summary["sigma_rt"] is None
         assert report.summary["correction_factor"] is None
-        assert report.rows == ()
+        assert report.records == ()
 
 
 class TestRendering:

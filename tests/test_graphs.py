@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sigmine.graphs import (
     parse_database,
     serialize_database,
 )
+from sigmine.synth import random_database
 
 THREE_GRAPHS = """\
 t # 0 1
@@ -441,6 +443,41 @@ def test_parsed_layout_equals_from_graphs_layout(db, rng):
         scrambled.graphs, scrambled.original_classes, scrambled.vertex_tokens, scrambled.edge_tokens
     )
     assert_same_layout(scrambled.layout, rebuilt.layout)
+
+
+@pytest.mark.parametrize("shape", ["unused tokens", "distinct labels"])
+def test_layout_ranks_sparse_labels_like_the_reference(shape):
+    # labels are ranked by a table as long as the token list, or sorted when
+    # that table would be much longer than the labels; both must agree
+    if shape == "unused tokens":
+        graphs = (LabeledGraph(0, (290, 17, 17), ((0, 1, 199), (1, 2, 5))),
+                  LabeledGraph(1, (3, 290), ((0, 1, 199),)), LabeledGraph(2, (3,), ()))
+        tokens = ([f"v{i}" for i in range(300)], [f"e{i}" for i in range(200)])
+    else:
+        # a 40-vertex path, every vertex and edge label its own: 1560 pairs
+        # for 78 half-edges
+        graphs = (LabeledGraph(0, tuple(range(40)), tuple((i, i + 1, i) for i in range(39))),
+                  LabeledGraph(1, (5, 6), ((0, 1, 2),)))
+        tokens = ([f"v{i}" for i in range(40)], [f"e{i}" for i in range(39)])
+    db = GraphDatabase.from_graphs(graphs, (0, 1, 1)[: len(graphs)], *tokens)
+    reference = oracles.layout_reference(db)
+    for name in LAYOUT_FIELDS:
+        held = getattr(db.layout, name)
+        assert (held.tolist() if isinstance(held, np.ndarray) else held) == reference[name], name
+    assert db.layout.nbr.dtype == np.int32 and db.layout.prank.dtype == np.int64
+
+
+def test_layout_build_peak_stays_near_what_it_holds():
+    db = random_database(20000, 7)
+    tracemalloc.start()
+    try:
+        layout = db.layout
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(layout.ints) == 20000
+    # the arrays kept are about 4.6 MB here; sort temporaries once tripled that
+    assert peak <= 2 * held, (peak, held)
 
 
 def test_flat_storage_of_a_parsed_database():
