@@ -132,7 +132,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
     config = RunConfig(**given)
     if args.min_p_out is not None and config.correction != "efftests":
-        raise ValueError("min_p_out needs the efftests correction")
+        raise ValueError("--min-p-out needs --correction efftests")
     return config
 
 

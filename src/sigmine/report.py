@@ -38,7 +38,7 @@ from .search import (
     full_family,
     score_patterns,
 )
-from .stats import TailMode
+from .stats import TailMode, _check_tail
 
 Correction = Literal["tarone", "bonferroni_full", "efftests"]
 
@@ -77,8 +77,7 @@ class RunConfig:
         _integral_fields(self, "max_vertices", "permutations", "fwer_permutations", "seed")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.tail not in ("left", "right", "two"):
-            raise ValueError(f"unknown tail {self.tail!r}")
+        _check_tail(self.tail)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.correction not in CORRECTIONS:

@@ -4,12 +4,14 @@ Everything here derives from the hypergeometric distribution of the class 1
 count x of a pattern with frequency f: exact tail p-values (left, right, and
 doubled two-sided), and the frequency-indexed lower bound psi(f) on the
 attainable p-value that drives testability pruning. Both read one table per
-margin, built by the exact ratio recurrence and kept as read-only float64
-arrays of the left and right tails. ``pvalues_over_support`` is its one
-reader: it returns the row of p-values for every attainable x, which scoring
-and the permutation stage index by x. psi is read off the two ends of the
-same table. Only the few most recent tables are cached, so callers that
-read many margins read them in ascending order.
+margin, kept as read-only float64 arrays of the left and right tails and
+built by numpy's in-order accumulates, bit for bit the scalar loop that
+``tests/oracles.py`` keeps as their judge (margins are limited to where that
+holds, see ``_support_tables``). ``pvalues_over_support`` is its one reader:
+it returns the row of p-values for every attainable x, which scoring and the
+permutation stage index by x. psi is read off the two ends of the same
+table. Only the few most recent tables are cached, so callers that read many
+margins read them in ascending order.
 
 Callers pass the input's classes (``n`` and ``x`` count class 1, "right"
 means enrichment in class 1), whichever is larger. Only this module knows
@@ -24,6 +26,8 @@ from functools import lru_cache
 from typing import Literal
 
 import numpy as np
+
+from .graphs import _as_int
 
 TailMode = Literal["left", "right", "two"]
 
@@ -42,57 +46,56 @@ def _check_tail(tail: str) -> None:
         raise ValueError(f"tail must be one of {_TAILS}, got {tail!r}")
 
 
-def _support(f: int, n: int, n_prime: int) -> tuple[int, int]:
-    if n < 0 or n_prime < 0 or n + n_prime == 0:
-        raise ValueError("class sizes must be non-negative and not both zero")
-    if f < 0 or f > n + n_prime:
-        raise ValueError(f"frequency f={f} outside [0, {n + n_prime}]")
-    return max(0, f - n_prime), min(f, n)
+def _counts(f, n, n_prime) -> tuple[int, int, int]:
+    """(f, n, n_prime) as plain ints (``_as_int``), f >= 0 and both classes non-empty."""
+    f, n, n_prime = _as_int(f, "f"), _as_int(n, "n"), _as_int(n_prime, "n_prime")
+    if f < 0:
+        raise ValueError(f"frequency must be non-negative, got {f}")
+    if n < 1 or n_prime < 1:
+        raise ValueError("both class sizes must be at least 1")
+    return f, n, n_prime
 
 
-def _running_tail(values: list[float]) -> list[float]:
-    # Neumaier-compensated running sums, clamped into [0, 1].
-    total = 0.0
-    comp = 0.0
-    out = []
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out.append(min(1.0, total + comp))
-    return out
+def _running_tail(masses: np.ndarray) -> np.ndarray:
+    # Neumaier-compensated running sums, clamped into [0, 1]. Every term is
+    # non-negative, so the branch on magnitudes compares the terms as they are.
+    total = np.add.accumulate(masses)
+    before = np.concatenate(([0.0], total[:-1]))
+    error = np.where(before >= masses, (before - total) + masses, (masses - total) + before)
+    return np.minimum(1.0, total + np.add.accumulate(error))
 
 
 @lru_cache(maxsize=4)
 def _support_tables(f: int, n: int, n_prime: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(lo, left, right): the cumulative tails over the support of one margin, indexed x - lo.
 
-    Masses are built by the exact ratio recurrence outward from the mode and
-    normalized by their compensated sum. This keeps relative error near machine
-    precision even for margins in the tens of thousands, where naive log-space
-    summation loses a couple of digits. Each tail starts with its end mass
-    exactly, since the first compensated step adds nothing. The arrays are
-    read-only because the cache hands them to every caller.
+    Weights are the exact ratio recurrence outward from the mode, one
+    ``np.multiply.accumulate`` each way, and masses the weights over their
+    ``math.fsum``, kept because the normaliser must be correctly rounded.
+    This keeps relative error near machine precision even for margins in the
+    tens of thousands, where log-space summation loses a couple of digits.
+    Every ratio operand is at most f * (max(n, n') + 1); a margin where that
+    reaches 2**53 is rejected first, so below it the int64 products are
+    exact and each quotient rounds as Python's ``int / int``. Each tail
+    starts with its end mass, since the first compensated step adds nothing.
+    The arrays are read-only because the cache hands them to every caller.
     """
-    lo, hi = _support(f, n, n_prime)
-    size = hi - lo + 1
-    weights = [0.0] * size
-    mode = (f + 1) * (n + 1) // (n + n_prime + 2)
-    mode = min(hi, max(lo, mode))
-    weights[mode - lo] = 1.0
-    for x in range(mode, hi):
-        ratio = ((n - x) * (f - x)) / ((x + 1) * (n_prime - f + x + 1))
-        weights[x + 1 - lo] = weights[x - lo] * ratio
-    for x in range(mode, lo, -1):
-        ratio = (x * (n_prime - f + x)) / ((n - x + 1) * (f - x + 1))
-        weights[x - 1 - lo] = weights[x - lo] * ratio
-    total = math.fsum(weights)
-    masses = [w / total for w in weights]
-    left = np.array(_running_tail(masses))
-    right = np.array(_running_tail(masses[::-1])[::-1])
+    if f > n + n_prime:
+        raise ValueError(f"frequency f={f} outside [0, {n + n_prime}]")
+    if f * (max(n, n_prime) + 1) >= 2**53:
+        raise ValueError(f"margin f={f}, n={n}, n'={n_prime} is too large for an exact table")
+    lo, hi = max(0, f - n_prime), min(f, n)
+    mode = min(hi, max(lo, (f + 1) * (n + 1) // (n + n_prime + 2)))
+    up = np.arange(mode, hi, dtype=np.int64)
+    down = np.arange(mode, lo, -1, dtype=np.int64)
+    up_ratios = (n - up) * (f - up) / ((up + 1) * (n_prime - f + up + 1))
+    down_ratios = down * (n_prime - f + down) / ((n - down + 1) * (f - down + 1))
+    weights = np.concatenate(
+        (np.multiply.accumulate(down_ratios)[::-1], [1.0], np.multiply.accumulate(up_ratios))
+    )
+    masses = weights / math.fsum(weights.tolist())
+    left = _running_tail(masses)
+    right = _running_tail(masses[::-1])[::-1]
     left.flags.writeable = right.flags.writeable = False
     return lo, left, right
 
@@ -108,6 +111,7 @@ def pvalues_over_support(
     min(1, 2 * min(left, right)).
     """
     _check_tail(tail)
+    f, n, n_prime = _counts(f, n, n_prime)
     if n > n_prime:
         # the table counts class 0, x_prime = f - x, whose left tail is
         # class 1's right tail
@@ -131,10 +135,7 @@ def min_attainable_pvalue(f: int, n: int, n_prime: int, tail: TailMode = "two") 
     doubled and capped at 1.
     """
     _check_tail(tail)
-    if f < 0:
-        raise ValueError(f"frequency must be non-negative, got {f}")
-    if n < 1 or n_prime < 1:
-        raise ValueError("both class sizes must be at least 1")
+    f, n, n_prime = _counts(f, n, n_prime)
     small, large = sorted((n, n_prime))
     _, left, right = _support_tables(min(f, small), small, large)
     # Mathematically right[-1] <= left[0] since small <= large; the min
@@ -146,10 +147,7 @@ def min_attainable_pvalue(f: int, n: int, n_prime: int, tail: TailMode = "two") 
 
 
 def min_testable_frequency(
-    alpha: float,
-    n: int,
-    n_prime: int,
-    tail: TailMode = "two",
+    alpha: float, n: int, n_prime: int, tail: TailMode = "two"
 ) -> int | None:
     """Smallest frequency whose attainable p-value bound clears alpha.
 
@@ -166,6 +164,7 @@ def min_testable_frequency(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _, n, n_prime = _counts(0, n, n_prime)
     small = min(n, n_prime)
     for sigma in range(1, small + 1):
         bound = min_attainable_pvalue(sigma, n, n_prime, tail)

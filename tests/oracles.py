@@ -2,9 +2,14 @@
 
 Slow but transparent: exact rational arithmetic for the statistics,
 exhaustive enumeration for the miner. Nothing here shares code paths with
-the modules under test, except two scalar loops that the vectorised engines
+the modules under test, except three scalar loops that the vectorised engines
 must agree with exactly:
 
+- ``support_tables`` makes one margin's table by scalar loops: the exact
+  ratio recurrence outward from the mode, one Python float at a time,
+  masses over their ``math.fsum``, and Neumaier-compensated running tails,
+  so the package's numpy accumulates are judged bit for bit against the
+  loop they replace.
 - The permutation helpers keep the int-bitmask form of occurrences and
   masks, which the package does not have: ``permutation_mask`` draws mask j
   straight from numpy, one ``default_rng(SeedSequence(entropy=seed,
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, fsum
 
 
 def mass(x: int, f: int, n: int, n_prime: int) -> Fraction:
@@ -77,6 +82,43 @@ def min_testable(alpha, n: int, n_prime: int, tail: str):
         if min_attainable(sigma, n, n_prime, tail) <= alpha:
             return sigma
     return None
+
+
+def _running_tail(values):
+    # Neumaier-compensated running sums, clamped into [0, 1]
+    total = 0.0
+    comp = 0.0
+    out = []
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out.append(min(1.0, total + comp))
+    return out
+
+
+def support_tables(f: int, n: int, n_prime: int):
+    """(lo, left, right) of one margin, built one scalar step at a time."""
+    import numpy as np
+
+    lo, hi = max(0, f - n_prime), min(f, n)
+    weights = [0.0] * (hi - lo + 1)
+    mode = min(hi, max(lo, (f + 1) * (n + 1) // (n + n_prime + 2)))
+    weights[mode - lo] = 1.0
+    for x in range(mode, hi):
+        ratio = ((n - x) * (f - x)) / ((x + 1) * (n_prime - f + x + 1))
+        weights[x + 1 - lo] = weights[x - lo] * ratio
+    for x in range(mode, lo, -1):
+        ratio = (x * (n_prime - f + x)) / ((n - x + 1) * (f - x + 1))
+        weights[x - 1 - lo] = weights[x - lo] * ratio
+    total = fsum(weights)
+    masses = [w / total for w in weights]
+    left = _running_tail(masses)
+    right = _running_tail(masses[::-1])[::-1]
+    return lo, np.array(left), np.array(right)
 
 
 # -- exhaustive miner ---------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 from sigmine.graphs import GraphDatabase, LabeledGraph, serialize_database
 from sigmine.report import (
     CSV_HEADER,
-    Report,
     RunConfig,
     render_report,
     render_trace,
@@ -385,7 +384,8 @@ class TestCommandLine:
     def test_min_p_out_needs_efftests(self, toy_path, tmp_path, capsys):
         dump = tmp_path / "minp.txt"
         assert main(["--input", toy_path, "--min-p-out", str(dump)]) == 1
-        assert "efftests" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--min-p-out" in err and "efftests" in err
         assert not dump.exists()
 
     def test_min_p_dump_empty_when_nothing_testable(self, tmp_path, capsys):

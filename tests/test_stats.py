@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -57,6 +57,33 @@ def test_table_validation():
         min_attainable_pvalue(2, 0, 5)
     with pytest.raises(ValueError, match="frequency must be non-negative, got -1"):
         min_attainable_pvalue(-1, 3, 3)
+    # all three take their counts by the package's integer rule: a numpy
+    # integer is a plain int, a float or a bool is refused
+    for bad in (2.5, 3.0, True):
+        for args in ((bad, 5, 5), (3, bad, 5), (3, 5, bad)):
+            with pytest.raises(TypeError):
+                pvalues_over_support(*args)
+            with pytest.raises(TypeError):
+                min_attainable_pvalue(*args)
+        for args in ((bad, 5), (5, bad)):
+            with pytest.raises(TypeError):
+                min_testable_frequency(0.05, *args)
+    three = np.int64(3)
+    for args in ((three, 5, 5), (3, three, 5), (3, 5, three)):
+        plain = tuple(map(int, args))
+        lo, row = pvalues_over_support(*args)
+        assert type(lo) is int and np.array_equal(row, pvalues_over_support(*plain)[1])
+        assert min_attainable_pvalue(*args) == min_attainable_pvalue(*plain)
+    assert min_testable_frequency(0.05, three, 5) == min_testable_frequency(0.05, 3, 5)
+    # every database holds both classes, so none of the three takes an empty one
+    for n, n_prime in ((-3, 5), (0, 5), (5, 0)):
+        with pytest.raises(ValueError, match="both class sizes"):
+            min_testable_frequency(0.05, n, n_prime)
+        with pytest.raises(ValueError, match="both class sizes"):
+            pvalues_over_support(0, n, n_prime)
+    # the exact domain: f * (max(n, n') + 1) stays below 2**53
+    with pytest.raises(ValueError, match="too large"):
+        pvalues_over_support(2, 2**52 - 1, 2**52 - 1)
 
 
 def test_rows_are_read_only_floats():
@@ -206,6 +233,46 @@ def test_large_margin_tails_stay_accurate(x):
     for tail in ("left", "right", "two"):
         want = oracles.fisher(x, f, n, n_prime, tail)
         assert pvalue(x, f, n, n_prime, tail) == approx(float(want), rel=1e-10)
+
+
+def assert_tables_equal_the_loop(f, n, n_prime):
+    """The package's rows for one margin are bit for bit the scalar loop's table."""
+    if n <= n_prime:
+        want = oracles.support_tables(f, n, n_prime)
+    else:
+        # the table counts class 0, so its tails come back reversed and exchanged
+        lo, left, right = oracles.support_tables(f, n_prime, n)
+        want = (f - lo - len(left) + 1, right[::-1], left[::-1])
+    lo, left = pvalues_over_support(f, n, n_prime, "left")
+    _, right = pvalues_over_support(f, n, n_prime, "right")
+    assert lo == want[0]
+    assert np.array_equal(left, want[1]) and np.array_equal(right, want[2])
+
+
+@st.composite
+def judged_margin(draw):
+    n = draw(st.integers(1, 3000))
+    n_prime = draw(st.integers(1, 3000))
+    f = draw(st.one_of(st.just(0), st.just(n + n_prime), st.integers(0, n + n_prime)))
+    return f, n, n_prime
+
+
+@settings(deadline=None)
+@given(judged_margin())
+@example((0, 1, 1))  # supports of size 1
+@example((2, 1, 1))
+@example((7, 3, 4))
+@example((7, 4, 3))
+@example((2, 2**52 - 2, 2**52 - 2))  # the largest operands the domain admits
+def test_tables_equal_the_scalar_loop(margin):
+    assert_tables_equal_the_loop(*margin)
+
+
+def test_tables_equal_the_scalar_loop_on_large_margins():
+    # margins like null-20k's, where a normaliser summed in another order
+    # than math.fsum's changes about a third of the tables
+    for f in range(18, 14001, 215):
+        assert_tables_equal_the_loop(f, 10_000, 10_000)
 
 
 def test_large_margin_attainable_bound_accurate():
