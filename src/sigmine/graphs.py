@@ -6,19 +6,20 @@ whichever is larger. Label tokens from input files are interned into dense
 integer ids through per-database symbol tables.
 
 A database stores its graphs flat, end to end, with per-graph offsets. The
-parser appends to that storage in one pass over the lines, and
-``from_graphs`` flattens checked ``LabeledGraph`` records into it. The
-miner's arrays (``ArrayLayout``) and the graphs as records
-(``GraphDatabase.graphs``) derive from it once, on first use.
+parser fills that storage a block of whole lines at a time, checking every
+line of a block at once as an array of code points, and ``from_graphs``
+flattens checked ``LabeledGraph`` records into it. The miner's arrays
+(``ArrayLayout``) and the graphs as records (``GraphDatabase.graphs``)
+derive from it once, on first use.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,6 +129,11 @@ def _offsets(counts) -> np.ndarray:
     off = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=off[1:])
     return off
+
+
+# vertex and edge rows the constructor screens at a time; its temporaries
+# scale with it
+_ROWS = 1 << 13
 
 
 def _frozen(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -276,6 +282,8 @@ class GraphDatabase:
             if gid in seen_ids:
                 raise ValueError(f"duplicate graph id {gid}")
             seen_ids.add(gid)
+        # the set is as large as the stored rows: drop it before the row screen
+        del seen_ids
         # a token the parser could not read back would break serialize_database
         for kind, tokens in (("vertex", self.vertex_tokens), ("edge", self.edge_tokens)):
             seen_tokens = set()
@@ -311,29 +319,45 @@ class GraphDatabase:
         object.__setattr__(self, "n", ones)
 
     def _check_rows(self) -> None:
-        """Screen the rows with numpy; the first bad graph, built as a ``LabeledGraph``, raises."""
-        graph = np.repeat(np.arange(self.size), np.diff(self.edge_offsets))
-        first = self.vertex_offsets[graph]
-        u, v, label = self.edges.T
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        outside = (lo < 0) | (hi >= self.vertex_offsets[graph + 1] - first)
-        # global ids of the pair: two valid rows share a key only when they
-        # join the same pair of one graph, and a shared key flags the later
-        # row, so a false repeat never comes before the bad row it shares with
-        key = (lo + first) * int(self.vertex_offsets[-1]) + hi + first
-        order = np.argsort(key, kind="stable")
-        repeat = np.zeros(len(key), bool)
-        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
-        vertex_graph = np.repeat(np.arange(self.size), np.diff(self.vertex_offsets))
-        bad = np.concatenate((
-            vertex_graph[self.vertex_labels < 0], graph[(label < 0) | (u == v) | outside | repeat]
-        ))
-        if bad.size:
-            i = int(bad.min())
-            v0, v1 = self.vertex_offsets[i : i + 2]
-            e0, e1 = self.edge_offsets[i : i + 2]
-            labels, edges = self.vertex_labels[v0:v1].tolist(), self.edges[e0:e1].tolist()
-            LabeledGraph(self.graph_ids[i], tuple(labels), tuple(edges))
+        """Screen the rows with numpy, whole graphs of about ``_ROWS`` rows at a time.
+
+        The graphs are screened in order, so the first bad one, built as a
+        ``LabeledGraph``, raises.
+        """
+        voff, eoff = self.vertex_offsets, self.edge_offsets
+        # a chunk begins at each graph whose first vertex and edge rows pass
+        # a multiple of _ROWS, so it holds fewer than 2 * _ROWS rows unless
+        # its last graph alone holds more
+        bucket = (voff[:-1] + eoff[:-1]) // _ROWS
+        cuts = [0, *(np.flatnonzero(bucket[1:] != bucket[:-1]) + 1).tolist(), self.size]
+        del bucket
+        for g0, g1 in zip(cuts, cuts[1:]):
+            graphs = np.arange(g0, g1)
+            graph = np.repeat(graphs, np.diff(eoff[g0 : g1 + 1]))
+            first = voff[graph]
+            u, v, label = self.edges[eoff[g0] : eoff[g1]].T
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            outside = (lo < 0) | (hi >= voff[graph + 1] - first)
+            # ids of the pair within the chunk: two valid rows share a key only
+            # when they join the same pair of one graph, and a shared key flags
+            # the later row, so a false repeat never comes before the bad row
+            # it shares with
+            first -= voff[g0]
+            key = (lo + first) * int(voff[g1] - voff[g0]) + hi + first
+            order = np.argsort(key, kind="stable")
+            repeat = np.zeros(len(key), bool)
+            repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+            vertex_graph = np.repeat(graphs, np.diff(voff[g0 : g1 + 1]))
+            bad = np.append(
+                graph[(label < 0) | (u == v) | outside | repeat],
+                vertex_graph[self.vertex_labels[voff[g0] : voff[g1]] < 0],
+            )
+            if bad.size:
+                i = int(bad.min())
+                v0, v1 = voff[i : i + 2]
+                e0, e1 = eoff[i : i + 2]
+                labels, edges = self.vertex_labels[v0:v1].tolist(), self.edges[e0:e1].tolist()
+                LabeledGraph(self.graph_ids[i], tuple(labels), tuple(edges))
 
     @property
     def size(self) -> int:
@@ -422,8 +446,58 @@ class GraphDatabase:
         return hash((self.graph_ids, self.original_classes))
 
 
-def _lines(source: str | IO[str]) -> Iterable[str]:
-    return source.splitlines() if isinstance(source, str) else source
+# the characters str.split() splits at (str.isspace), and the subset that
+# str.splitlines() ends a line at; every one of them is below _TOP
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TOP = 0x3001
+_SPACE, _TEXT, _BREAK = 0, 1, 2
+# the class of each code point up to _TOP, which stands for every one above
+_CHAR_CLASS = np.full(_TOP + 1, _TEXT, np.int8)
+_CHAR_CLASS[list(map(ord, _WHITESPACE))] = _SPACE
+_CHAR_CLASS[list(map(ord, _LINE_BREAKS))] = _BREAK
+
+# code points per block read; the parser's temporaries scale with it
+_BLOCK = 1 << 17
+
+
+def _blocks(source: str | IO[str]) -> Iterator[str]:
+    """The text of ``source`` in pieces of about ``_BLOCK`` code points.
+
+    Every piece but the last ends at a line boundary of ``str.splitlines``,
+    so the pieces' lines are the text's lines, whether it is a ``str`` or a
+    file read ``_BLOCK`` characters at a time. A line longer than that is
+    one longer piece. Each chunk read is searched once, so the time is
+    linear in the text however long its lines.
+    """
+    size = _BLOCK
+    if isinstance(source, str):
+        chunks: Iterable[str] = (source[i : i + size] for i in range(0, len(source), size))
+    else:
+        chunks = iter(partial(source.read, size), "")
+    # the text read since the last line boundary, in the chunks it came in
+    carry: list[str] = []
+    for chunk in chunks:
+        # a final "\r" may be the first half of a "\r\n", so it ends a line
+        # only when the next chunk does not begin with "\n"
+        stop = len(chunk) - chunk.endswith("\r")
+        cut = 1 + max(chunk.rfind(c, 0, stop) for c in _LINE_BREAKS)
+        if cut or carry and carry[-1].endswith("\r"):
+            yield "".join([*carry, chunk[:cut]])
+            carry = []
+        carry.append(chunk[cut:])
+    rest = "".join(carry)
+    if rest:
+        yield rest
+
+
+def _lines(source: str | IO[str]) -> Iterator[str]:
+    """The lines of ``source`` as ``str.splitlines`` cuts its whole text."""
+    for block in _blocks(source):
+        yield from block.splitlines()
 
 
 def _parse_labels_file(source: str | IO[str]) -> dict[int, int]:
@@ -446,6 +520,296 @@ def _parse_labels_file(source: str | IO[str]) -> dict[int, int]:
     return out
 
 
+def _line_error(no: int, raw: str, opened: bool, nv: int, repeat: bool) -> ValueError:
+    """The error the format's rules give line ``no``, the first line the screen flagged.
+
+    ``opened`` tells whether a 't' line came before it and ``nv`` counts the
+    open graph's vertices before it. ``repeat`` tells whether its graph id
+    came before in the file or, on an edge line, its pair of vertices before
+    in its graph. The rules are tried in the order they are listed in.
+    """
+    parts = raw.split()
+    kind = parts[0]
+    if kind == "e":
+        if not opened:
+            return ParseError(no, "edge line before any 't' line")
+        if len(parts) != 4:
+            return ParseError(no, f"expected 'e <src> <dst> <edge_label>', got {raw.strip()!r}")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            return ParseError(no, f"edge endpoints must be integers in {raw.strip()!r}")
+        if u == v:
+            return ParseError(no, f"self-loop at vertex {u}")
+        if not (0 <= u < nv and 0 <= v < nv):
+            return ParseError(no, f"edge ({u}, {v}) references an undeclared vertex")
+        if repeat:
+            return ParseError(no, f"parallel edge ({u}, {v})")
+    elif kind == "v":
+        if not opened:
+            return ParseError(no, "vertex line before any 't' line")
+        if len(parts) != 3:
+            return ParseError(no, f"expected 'v <vertex_id> <vertex_label>', got {raw.strip()!r}")
+        try:
+            vid = int(parts[1])
+        except ValueError:
+            return ParseError(no, f"vertex id must be an integer, got {parts[1]!r}")
+        if vid != nv:
+            return ParseError(
+                no, f"vertex ids must be 0-based and consecutive; expected {nv}, got {vid}"
+            )
+    elif kind == "t":
+        if len(parts) not in (3, 4) or parts[1] != "#":
+            return ParseError(no, f"expected 't # <graph_id> [<class>]', got {raw.strip()!r}")
+        try:
+            gid = int(parts[2])
+        except ValueError:
+            return ParseError(no, f"graph id must be an integer, got {parts[2]!r}")
+        if repeat:
+            return ParseError(no, f"duplicate graph id {gid}")
+        if len(parts) == 4 and parts[3] not in ("0", "1"):
+            return LabelError(f"line {no}: class must be 0 or 1, got {parts[3]!r}")
+    elif not kind.startswith("%"):
+        return ParseError(no, f"unknown record type {kind!r}")
+    raise RuntimeError(f"line {no} was flagged, but no rule rejects {raw.strip()!r}")
+
+
+def _integers(cp: np.ndarray, text: str, start: np.ndarray, end: np.ndarray):
+    """``int`` of each token ``text[start[i]:end[i]]``: (values, read, exact).
+
+    ``read`` tells which tokens ``int`` accepts. Tokens of at most 18 ASCII
+    digits are read in numpy; any other goes through ``int``, so "+3",
+    "1_0" or "٣" mean what they mean there, and ``exact`` maps its index to
+    the value. A value outside int64 is -1 in ``values``, which no vertex id
+    or endpoint may be.
+    """
+    length = end - start
+    # the last code point of every token, then the k-th from the end of
+    # the tokens at least k long
+    digit = cp[end - 1] - np.uint32(ord("0"))
+    read = (digit < 10) & (length <= 18)
+    values = digit.astype(np.int64)
+    at = np.flatnonzero(length > 1)
+    for k in range(2, 19):
+        at = at[length[at] >= k]
+        if not at.size:
+            break
+        digit = cp[end[at] - k] - np.uint32(ord("0"))
+        read[at] &= digit < 10
+        values[at] += digit.astype(np.int64) * 10 ** (k - 1)
+    exact = {}
+    for i in np.flatnonzero(~read).tolist():
+        try:
+            exact[i] = value = int(text[start[i] : end[i]])
+        except ValueError:
+            continue
+        read[i] = True
+        values[i] = value if -(2**63) <= value < 2**63 else -1
+    return values, read, exact
+
+
+def _intern(
+    cp: np.ndarray, text: str, start: np.ndarray, end: np.ndarray, ids: dict[str, int]
+) -> np.ndarray:
+    """The id of each token ``text[start[i]:end[i]]`` in ``ids``, new tokens numbered as they appear.
+
+    Tokens are grouped by length, and ``np.unique`` ranks a group's tokens,
+    its code points viewed as numpy strings of that length. Only the
+    distinct tokens of a group are read as strings.
+    """
+    width = end - start
+    out = np.empty(len(start), np.int64)
+    groups, new = [], []
+    lengths = np.flatnonzero(np.bincount(width)).tolist()
+    for w in lengths:
+        at = np.flatnonzero(width == w) if len(lengths) > 1 else slice(None)
+        begin = start[at]
+        chars = cp[begin[:, None] + np.arange(w)]
+        # numpy strings compare trailing NULs as padding, but the tokens of
+        # a group are equally long, so equal strings are equal tokens
+        distinct, rank = np.unique(chars.view(f"U{w}").ravel(), return_inverse=True)
+        rank = rank.ravel()
+        # where one token of each rank begins; any will do
+        where = np.empty(len(distinct), np.int64)
+        where[rank] = begin
+        tokens = [text[i : i + w] for i in where.tolist()]
+        if not ids.keys() >= set(tokens):
+            # the first token of each rank, from a stable sort by rank
+            order = np.argsort(rank, kind="stable")
+            once = order[np.flatnonzero(np.diff(rank[order], prepend=-1))]
+            new += zip(begin[once].tolist(), tokens)
+        groups.append((at, rank, tokens))
+    for _, token in sorted(new):
+        ids.setdefault(token, len(ids))
+    for at, rank, tokens in groups:
+        out[at] = np.array([ids[token] for token in tokens], np.int64)[rank]
+    return out
+
+
+def _tokens(text: str):
+    """A block's code points and tokens: (cp, start, end, line_end, first).
+
+    Token i is ``cp[start[i]:end[i]]``, the tokens split where ``str.split``
+    splits; ``line_end`` holds the position of each line end, where
+    ``str.splitlines`` ends a line, and ``first`` the first token of each
+    line that has any.
+    """
+    cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    # each code point's class, between two spaces; the "\r" of a "\r\n" is
+    # a space and its "\n" ends the line
+    word = np.zeros(len(cp) + 2, np.int8)
+    np.take(_CHAR_CLASS, cp, out=word[1:-1], mode="clip")
+    cr = np.flatnonzero(cp[:-1] == ord("\r"))
+    word[cr[cp[cr + 1] == ord("\n")] + 1] = _SPACE
+    in_token = word == _TEXT
+    bounds = np.flatnonzero(in_token[1:] != in_token[:-1])
+    line_end = np.flatnonzero(word == _BREAK) - 1
+    start, end = bounds[0::2], bounds[1::2]
+    # a token opens its line when a line end, or the block's start, comes
+    # between it and the token before: most often right before it (word[i]
+    # is the class of cp[i - 1]), else past spaces
+    opens = word[start] == _BREAK
+    opens[:1] = True
+    wide = np.flatnonzero(start[1:] - end[:-1] > 1) + 1
+    wide = wide[~opens[wide]]
+    if wide.size:
+        opens[wide] = np.searchsorted(line_end, start[wide]) > np.searchsorted(line_end, end[wide - 1])
+    return cp, start, end, line_end, np.flatnonzero(opens)
+
+
+class _Scan:
+    """The transaction format read one block of whole lines at a time.
+
+    ``feed`` screens every line of a block by the format's rules in numpy
+    and keeps the block's graphs, vertices and edges; the first line that
+    breaks a rule raises, worded by ``_line_error``. What a block needs of
+    the blocks before it is carried: the counts of lines, vertices and
+    edges, the graph ids seen, the token tables, and the open graph's first
+    vertex and vertex pairs.
+    """
+
+    def __init__(self) -> None:
+        self.lines = self.vertices = self.edges = 0
+        self.graph_ids: list[int] = []
+        self.seen_ids: set[int] = set()
+        self.vertex_ids: dict[str, int] = {}
+        self.edge_ids: dict[str, int] = {}
+        # each graph's inline class, -1 for none, and the database's flat
+        # storage (the offsets without their last entry), one piece a block
+        self.classes = [np.zeros(0, np.int8)]
+        self.pieces = {
+            "vertex_labels": [np.zeros(0, np.int64)],
+            "vertex_offsets": [np.zeros(0, np.int64)],
+            "edges": [np.zeros((0, 3), np.int64)],
+            "edge_offsets": [np.zeros(0, np.int64)],
+        }
+        # the open graph's first vertex and its edges' (min, max) endpoints,
+        # numbered over the whole file
+        self.open_start = 0
+        self.open_pairs = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+    def feed(self, text: str) -> None:
+        cp, start, end, line_end, first = _tokens(text)
+        arity = np.diff(first, append=len(start))
+        # each line's kind, by its first token when that is one letter; a
+        # line of no kind breaks a rule unless it is a comment
+        lead_at = start[first]
+        lead = cp[lead_at]
+        kind = np.where(end[first] - lead_at == 1, lead, 0)
+        is_t, is_v, is_e = kind == ord("t"), kind == ord("v"), kind == ord("e")
+        flag = ~(is_t | is_v | is_e) & (lead != ord("%"))
+        # each line's graph, 0 the one open before the block, the vertices
+        # before it and the open graph's among them, counted over the file
+        graph = np.cumsum(is_t)
+        before = self.vertices + np.cumsum(is_v) - is_v
+        t, v, e = np.flatnonzero(is_t), np.flatnonzero(is_v), np.flatnonzero(is_e)
+        vertices = self.vertices + len(v)
+        graph_start = np.append(self.open_start, before[t])
+        nv = before - graph_start[graph]
+        opened = (graph > 0) | bool(self.graph_ids)
+        # the lines whose graph id or vertex pair came before
+        repeats = []
+
+        # the lines of each kind whose tokens are as many as it takes
+        flag[t] = (arity[t] != 3) & (arity[t] != 4)
+        flag[v] = ~opened[v] | (arity[v] != 3)
+        flag[e] = ~opened[e] | (arity[e] != 4)
+        t, v, e = t[~flag[t]], v[arity[v] == 3], e[arity[e] == 4]
+        # every integer at once: graph ids, vertex ids, sources, destinations
+        at = np.concatenate((first[t] + 2, first[v] + 1, first[e] + 1, first[e] + 2))
+        values, read, exact = _integers(cp, text, start[at], end[at])
+        parts = np.cumsum((len(t), len(v), len(e)))
+        gid, vid, u, w = np.split(values, parts)
+        t_read, v_read, u_read, w_read = np.split(read, parts)
+
+        tok = first[t]
+        hashed = (end[tok + 1] - start[tok + 1] == 1) & (cp[start[tok + 1]] == ord("#"))
+        # the inline class, -1 for none and 2 for a token other than 0 or 1
+        classes = np.full(len(t), -1, np.int8)
+        four = np.flatnonzero(arity[t] == 4)
+        at = tok[four] + 3
+        digit = cp[start[at]] - np.uint32(ord("0"))
+        classes[four] = np.where((end[at] - start[at] == 1) & (digit < 2), digit, 2)
+        flag[t] |= ~hashed | ~t_read | (classes == 2)
+        ids = gid.tolist()
+        for i, value in exact.items():
+            if i < len(ids):
+                ids[i] = value
+        known = len(self.seen_ids)
+        self.seen_ids.update(ids)
+        if len(self.seen_ids) - known < len(ids):
+            seen = set(self.graph_ids)
+            for i, value in enumerate(ids):
+                if value in seen:
+                    repeats.append(t[i])
+                    break
+                seen.add(value)
+
+        flag[v] |= ~v_read | (vid != nv[v])
+        vertex_labels = _intern(cp, text, start[first[v] + 2], end[first[v] + 2], self.vertex_ids)
+
+        tok = first[e]
+        fits = u_read & w_read & (u != w) & (np.minimum(u, w) >= 0) & (np.maximum(u, w) < nv[e])
+        flag[e] |= ~fits
+        # a pair repeats when its endpoints, numbered over the file, do; the
+        # open graph's pairs from earlier blocks come first
+        fitting = e[fits]
+        base = graph_start[graph[fitting]]
+        lo = np.append(self.open_pairs[0], np.minimum(u, w)[fits] + base)
+        hi = np.append(self.open_pairs[1], np.maximum(u, w)[fits] + base)
+        key = lo * vertices + hi
+        order = np.argsort(key, kind="stable")
+        again = order[1:][key[order[1:]] == key[order[:-1]]]
+        if again.size:
+            repeats.append(fitting[again.min() - len(self.open_pairs[0])])
+        flag[repeats] = True
+        edge_labels = _intern(cp, text, start[tok + 3], end[tok + 3], self.edge_ids)
+
+        bad = np.flatnonzero(flag)
+        if bad.size:
+            r = bad[0]
+            j = int(np.searchsorted(line_end, lead_at[r]))
+            raw = text[line_end[j - 1] + 1 if j else 0 : line_end[j] if j < len(line_end) else None]
+            raise _line_error(self.lines + j + 1, raw, bool(opened[r]), int(nv[r]), r in repeats)
+
+        self.graph_ids += ids
+        self.classes.append(classes)
+        self.pieces["vertex_labels"].append(vertex_labels)
+        self.pieces["vertex_offsets"].append(graph_start[1:])
+        self.pieces["edges"].append(np.stack((u, w, edge_labels), 1))
+        self.pieces["edge_offsets"].append(self.edges + np.cumsum(is_e)[t])
+        if t.size:
+            # only the block's last graph may go on in the next block
+            block = slice(len(lo) - len(fitting), None)
+            mine = graph[fitting] == len(t)
+            lo, hi = lo[block][mine], hi[block][mine]
+        self.open_pairs = (lo, hi)
+        self.open_start = int(graph_start[-1])
+        self.lines += len(line_end)
+        self.vertices = vertices
+        self.edges += len(e)
+
+
 def parse_database(
     graph_source: str | IO[str], labels_source: str | IO[str] | None = None
 ) -> GraphDatabase:
@@ -462,99 +826,18 @@ def parse_database(
     and lines starting with '%' are ignored. When a labels file is supplied it
     is authoritative and must cover every graph.
 
-    One pass checks each line once and appends straight to the database's
-    flat storage; no per-graph record is built.
+    Lines end where ``str.splitlines`` ends them and tokens are split as
+    ``str.split`` splits them, whether a source is a ``str`` or a file. The
+    graph text is read in blocks of whole lines; each block is screened by
+    every rule above in numpy, as arrays of code points, so the temporaries
+    follow the block and not the input. The first line that breaks a rule
+    raises, with its line number; no per-graph record is built.
     """
     labels_map = _parse_labels_file(labels_source) if labels_source is not None else None
-    # token -> dense id, in order of first appearance
-    vertex_ids: dict[str, int] = {}
-    edge_ids: dict[str, int] = {}
-
-    graph_ids: list[int] = []
-    inline: list[int | None] = []
-    seen_ids: set[int] = set()
-    vertex_counts: list[int] = []
-    edge_counts: list[int] = []
-    vertex_labels: list[int] = []
-    # (u, v, label) of every edge, flat; u and v stay small ints within the graph
-    edges: list[int] = []
-
-    # the open graph's vertex and edge counts and its (min, max) endpoint pairs
-    nv = ne = 0
-    pairs: set[tuple[int, int]] = set()
-
-    for no, raw in enumerate(_lines(graph_source), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        kind = parts[0]
-        if kind == "e":
-            if not graph_ids:
-                raise ParseError(no, "edge line before any 't' line")
-            if len(parts) != 4:
-                raise ParseError(no, f"expected 'e <src> <dst> <edge_label>', got {raw.strip()!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(no, f"edge endpoints must be integers in {raw.strip()!r}") from None
-            if u == v:
-                raise ParseError(no, f"self-loop at vertex {u}")
-            if not (0 <= u < nv and 0 <= v < nv):
-                raise ParseError(no, f"edge ({u}, {v}) references an undeclared vertex")
-            pair = (u, v) if u < v else (v, u)
-            if pair in pairs:
-                raise ParseError(no, f"parallel edge ({u}, {v})")
-            pairs.add(pair)
-            lbl = edge_ids.get(parts[3])
-            if lbl is None:
-                lbl = edge_ids[parts[3]] = len(edge_ids)
-            edges += (u, v, lbl)
-            ne += 1
-        elif kind == "v":
-            if not graph_ids:
-                raise ParseError(no, "vertex line before any 't' line")
-            if len(parts) != 3:
-                raise ParseError(no, f"expected 'v <vertex_id> <vertex_label>', got {raw.strip()!r}")
-            try:
-                vid = int(parts[1])
-            except ValueError:
-                raise ParseError(no, f"vertex id must be an integer, got {parts[1]!r}") from None
-            if vid != nv:
-                raise ParseError(
-                    no, f"vertex ids must be 0-based and consecutive; expected {nv}, got {vid}"
-                )
-            lbl = vertex_ids.get(parts[2])
-            if lbl is None:
-                lbl = vertex_ids[parts[2]] = len(vertex_ids)
-            vertex_labels.append(lbl)
-            nv += 1
-        elif kind == "t":
-            if len(parts) not in (3, 4) or parts[1] != "#":
-                raise ParseError(no, f"expected 't # <graph_id> [<class>]', got {raw.strip()!r}")
-            try:
-                gid = int(parts[2])
-            except ValueError:
-                raise ParseError(no, f"graph id must be an integer, got {parts[2]!r}") from None
-            if gid in seen_ids:
-                raise ParseError(no, f"duplicate graph id {gid}")
-            seen_ids.add(gid)
-            cls = None
-            if len(parts) == 4:
-                if parts[3] not in ("0", "1"):
-                    raise LabelError(f"line {no}: class must be 0 or 1, got {parts[3]!r}")
-                cls = int(parts[3])
-            if graph_ids:
-                vertex_counts.append(nv)
-                edge_counts.append(ne)
-            graph_ids.append(gid)
-            inline.append(cls)
-            nv = ne = 0
-            pairs = set()
-        elif not kind.startswith("%"):
-            raise ParseError(no, f"unknown record type {kind!r}")
-    if graph_ids:
-        vertex_counts.append(nv)
-        edge_counts.append(ne)
+    scan = _Scan()
+    for block in _blocks(graph_source):
+        scan.feed(block)
+    graph_ids = tuple(scan.graph_ids)
 
     if labels_map is not None:
         for gid in graph_ids:
@@ -562,21 +845,19 @@ def parse_database(
                 raise LabelError(f"graph id {gid} missing from the labels file")
         classes = tuple(map(labels_map.__getitem__, graph_ids))
     else:
-        for gid, cls in zip(graph_ids, inline):
-            if cls is None:
-                raise LabelError(f"graph id {gid} has no class assignment")
-        classes = tuple(inline)
+        inline = np.concatenate(scan.classes)
+        if (inline < 0).any():
+            gid = graph_ids[int(np.argmax(inline < 0))]
+            raise LabelError(f"graph id {gid} has no class assignment")
+        classes = tuple(inline.tolist())
 
-    return GraphDatabase(
-        tuple(graph_ids),
-        classes,
-        tuple(vertex_ids),
-        tuple(edge_ids),
-        vertex_labels,
-        _offsets(vertex_counts),
-        edges,
-        _offsets(edge_counts),
-    )
+    tokens = tuple(scan.vertex_ids), tuple(scan.edge_ids)
+    scan.pieces["vertex_offsets"].append([scan.vertices])
+    scan.pieces["edge_offsets"].append([scan.edges])
+    # each array's pieces are let go once it is joined
+    storage = [np.concatenate(scan.pieces.pop(name)) for name in list(scan.pieces)]
+    del scan
+    return GraphDatabase(graph_ids, classes, *tokens, *storage)
 
 
 def serialize_database(db: GraphDatabase) -> str:

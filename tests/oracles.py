@@ -2,8 +2,13 @@
 
 Slow but transparent: exact rational arithmetic for the statistics,
 exhaustive enumeration for the miner. Nothing here shares code paths with
-the modules under test, except three scalar loops that the vectorised engines
+the modules under test, except four scalar loops that the vectorised engines
 must agree with exactly:
+
+- ``parse_reference`` reads the transaction format one line at a time, a
+  dict per token table and a set per graph's vertex pairs, so the package's
+  block parser is judged against the loop it replaced: the same database,
+  token tables included, or the same error type, message and line number.
 
 - ``support_tables`` makes one margin's table by scalar loops: the exact
   ratio recurrence outward from the mode, one Python float at a time,
@@ -465,3 +470,133 @@ def mine_reference(db, config, on_emit=None):
         for quint in sorted(children, key=_extension_key, reverse=True):
             stack.append((code + (quint,), children[quint], state))
     return MiningOutcome(tuple(patterns))
+
+
+def _reference_lines(source):
+    return (source if isinstance(source, str) else source.read()).splitlines()
+
+
+def _reference_labels(source) -> dict:
+    from sigmine.graphs import LabelError, ParseError
+
+    out = {}
+    for no, raw in enumerate(_reference_lines(source), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("%"):
+            continue
+        if len(parts) != 2:
+            raise ParseError(no, f"expected '<graph_id> <class>', got {raw.strip()!r}")
+        try:
+            gid = int(parts[0])
+        except ValueError:
+            raise ParseError(no, f"graph id must be an integer, got {parts[0]!r}") from None
+        if parts[1] not in ("0", "1"):
+            raise LabelError(f"line {no}: class must be 0 or 1, got {parts[1]!r}")
+        if gid in out:
+            raise LabelError(f"line {no}: duplicate class for graph id {gid}")
+        out[gid] = int(parts[1])
+    return out
+
+
+def parse_reference(graph_source, labels_source=None):
+    """The transaction format read one line at a time, as ``parse_database`` reads it.
+
+    Lines are the ``str.splitlines`` lines of the whole text, and each is
+    checked once, in order, by every rule of the format; the tokens are
+    numbered in order of first appearance.
+    """
+    from sigmine.graphs import GraphDatabase, LabelError, ParseError, _offsets
+
+    labels_map = _reference_labels(labels_source) if labels_source is not None else None
+    vertex_ids, edge_ids = {}, {}
+    graph_ids, inline, seen_ids = [], [], set()
+    vertex_counts, edge_counts, vertex_labels, edges = [], [], [], []
+    nv = ne = 0
+    pairs = set()
+    for no, raw in enumerate(_reference_lines(graph_source), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        kind = parts[0]
+        if kind == "e":
+            if not graph_ids:
+                raise ParseError(no, "edge line before any 't' line")
+            if len(parts) != 4:
+                raise ParseError(no, f"expected 'e <src> <dst> <edge_label>', got {raw.strip()!r}")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(no, f"edge endpoints must be integers in {raw.strip()!r}") from None
+            if u == v:
+                raise ParseError(no, f"self-loop at vertex {u}")
+            if not (0 <= u < nv and 0 <= v < nv):
+                raise ParseError(no, f"edge ({u}, {v}) references an undeclared vertex")
+            pair = (u, v) if u < v else (v, u)
+            if pair in pairs:
+                raise ParseError(no, f"parallel edge ({u}, {v})")
+            pairs.add(pair)
+            edges.append((u, v, edge_ids.setdefault(parts[3], len(edge_ids))))
+            ne += 1
+        elif kind == "v":
+            if not graph_ids:
+                raise ParseError(no, "vertex line before any 't' line")
+            if len(parts) != 3:
+                raise ParseError(no, f"expected 'v <vertex_id> <vertex_label>', got {raw.strip()!r}")
+            try:
+                vid = int(parts[1])
+            except ValueError:
+                raise ParseError(no, f"vertex id must be an integer, got {parts[1]!r}") from None
+            if vid != nv:
+                raise ParseError(
+                    no, f"vertex ids must be 0-based and consecutive; expected {nv}, got {vid}"
+                )
+            vertex_labels.append(vertex_ids.setdefault(parts[2], len(vertex_ids)))
+            nv += 1
+        elif kind == "t":
+            if len(parts) not in (3, 4) or parts[1] != "#":
+                raise ParseError(no, f"expected 't # <graph_id> [<class>]', got {raw.strip()!r}")
+            try:
+                gid = int(parts[2])
+            except ValueError:
+                raise ParseError(no, f"graph id must be an integer, got {parts[2]!r}") from None
+            if gid in seen_ids:
+                raise ParseError(no, f"duplicate graph id {gid}")
+            seen_ids.add(gid)
+            cls = None
+            if len(parts) == 4:
+                if parts[3] not in ("0", "1"):
+                    raise LabelError(f"line {no}: class must be 0 or 1, got {parts[3]!r}")
+                cls = int(parts[3])
+            if graph_ids:
+                vertex_counts.append(nv)
+                edge_counts.append(ne)
+            graph_ids.append(gid)
+            inline.append(cls)
+            nv = ne = 0
+            pairs = set()
+        elif not kind.startswith("%"):
+            raise ParseError(no, f"unknown record type {kind!r}")
+    if graph_ids:
+        vertex_counts.append(nv)
+        edge_counts.append(ne)
+
+    if labels_map is not None:
+        for gid in graph_ids:
+            if gid not in labels_map:
+                raise LabelError(f"graph id {gid} missing from the labels file")
+        classes = tuple(labels_map[gid] for gid in graph_ids)
+    else:
+        for gid, cls in zip(graph_ids, inline):
+            if cls is None:
+                raise LabelError(f"graph id {gid} has no class assignment")
+        classes = tuple(inline)
+    return GraphDatabase(
+        tuple(graph_ids),
+        classes,
+        tuple(vertex_ids),
+        tuple(edge_ids),
+        vertex_labels,
+        _offsets(vertex_counts),
+        [x for row in edges for x in row],
+        _offsets(edge_counts),
+    )

@@ -1,6 +1,7 @@
 import io
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sigmine import graphs
 from sigmine.graphs import (
     GraphDatabase,
     LabeledGraph,
@@ -197,6 +199,14 @@ PARSE_ERRORS = {
     "labels missing graph": (GOOD_PAIR, "0 1\n", LabelError, "graph id 1 missing from the labels file", None),
     "one class": ("t # 0 1\nv 0 A\nt # 1 1\nv 0 A\n", None, ValidityError, "both classes must be present", None),
     "empty": ("% nothing here\n", None, ValidityError, "empty database", None),
+    # a form feed and a line separator end lines in a file as in a str
+    "form feed": (
+        "t # 0 1\x0cv 0\n", None, ParseError,
+        "line 2: expected 'v <vertex_id> <vertex_label>', got 'v 0'", 2,
+    ),
+    "labels line separator": (
+        GOOD_PAIR, "0 1\u20281 1 1\n", ParseError, "line 2: expected '<graph_id> <class>', got '1 1 1'", 2,
+    ),
 }
 
 
@@ -207,6 +217,161 @@ def test_parse_errors_carry_line_numbers():
                 parse_database(source(graphs), None if labels is None else source(labels))
             held = (type(e.value), str(e.value), getattr(e.value, "line_no", None))
             assert held == (kind, message, line_no), (case, source)
+
+
+# (graph text, labels text) cut into the same two graphs, classes 1 and 0,
+# by str.splitlines and by a file read in blocks
+LINE_BREAK_CASES = {
+    "form feed": ("t # 0 1\x0cv 0 A\nt # 1 0\nv 0 A\n", None),
+    "line separator": ("t # 0 1\u2028v 0 A\nt # 1 0\nv 0 A\n", None),
+    "lone carriage return": ("t # 0 1\rv 0 A\rt # 1 0\rv 0 A", None),
+    "carriage return and line feed": ("t # 0 1\r\nv 0 A\r\n\r\nt # 1 0\r\nv 0 A\r\n", None),
+    "labels file": ("t # 0\nv 0 A\nt # 1\nv 0 A\n", "0 1\x0c1 0\x85"),
+}
+
+
+def test_str_and_file_sources_cut_lines_alike():
+    # a file is cut where a str is: at a form feed, a line separator or a
+    # lone "\r" as well as at "\n"
+    for case, (text, labels) in LINE_BREAK_CASES.items():
+        for source in (str, io.StringIO):
+            db = parse_database(source(text), None if labels is None else source(labels))
+            assert db.original_classes == (1, 0), (case, source)
+
+
+def test_whitespace_and_line_breaks_are_those_of_str():
+    # the block parser classifies code points by these tables; they must be
+    # the characters str.split() and str.splitlines() cut at
+    spaces = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+    assert graphs._WHITESPACE == spaces
+    assert all(ord(c) < graphs._TOP for c in spaces)
+    breaks = [c for c in spaces if len(f"a{c}b".splitlines()) == 2]
+    assert sorted(graphs._LINE_BREAKS) == breaks
+    assert "\r\n".splitlines() == [""] and "a\r\n".splitlines() == ["a"]
+
+
+def _parsed(parse, *sources):
+    """Everything a parsed database holds, or the error's type, message and line."""
+    try:
+        db = parse(*sources)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "line_no", None)
+    arrays = (db.vertex_labels, db.vertex_offsets, db.edges, db.edge_offsets)
+    return (db.graph_ids, db.original_classes, db.vertex_tokens, db.edge_tokens,
+            *(a.tolist() for a in arrays))
+
+
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", " ", "\t", "  ", "\xa0", "\u3000", "\x1f", " \t "]
+LABELS = ["A", "b", "%x", "é", "\ud800", "\x00", "a\x00", "日本", "ab", "abc", "abcd", "0", "10", "x" * 9]
+# tokens put in place of one token of a valid file
+CORRUPTIONS = ["x", "-1", "99", "#", "t", "v", "e", "%", "2", "0", "1", "+1", "٣", "1_0", "0x1", "9" * 25]
+OTHER_DIGITS = [str.maketrans("0123456789", "".join(map(chr, range(z, z + 10)))) for z in (0x660, 0xFF10)]
+
+
+def _integer(rng, value):
+    """``value`` written as ``int`` reads it: plainly, zero-padded, signed, grouped or in other digits."""
+    text = str(value)
+    form = rng.randrange(6)
+    if value < 0 or form < 2:
+        return text
+    if form == 2:
+        return "00" + text
+    if form == 3:
+        return "+" + text
+    if form == 4 and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    return text.translate(rng.choice(OTHER_DIGITS))
+
+
+@st.composite
+def transaction_texts(draw):
+    """A transaction file as a text, with its labels file or None, often a little broken.
+
+    The graphs are random, their records written with any of str's line
+    breaks and spaces between and around the tokens, with comments, blank
+    lines and integers in every form ``int`` reads. Half of the files then
+    have one token replaced or dropped, or one line repeated.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    records, labels = [], []
+    inline = rng.random() < 0.7
+    for gid in rng.sample(range(-3, 40), rng.randint(1, 5)):
+        cls = rng.choice("01")
+        records.append(["t", "#", _integer(rng, gid)] + ([cls] if inline else []))
+        labels.append([_integer(rng, gid), cls])
+        nv = rng.randint(0, 4)
+        records += [["v", _integer(rng, i), rng.choice(LABELS)] for i in range(nv)]
+        pairs = [p for p in ((u, v) for u in range(nv) for v in range(u + 1, nv)) if rng.random() < 0.6]
+        rng.shuffle(pairs)
+        for u, v in pairs:
+            u, v = (v, u) if rng.random() < 0.5 else (u, v)
+            records.append(["e", _integer(rng, u), _integer(rng, v), rng.choice(LABELS)])
+    if rng.random() < 0.5:
+        line = rng.choice(records)
+        shape = rng.randrange(3)
+        if shape == 0:
+            line[rng.randrange(len(line))] = rng.choice(CORRUPTIONS)
+        elif shape == 1:
+            del line[rng.randrange(len(line))]
+        else:
+            records.insert(rng.randrange(len(records) + 1), list(line))
+
+    def render(lines):
+        out = []
+        for tokens in lines:
+            if rng.random() < 0.1:
+                out.append(rng.choice(["", " ", "\t ", "% a comment", "%"]))
+            edge = rng.choice(["", "", "", " ", "\u3000"])
+            sep = [rng.choice(SPACES) for _ in tokens]
+            out.append(edge + "".join(t + s for t, s in zip(tokens, sep)).rstrip() + edge)
+        return "".join(line + rng.choice(BREAKS) for line in out)[: None if rng.random() < 0.8 else -1]
+
+    return render(records), None if inline else render(labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(transaction_texts(), st.sampled_from([1, 2, 3, 5, 8, 13, 64, graphs._BLOCK]))
+def test_block_parser_agrees_with_the_line_loop(texts, block):
+    # oracles.parse_reference is the line loop the block parser replaced;
+    # small blocks put block boundaries inside graphs, "\r\n" pairs and
+    # the vertex pairs and graph ids that repeat
+    text, labels = texts
+    want = _parsed(oracles.parse_reference, text, labels)
+    with mock.patch.object(graphs, "_BLOCK", block):
+        assert _parsed(parse_database, text, labels) == want
+        files = (io.StringIO(text), None if labels is None else io.StringIO(labels))
+        assert _parsed(parse_database, *files) == want
+
+
+@pytest.mark.parametrize("source", [str, io.StringIO])
+def test_a_line_many_blocks_long_is_one_piece(source):
+    # a label of 40 blocks, a "\r\n" split across two reads and a lone "\r"
+    # as the last code point of a read: every piece ends where a line does
+    label = "x" * 160
+    text = f"t # 0 1\r\nv 0 {label}\nv 1 A\re 0 1 {label}\r\nt # 1 0\r\nv 0 A"
+    with mock.patch.object(graphs, "_BLOCK", 4):
+        pieces = list(graphs._blocks(source(text)))
+        db = parse_database(source(text))
+    assert "".join(pieces) == text
+    assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
+    assert [p for p in pieces if label in p] == ["v 0 " + label + "\n", "e 0 1 " + label + "\r\n"]
+    assert db == oracles.parse_reference(text)
+    assert db.vertex_tokens == (label, "A")
+
+
+def test_integer_tokens_mean_what_int_reads():
+    # only plain ASCII digits are read in numpy; the rest go through int
+    text = "t # +3 1\nv 000 A\nv 1_0 B\nt # ٣٤ 0\nv 0 A\nv 1 A\ne ０ +1 x\n"
+    with pytest.raises(ParseError, match=re.escape("line 3: vertex ids must be 0-based and consecutive; expected 1, got 10")):
+        parse_database(text)
+    db = parse_database(text.replace("1_0", "0_1"))
+    assert db.graph_ids == (3, 34)
+    assert db.edges.tolist() == [[0, 1, 0]]
+    big = "t # 123456789012345678901234567890 1\nv 0 A\nt # 0 0\nv 0 A\n"
+    assert parse_database(big).graph_ids == (123456789012345678901234567890, 0)
+    with pytest.raises(ParseError, match="undeclared vertex"):
+        parse_database(big + "e 0 99999999999999999999 x\n")
 
 
 def test_class_validation():
@@ -316,6 +481,21 @@ def test_constructor_checks_every_row(case):
         GraphDatabase(*TWO_PAIRS, labels, [0, 2, 4], edges, edge_offsets)
     # one edge (0, 1) in each graph, the same pair in flat ids 0-1 and 2-3
     GraphDatabase(*TWO_PAIRS, [0, 0, 1, 1], [0, 2, 4], [[0, 1, 0], [1, 0, 0]], [0, 1, 2])
+
+
+def test_the_first_bad_graph_raises_whatever_its_chunk():
+    # rows are screened a chunk of whole graphs at a time, in graph order
+    db = random_database(3000, 7)
+    tables = (db.graph_ids, db.original_classes, db.vertex_tokens, db.edge_tokens)
+    eoff = db.edge_offsets
+    late, later = (next(g for g in range(at, 3000) if eoff[g + 1] > eoff[g]) for at in (2000, 2900))
+    edges, labels = db.edges.copy(), db.vertex_labels.copy()
+    edges[eoff[late]] = edges[eoff[late], 1], edges[eoff[late], 1], 0
+    labels[db.vertex_offsets[later]] = -1
+    with pytest.raises(ValueError, match=f"graph {late}: self-loop"):
+        GraphDatabase(*tables, labels, db.vertex_offsets, edges, eoff)
+    with pytest.raises(ValueError, match=f"graph {later}: negative vertex label"):
+        GraphDatabase(*tables, labels, db.vertex_offsets, db.edges, eoff)
 
 
 def test_from_graphs_defaults_tokens():
@@ -478,6 +658,37 @@ def test_layout_build_peak_stays_near_what_it_holds():
     assert len(layout.ints) == 20000
     # the arrays kept are about 4.6 MB here; sort temporaries once tripled that
     assert peak <= 2 * held, (peak, held)
+
+
+def test_constructor_peak_stays_near_what_it_holds():
+    db = random_database(20000, 7)
+    arrays = [a.copy() for a in (db.vertex_labels, db.vertex_offsets, db.edges, db.edge_offsets)]
+    tokens = (db.graph_ids, db.original_classes, db.vertex_tokens, db.edge_tokens)
+    tracemalloc.start()
+    try:
+        again = GraphDatabase(*tokens, *arrays)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again.size == 20000
+    # the row screen's temporaries cover a bounded number of edges at a time
+    assert peak <= 2 * held, (peak, held)
+
+
+def test_parse_peak_follows_the_block_not_the_input():
+    text = serialize_database(random_database(20000, 7))
+    tracemalloc.start()
+    try:
+        db = parse_database(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert db.size == 20000
+    # the constructor copies the joined arrays (twice what is kept); past
+    # that, one block's temporaries, about 20 bytes a code point, and well
+    # below the 15.4 MB a per-line loop peaks at on this text
+    assert peak <= 2 * held + 32 * graphs._BLOCK, (peak, held)
+    assert peak < 15_400_000, (peak, held)
 
 
 def test_flat_storage_of_a_parsed_database():
