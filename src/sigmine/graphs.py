@@ -73,7 +73,8 @@ class LabeledGraph:
     integers (``_as_int``: numpy integers are stored as int, bools, floats and
     strings raise TypeError). Labels are non-negative (the miner reserves -1
     for "no edge"); edges are normalized to (u, v, label) with u < v and
-    stored sorted.
+    stored sorted. Labels and edges are stored as tuples, whatever sequences
+    they are given as, so equal graphs compare equal and hash alike.
     """
 
     graph_id: int
@@ -85,10 +86,12 @@ class LabeledGraph:
         # checked by type alone
         if type(self.graph_id) is not int:
             object.__setattr__(self, "graph_id", _as_int(self.graph_id, "graph id"))
-        if not {int}.issuperset(map(type, self.vertex_labels)):
+        # tuple() of a tuple is that tuple, so only other sequences are copied
+        labels = tuple(self.vertex_labels)
+        if not {int}.issuperset(map(type, labels)):
             what = f"graph {self.graph_id}: vertex label"
-            labels = tuple(_as_int(lbl, what) for lbl in self.vertex_labels)
-            object.__setattr__(self, "vertex_labels", labels)
+            labels = tuple(_as_int(lbl, what) for lbl in labels)
+        object.__setattr__(self, "vertex_labels", labels)
         normalized = []
         seen: set[tuple[int, int]] = set()
         nv = len(self.vertex_labels)
@@ -245,7 +248,8 @@ class GraphDatabase:
     ``(u, v, label)`` with endpoints numbered within the graph, in any order
     and orientation. The arrays are int64 and read-only. The constructor
     checks the classes, graph ids, tokens and array shapes, and every label
-    and edge row as ``LabeledGraph`` checks a graph's. ``graphs`` reads the
+    and edge row as ``LabeledGraph`` checks a graph's. The ids, classes and
+    token tables are stored as tuples, whatever sequences they are given as. ``graphs`` reads the
     graphs back as ``LabeledGraph`` records (edges normalised and sorted) on
     first use; ``layout`` is the miner's form, also built once.
     """
@@ -261,6 +265,9 @@ class GraphDatabase:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
+        # a frozen record holds no list a caller could still change
+        for name in ("graph_ids", "original_classes", "vertex_tokens", "edge_tokens"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.graph_ids) != len(self.original_classes):
             raise ValueError("one class per graph required")
         if not self.graph_ids:
@@ -413,9 +420,9 @@ class GraphDatabase:
             edge_tokens = tuple(map(str, range(edges[:, 2].max(initial=-1) + 1)))
         db = cls(
             tuple(g.graph_id for g in graphs),
-            tuple(classes),
-            tuple(vertex_tokens),
-            tuple(edge_tokens),
+            classes,
+            vertex_tokens,
+            edge_tokens,
             vertex_labels,
             _offsets([g.vertex_count for g in graphs]),
             edges,

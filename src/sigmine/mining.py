@@ -10,24 +10,25 @@ whose ints are shared by the database layout, so a kept family costs about
 one pointer per occurrence.
 
 ``_step`` advances a code's rightmost path, vertex labels and edge set by
-one quint; the miner and ``minimum_code`` share it. The miner carries
-that state from parent to child instead of re-deriving it from the code, and
-walks the search tree with an explicit stack of sibling groups, so pattern
-depth is not bounded by Python's recursion limit. It holds a code's
-embeddings as one int32 array over the database's global vertex ids. When it
-reaches a sibling not joined yet, it checks that sibling and the ones after
-it of the same vertex count for minimality and finds all rightmost-path
-extensions of the minimal ones in one numpy join over their arrays laid
-side by side (``_Miner._children``), up to a fixed number of candidate
-cells; only children that are frequent and pass gSpan's first-edge test get
-embeddings.
+one quint. The miner carries that state from parent to child instead of
+re-deriving it from the code, and walks the search tree with an explicit
+stack of sibling groups, so pattern depth is not bounded by Python's
+recursion limit. It holds a code's embeddings as one int32 array over the
+database's global vertex ids. When it reaches a sibling not joined yet, it
+checks that sibling and the ones after it of the same vertex count for
+minimality and finds all rightmost-path extensions of the minimal ones in
+one numpy join over their arrays laid side by side (``_Miner._children``),
+up to a fixed number of candidate cells; only children that are frequent and
+pass gSpan's first-edge test get embeddings.
 Every edge code comes from that join: the single-edge roots are the children
-of one-vertex codes, the vertices of each frequent label. The minimality
-check (``is_canonical``) is gSpan's isMin test: it walks the code over the
-small graph the code describes, held as a plain adjacency, and stops at the
-first extension that sorts below the code's own. ``minimum_code`` builds the
-greedy minimal code with the scalar ``_extend``, which the scalar reference
-miner of the tests shares.
+of one-vertex codes, the vertices of each frequent label. It lists a code's
+children in gSpan's extension order: backward edges before forward ones,
+backward edges by target vertex and then edge label, forward edges from the
+rightmost vertex back towards the root and then by edge label and new vertex
+label. The minimality check (``is_canonical``) is gSpan's isMin test: it
+walks the code over the small graph the code describes, held as a plain
+adjacency, and stops at the first extension that sorts below the code's own
+in that order. ``minimum_code`` takes the join's first child at every step.
 
 Single-vertex patterns use the degenerate code ``((0, 0, lbl, NO_EDGE, lbl),)``.
 
@@ -144,55 +145,6 @@ def _step(
     return rmpath, labels, edges | {(to, frm)}
 
 
-def _adjacency(graph: LabeledGraph) -> list[dict[int, int]]:
-    """adjacency[v] maps each neighbour of v to the label of their edge."""
-    adjacency: list[dict[int, int]] = [{} for _ in graph.vertex_labels]
-    for u, v, lbl in graph.edges:
-        adjacency[u][v] = lbl
-        adjacency[v][u] = lbl
-    return adjacency
-
-
-def _extend(
-    children: dict[Quint, list[tuple[int, tuple[int, ...]]]],
-    adjacency: Sequence[dict[int, int]],
-    vertex_labels: Sequence[int],
-    pos: int,
-    assign: tuple[int, ...],
-    rmpath: tuple[int, ...],
-    labels: tuple[int, ...],
-    edges: frozenset[tuple[int, int]],
-    forward: bool,
-) -> None:
-    """Bucket one embedding's rightmost-path extensions by quint.
-
-    ``assign`` maps the pattern's vertex ids to vertices of the graph at
-    ``pos``, given by its ``adjacency`` and ``vertex_labels``. Each extension
-    appends ``(pos, child assignment)`` to ``children[quint]``: backward edges
-    from the rightmost vertex to an earlier rightmost-path vertex, then, when
-    ``forward``, edges from any rightmost-path vertex to a vertex the
-    embedding does not use yet.
-    """
-    rightmost = rmpath[-1]
-    r_nbrs = adjacency[assign[rightmost]]
-    for j in rmpath[:-1]:
-        if (j, rightmost) in edges:
-            continue
-        lbl = r_nbrs.get(assign[j])
-        if lbl is not None:
-            quint = (rightmost, j, labels[rightmost], lbl, labels[j])
-            children.setdefault(quint, []).append((pos, assign))
-    if not forward:
-        return
-    in_assign = set(assign)
-    new_id = len(assign)
-    for i in rmpath:
-        for w, lbl in adjacency[assign[i]].items():
-            if w not in in_assign:
-                quint = (i, new_id, labels[i], lbl, vertex_labels[w])
-                children.setdefault(quint, []).append((pos, assign + (w,)))
-
-
 def code_string(code: Sequence[Quint], db: GraphDatabase) -> str:
     """Serialize a code with the database's original label tokens.
 
@@ -209,61 +161,15 @@ def code_string(code: Sequence[Quint], db: GraphDatabase) -> str:
     return ";".join(parts)
 
 
-def _extension_key(quint: Quint) -> tuple:
-    frm, to, _, el, tl = quint
-    if frm > to:
-        return (0, to, el)
-    return (1, -frm, el, tl)
-
-
-def minimum_code(graph: LabeledGraph) -> tuple[Quint, ...]:
-    """Canonical (minimal) DFS code of a connected labeled graph.
-
-    Grows the code with the miner's rule, keeping at each step only the
-    smallest extension and the embeddings of the graph into itself that
-    produce it: gSpan's greedy construction, an independent judge of
-    ``is_canonical``.
-    """
-    labels = graph.vertex_labels
-    adjacency = _adjacency(graph)
-    if not graph.edges:
-        if len(labels) != 1:
-            raise ValueError("disconnected graph has no DFS code")
-        return ((0, 0, labels[0], NO_EDGE, labels[0]),)
-    directed = [
-        ((labels[u], lbl, labels[v]), (u, v))
-        for u, nbrs in enumerate(adjacency)
-        for v, lbl in nbrs.items()
-    ]
-    first_key = min(directed)[0]
-    code: list[Quint] = [(0, 1, *first_key)]
-    # an embedding maps pattern vertex -> graph vertex; injectivity plus the
-    # pattern-level duplicate-edge check make a used-edge set redundant
-    embeds = [pair for key, pair in directed if key == first_key]
-    state = _step(*_root_state(first_key[0]), code[0])
-    for _ in range(len(graph.edges) - 1):
-        children: dict[Quint, list[tuple[int, tuple[int, ...]]]] = {}
-        for assign in embeds:
-            _extend(children, adjacency, labels, 0, assign, *state, True)
-        if not children:
-            raise ValueError("disconnected graph has no DFS code")
-        quint = min(children, key=_extension_key)
-        code.append(quint)
-        embeds = [assign for _, assign in children[quint]]
-        state = _step(*state, quint)
-    if len(state[1]) < len(labels):
-        raise ValueError("disconnected graph has no DFS code")
-    return tuple(code)
-
-
 def is_canonical(code: Sequence[Quint]) -> bool:
     """True when the code is the minimal DFS code of the graph it describes.
 
     gSpan's isMin test: walk the code over the graph it describes, keeping
     the embeddings of each prefix into that graph. At each quint, an
-    extension of some kept embedding that sorts below the quint (in
-    ``_extension_key`` order) proves the code is not minimal; the
-    extensions equal to the quint are the embeddings of the next prefix.
+    extension of some kept embedding that sorts below the quint, in the
+    extension order of the module docstring, proves the code is not
+    minimal; the extensions equal to the quint are the embeddings of the
+    next prefix.
     The identity embedding realises every prefix, so the walk only ends
     early on a smaller extension.
     """
@@ -533,9 +439,8 @@ class _Miner:
         """Join the rightmost-path extensions of codes of one vertex count.
 
         Finds every rightmost-path extension of every embedding of the first
-        members at once, as the scalar ``_extend`` does one embedding at a
-        time, and returns one group of children per member joined: as many
-        members as keep the join within ``_JOIN_CELLS``, and at least one.
+        members at once and returns one group of children per member joined:
+        as many members as keep the join within ``_JOIN_CELLS``, and at least one.
         The members' projections are laid side by side, and each member's
         embeddings are crossed with the vertices of its rightmost path (of
         its rightmost vertex alone when the vertex limit stops forward
@@ -546,10 +451,10 @@ class _Miner:
         extension's int64 key is ``(2k * member + slot) * P + (edge label,
         new label) pair``, with slot j for a backward edge to j and
         ``2k - 1 - frm`` for a forward edge from frm, so each member's keys
-        sort in ``_extension_key`` order. Only keys whose support reaches
-        the live threshold and that pass gSpan's first-edge test get
-        embeddings: a new edge whose label triple, read either way, sorts
-        below the member's first-edge triple means the code is not minimal.
+        sort in extension order. Only keys whose support reaches the live
+        threshold and that pass gSpan's first-edge test get embeddings: a
+        new edge whose label triple, read either way, sorts below the
+        member's first-edge triple means the code is not minimal.
         A one-vertex code labelled lbl passes ``(lbl, NO_EDGE, lbl)``, so
         its children, the single-edge roots, lose exactly the edges that
         lead to a smaller label.
@@ -644,6 +549,51 @@ class _Miner:
             group.projs.append(rows_kept.take(chosen[rb[i] : rb[i + 1]], axis=1))
             group.status.append(None)
         return groups
+
+
+def minimum_code(graph: LabeledGraph) -> tuple[Quint, ...]:
+    """Canonical (minimal) DFS code of a connected labeled graph.
+
+    gSpan's greedy construction on the miner's own join. The graph, its
+    vertex and edge labels ranked densely in their order, is mined alone,
+    with a lone vertex standing in for class 0, from the one-vertex code of
+    its smallest label. At each of its edges the code takes the first child
+    ``_Miner._children`` lists, the smallest extension, with that child's
+    embeddings. The labels are mapped back at the end.
+    """
+    labels = graph.vertex_labels
+    if not graph.edges:
+        if len(labels) != 1:
+            raise ValueError("disconnected graph has no DFS code")
+        return ((0, 0, labels[0], NO_EDGE, labels[0]),)
+    vertex_labels = sorted(set(labels))
+    edge_labels = sorted({lbl for *_, lbl in graph.edges})
+    vrank = {lbl: i for i, lbl in enumerate(vertex_labels)}
+    erank = {lbl: i for i, lbl in enumerate(edge_labels)}
+    ranked = LabeledGraph(
+        0,
+        tuple(map(vrank.__getitem__, labels)),
+        tuple((u, v, erank[lbl]) for u, v, lbl in graph.edges),
+    )
+    db = GraphDatabase.from_graphs((ranked, LabeledGraph(1, (0,), ())), (1, 0))
+    miner = _Miner(db, MinerConfig(1), None)
+    # the graph's vertices of the smallest label, the stand-in's left out
+    roots = np.flatnonzero(db.vertex_labels[:-1] == 0).astype(np.int32)
+    member: _Member = ((), _root_state(0), (0, NO_EDGE, 0), roots[None])
+    for _ in graph.edges:
+        children = miner._children([member])[0]
+        if not children.quints:
+            raise ValueError("disconnected graph has no DFS code")
+        quint = children.quints[0]
+        code = member[0] + (quint,)
+        member = (code, _step(*member[1], quint), code[0][2:], children.projs[0])
+    code, (_, reached, _), *_ = member
+    if len(reached) < len(labels):
+        raise ValueError("disconnected graph has no DFS code")
+    return tuple(
+        (frm, to, vertex_labels[fl], edge_labels[el], vertex_labels[tl])
+        for frm, to, fl, el, tl in code
+    )
 
 
 def mine(

@@ -26,9 +26,12 @@ must agree with exactly:
   class, its complement. So the package's block drawer is judged against
   numpy's own stream.
 - ``mine_reference`` is the scalar miner: it grows every embedding one tuple
-  at a time with the package's own growth rule (``mining._step`` and
-  ``mining._extend``, which ``mining.minimum_code`` is built on), so the array
-  miner must emit the same patterns in the same order.
+  at a time with the scalar extension kept here (``_extend``, children
+  sorted by ``_extension_key``) and the package's ``mining._step``, so the
+  array miner must emit the same patterns in the same order.
+  ``minimum_code_reference`` is gSpan's greedy construction on the same
+  scalar extension, so it judges ``mining.is_canonical`` and
+  ``mining.minimum_code``, which walks the array miner's join.
 
 ``layout_reference`` builds the miner's ``ArrayLayout`` fields from the
 graphs read back as records, with plain lists and sorting, to judge the
@@ -403,23 +406,103 @@ def min_p_reference(testable, plan, db, tail="two"):
     return tuple(samples)
 
 
+def _adjacency(graph):
+    """adjacency[v] maps each neighbour of v to the label of their edge."""
+    adjacency = [{} for _ in graph.vertex_labels]
+    for u, v, lbl in graph.edges:
+        adjacency[u][v] = lbl
+        adjacency[v][u] = lbl
+    return adjacency
+
+
+def _extend(children, adjacency, vertex_labels, pos, assign, rmpath, labels, edges, forward):
+    """Bucket one embedding's rightmost-path extensions by quint.
+
+    ``assign`` maps the pattern's vertex ids to vertices of the graph at
+    ``pos``, given by its ``adjacency`` and ``vertex_labels``; ``rmpath``,
+    ``labels`` and ``edges`` are the code's ``mining._step`` state. Each
+    extension appends ``(pos, child assignment)`` to ``children[quint]``:
+    backward edges from the rightmost vertex to an earlier rightmost-path
+    vertex, then, when ``forward``, edges from any rightmost-path vertex to a
+    vertex the embedding does not use yet.
+    """
+    rightmost = rmpath[-1]
+    r_nbrs = adjacency[assign[rightmost]]
+    for j in rmpath[:-1]:
+        if (j, rightmost) in edges:
+            continue
+        lbl = r_nbrs.get(assign[j])
+        if lbl is not None:
+            quint = (rightmost, j, labels[rightmost], lbl, labels[j])
+            children.setdefault(quint, []).append((pos, assign))
+    if not forward:
+        return
+    in_assign = set(assign)
+    new_id = len(assign)
+    for i in rmpath:
+        for w, lbl in adjacency[assign[i]].items():
+            if w not in in_assign:
+                quint = (i, new_id, labels[i], lbl, vertex_labels[w])
+                children.setdefault(quint, []).append((pos, assign + (w,)))
+
+
+def _extension_key(quint):
+    """Sort key of gSpan's extension order among the children of one code."""
+    frm, to, _, el, tl = quint
+    if frm > to:
+        return (0, to, el)
+    return (1, -frm, el, tl)
+
+
+def minimum_code_reference(graph):
+    """Canonical DFS code of a connected graph, by the scalar greedy construction.
+
+    Grows the code keeping at each step only the smallest extension
+    (``_extension_key``) and the embeddings of the graph into itself that
+    produce it, so it judges ``mining.is_canonical`` and the join-based
+    ``mining.minimum_code``. Raises ValueError on a disconnected graph.
+    """
+    from sigmine.mining import NO_EDGE, _root_state, _step
+
+    labels = graph.vertex_labels
+    adjacency = _adjacency(graph)
+    if not graph.edges:
+        if len(labels) != 1:
+            raise ValueError("disconnected graph has no DFS code")
+        return ((0, 0, labels[0], NO_EDGE, labels[0]),)
+    directed = [
+        ((labels[u], lbl, labels[v]), (u, v))
+        for u, nbrs in enumerate(adjacency)
+        for v, lbl in nbrs.items()
+    ]
+    first_key = min(directed)[0]
+    code = [(0, 1, *first_key)]
+    # an embedding maps pattern vertex -> graph vertex; injectivity plus the
+    # pattern-level duplicate-edge check make a used-edge set redundant
+    embeds = [pair for key, pair in directed if key == first_key]
+    state = _step(*_root_state(first_key[0]), code[0])
+    for _ in range(len(graph.edges) - 1):
+        children = {}
+        for assign in embeds:
+            _extend(children, adjacency, labels, 0, assign, *state, True)
+        if not children:
+            raise ValueError("disconnected graph has no DFS code")
+        quint = min(children, key=_extension_key)
+        code.append(quint)
+        embeds = [assign for _, assign in children[quint]]
+        state = _step(*state, quint)
+    if len(state[1]) < len(labels):
+        raise ValueError("disconnected graph has no DFS code")
+    return tuple(code)
+
+
 def mine_reference(db, config, on_emit=None):
     """The scalar miner: one ``_extend`` call per embedding, children as tuples.
 
     Emits what ``mining.mine`` emits, in the same order, returns every
     emission, and steers the same way through ``on_emit``; it has no deadline.
     """
-    from sigmine.mining import (
-        NO_EDGE,
-        MiningOutcome,
-        Pattern,
-        _adjacency,
-        _extend,
-        _extension_key,
-        _root_state,
-        _step,
-        is_canonical,
-    )
+    from sigmine.mining import NO_EDGE, MiningOutcome, Pattern, _root_state, _step, is_canonical
 
     sigma = config.min_frequency
     patterns = []

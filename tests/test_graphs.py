@@ -447,6 +447,30 @@ def test_a_database_is_unequal_to_other_types():
     assert not db == "t # 0 1"
 
 
+def test_a_graph_built_from_lists_stores_tuples():
+    graph = LabeledGraph(0, [0, 1], [(0, 1, 0)])
+    twin = LabeledGraph(0, (0, 1), ((0, 1, 0),))
+    assert type(graph.vertex_labels) is tuple and type(graph.edges) is tuple
+    assert graph == twin and hash(graph) == hash(twin)
+    # a tuple is kept as it is given
+    assert LabeledGraph(0, twin.vertex_labels, ()).vertex_labels is twin.vertex_labels
+
+
+def test_a_database_built_from_lists_stores_tuples():
+    arrays = ([0, 0, 1, 1], [0, 2, 4], [[0, 1, 0], [1, 0, 0]], [0, 1, 2])
+    db = GraphDatabase([0, 1], [1, 0], ["A", "B"], ["e"], *arrays)
+    twin = GraphDatabase(*TWO_PAIRS, *arrays)
+    for name in ("graph_ids", "original_classes", "vertex_tokens", "edge_tokens"):
+        assert type(getattr(db, name)) is tuple, name
+    assert serialize_database(db) == serialize_database(twin)
+    assert db == twin and hash(db) == hash(twin)
+    # so a caller's list cannot change the database's size under its arrays
+    with pytest.raises(AttributeError):
+        db.graph_ids.append(5)
+    assert db.size == 2
+    assert GraphDatabase(twin.graph_ids, *TWO_PAIRS[1:], *arrays).graph_ids is twin.graph_ids
+
+
 # graphs 0 and 1 of two vertices each (0-1 and 2-3 in the flat storage)
 TWO_PAIRS = ((0, 1), (1, 0), ("A", "B"), ("e",))
 BAD_ROWS = {

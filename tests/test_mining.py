@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -135,7 +135,7 @@ def test_is_canonical_rejects_rotated_triangle_code():
 
 def _first_difference(code):
     """Index of the first quint where ``code`` leaves its graph's minimum code."""
-    minimum = minimum_code(oracles.code_to_graph(code))
+    minimum = oracles.minimum_code_reference(oracles.code_to_graph(code))
     return next(i for i, (a, b) in enumerate(zip(code, minimum)) if a != b)
 
 
@@ -192,7 +192,7 @@ def test_is_canonical_on_symmetric_graphs(graph):
     # many embeddings of each prefix tie with the code's own quint, so the
     # walk keeps several of them at every step; with two labels, codes that
     # start from the larger one are rejected at the first quint
-    code = minimum_code(graph)
+    code = oracles.minimum_code_reference(graph)
     assert is_canonical(code)
     rng = random.Random(0)
     for _ in range(50):
@@ -211,6 +211,24 @@ def test_minimum_code_rejects_isolated_vertex():
     # the edges alone are connected, so only the vertex count can tell
     with pytest.raises(ValueError, match="disconnected"):
         minimum_code(LabeledGraph(0, (0, 1, 2), ((0, 1, 0),)))
+
+
+def test_minimum_code_of_a_deep_cycle_and_a_clique():
+    # one label: every rotation and reflection of the cycle ties, and K6's
+    # 720 self-embeddings all realise each prefix of its code
+    cycle = LabeledGraph(0, (0,) * 60, tuple((v, (v + 1) % 60, 0) for v in range(60)))
+    cycle_code = tuple((v, v + 1, 0, 0, 0) for v in range(59)) + ((59, 0, 0, 0, 0),)
+    k6 = LabeledGraph(0, (0,) * 6, tuple((u, v, 0) for u in range(6) for v in range(u + 1, 6)))
+    # each new vertex hangs off the last one and closes onto every earlier one
+    k6_code = tuple(
+        quint
+        for v in range(1, 6)
+        for quint in [(v - 1, v, 0, 0, 0)] + [(v, j, 0, 0, 0) for j in range(v - 1)]
+    )
+    for graph, code in ((cycle, cycle_code), (k6, k6_code)):
+        assert minimum_code(graph) == code
+        assert oracles.minimum_code_reference(graph) == code
+        assert is_canonical(code)
 
 
 def test_rmpath_follows_last_forward_chain():
@@ -507,4 +525,38 @@ def test_minimum_code_is_a_canonical_form(graphs):
 @given(renumbered_connected_graph(), st.randoms(use_true_random=False))
 def test_is_canonical_accepts_exactly_the_minimum_code(graphs, rng):
     code = oracles.random_dfs_code(graphs[0], rng)
-    assert is_canonical(code) == (code == minimum_code(oracles.code_to_graph(code)))
+    minimum = oracles.minimum_code_reference(oracles.code_to_graph(code))
+    assert is_canonical(code) == (code == minimum)
+
+
+@st.composite
+def any_graph(draw):
+    """A graph on at most 7 vertices, often disconnected, with labels up to 10**12."""
+    label = st.one_of(st.integers(0, 2), st.integers(0, 10**12))
+    nv = draw(st.integers(0, 7))
+    labels = tuple(draw(label) for _ in range(nv))
+    edges = {}
+    if draw(st.booleans()):
+        # a random spanning tree makes the graph connected
+        edges = {(draw(st.integers(0, v - 1)), v): draw(label) for v in range(1, nv)}
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    for pair in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        edges.setdefault(pair, draw(label))
+    return LabeledGraph(0, labels, tuple((u, v, lbl) for (u, v), lbl in edges.items()))
+
+
+def _code_or_error(find, graph):
+    try:
+        return find(graph)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_graph())
+@example(LabeledGraph(0, (), ()))
+@example(LabeledGraph(0, (10**12, 0, 10**12), ((0, 2, 10**12),)))
+def test_minimum_code_agrees_with_the_greedy_reference(graph):
+    # a zero-vertex, disconnected or isolated-vertex graph raises alike
+    want = _code_or_error(oracles.minimum_code_reference, graph)
+    assert _code_or_error(minimum_code, graph) == want
