@@ -15,11 +15,11 @@ re-deriving it from the code, and walks the search tree with an explicit
 stack of sibling groups, so pattern depth is not bounded by Python's
 recursion limit. It holds a code's embeddings as one int32 array over the
 database's global vertex ids. When it reaches a sibling not joined yet, it
-checks that sibling and the ones after it of the same vertex count for
-minimality and finds all rightmost-path extensions of the minimal ones in
-one numpy join over their arrays laid side by side (``_Miner._children``),
-up to a fixed number of candidate cells; only children that are frequent and
-pass gSpan's first-edge test get embeddings.
+finds all rightmost-path extensions of that sibling and of the frequent ones
+after it of the same vertex count in one numpy join over their arrays laid
+side by side (``_Miner._children``), up to a fixed number of candidate
+cells. The join decides each child once: only children that are frequent,
+pass gSpan's first-edge test and are minimal get embeddings.
 Every edge code comes from that join: the single-edge roots are the children
 of one-vertex codes, the vertices of each frequent label. It lists a code's
 children in gSpan's extension order: backward edges before forward ones,
@@ -257,24 +257,21 @@ _JOIN_CELLS = 98304
 
 
 class _Siblings:
-    """The children of one code, grown one at a time in extension order.
+    """The minimal children of one code, grown one at a time in extension order.
 
     Child i is ``code + (quints[i],)``, supported by the distinct graph
-    positions ``occs[i]``, with projection ``projs[i]``. ``status[i]`` is
-    None until the child is checked, then False if it was infrequent or not
-    minimal, True if it is minimal but not joined yet, and its own
-    ``_Siblings`` once joined.
+    positions ``occs[i]``. ``held[i]`` is the child's projection until the
+    child is joined, then its own ``_Siblings``, and None once it is emitted.
     """
 
-    __slots__ = ("code", "state", "quints", "occs", "projs", "status", "next")
+    __slots__ = ("code", "state", "quints", "occs", "held", "next")
 
     def __init__(self, code: tuple[Quint, ...], state: _State):
         self.code = code
         self.state = state
         self.quints: list[Quint] = []
         self.occs: list[np.ndarray] = []
-        self.projs: list[np.ndarray | None] = []
-        self.status: list = []
+        self.held: list[np.ndarray | _Siblings | None] = []
         self.next = 0
 
 
@@ -400,40 +397,37 @@ class _Miner:
             occ = group.occs[i]
             if len(occ) < self.sigma:
                 continue
-            if group.status[i] is None or group.status[i] is True:
+            if isinstance(group.held[i], np.ndarray):
                 self._batch(group, i)
-            children = group.status[i]
-            group.status[i] = group.projs[i] = None
-            if children is False:
-                continue
+            children = group.held[i]
+            group.held[i] = None
             self._emit(group.code + (group.quints[i],), occ)
             if len(occ) >= self.sigma and children.quints:
                 stack.append(children)
 
     def _batch(self, group: _Siblings, i: int) -> None:
-        """Check child i and the siblings after it of the same vertex count
-        for minimality, and join the minimal ones from i on in one pass.
+        """Join child i and the siblings after it of the same vertex count
+        whose support reaches the live threshold, in one pass.
 
-        A sibling infrequent now stays so, as the threshold only rises. The
-        join stops at ``_JOIN_CELLS``; the siblings it leaves keep their
-        verdict and are joined when they are reached.
+        A sibling infrequent now stays so, as the threshold only rises. None
+        after i is joined yet: an earlier batch joined every frequent sibling
+        up to where ``_JOIN_CELLS`` stopped it, and i lies past that. The
+        siblings this join leaves keep their projection and are joined when
+        they are reached.
         """
-        k = len(group.projs[i])
+        k = len(group.held[i])
         members: list[_Member] = []
         at = []
         for j in range(i, len(group.quints)):
-            if len(group.projs[j]) != k:
+            proj = group.held[j]
+            if len(proj) != k:
                 break
-            code = group.code + (group.quints[j],)
-            if group.status[j] is None:
-                group.status[j] = len(group.occs[j]) >= self.sigma and is_canonical(code)
-            if group.status[j] is True:
-                state = _step(*group.state, group.quints[j])
-                members.append((code, state, code[0][2:], group.projs[j]))
+            if len(group.occs[j]) >= self.sigma:
+                code = group.code + (group.quints[j],)
+                members.append((code, _step(*group.state, group.quints[j]), code[0][2:], proj))
                 at.append(j)
-        if members:
-            for j, children in zip(at, self._children(members)):
-                group.status[j] = children
+        for j, children in zip(at, self._children(members)):
+            group.held[j] = children
 
     def _children(self, members: list[_Member]) -> list[_Siblings]:
         """Join the rightmost-path extensions of codes of one vertex count.
@@ -451,13 +445,15 @@ class _Miner:
         extension's int64 key is ``(2k * member + slot) * P + (edge label,
         new label) pair``, with slot j for a backward edge to j and
         ``2k - 1 - frm`` for a forward edge from frm, so each member's keys
-        sort in extension order. Only keys whose support reaches the live
-        threshold and that pass gSpan's first-edge test get embeddings: a
-        new edge whose label triple, read either way, sorts below the
-        member's first-edge triple means the code is not minimal.
-        A one-vertex code labelled lbl passes ``(lbl, NO_EDGE, lbl)``, so
-        its children, the single-edge roots, lose exactly the edges that
-        lead to a smaller label.
+        sort in extension order. A key is listed as a child, with its
+        embeddings, only when its support reaches the live threshold, it
+        passes gSpan's first-edge test and ``is_canonical`` accepts its
+        code. The first-edge test is the cheap part of that check: a new
+        edge whose label triple, read either way, sorts below the member's
+        first-edge triple means the code is not minimal. A one-vertex code
+        labelled lbl passes ``(lbl, NO_EDGE, lbl)``, so its children, the
+        single-edge roots, lose exactly the edges that lead to a smaller
+        label.
         """
         layout = self.layout
         num_p = len(layout.pair_el)
@@ -533,21 +529,20 @@ class _Miner:
                 continue
             slot, p = divmod(key, num_p)
             r, slot = divmod(slot, 2 * k)
-            _, (rmpath, labels, _), first, _ = members[r]
+            code, (rmpath, labels, _), first, _ = members[r]
             if slot < k:
                 quint = (rmpath[-1], slot, labels[rmpath[-1]], layout.pair_el[p], labels[slot])
             else:
                 frm = 2 * k - 1 - slot
                 quint = (frm, k, labels[frm], layout.pair_el[p], layout.pair_tl[p])
-            if min(quint[2:], quint[:1:-1]) < first:
+            if min(quint[2:], quint[:1:-1]) < first or not is_canonical(code + (quint,)):
                 continue
             group = groups[r]
             group.quints.append(quint)
             group.occs.append(occ[ob[i] : ob[i + 1]])
             # a backward child keeps the k rows, a forward one the new vertex too
             rows_kept = grown[:k] if slot < k else grown
-            group.projs.append(rows_kept.take(chosen[rb[i] : rb[i + 1]], axis=1))
-            group.status.append(None)
+            group.held.append(rows_kept.take(chosen[rb[i] : rb[i + 1]], axis=1))
         return groups
 
 
@@ -558,8 +553,10 @@ def minimum_code(graph: LabeledGraph) -> tuple[Quint, ...]:
     vertex and edge labels ranked densely in their order, is mined alone,
     with a lone vertex standing in for class 0, from the one-vertex code of
     its smallest label. At each of its edges the code takes the first child
-    ``_Miner._children`` lists, the smallest extension, with that child's
-    embeddings. The labels are mapped back at the end.
+    ``_Miner._children`` lists, with that child's embeddings: the join lists
+    only minimal children, and the smallest extension is one, as every
+    prefix of a minimum code is minimal. The labels are mapped back at the
+    end.
     """
     labels = graph.vertex_labels
     if not graph.edges:
@@ -586,7 +583,7 @@ def minimum_code(graph: LabeledGraph) -> tuple[Quint, ...]:
             raise ValueError("disconnected graph has no DFS code")
         quint = children.quints[0]
         code = member[0] + (quint,)
-        member = (code, _step(*member[1], quint), code[0][2:], children.projs[0])
+        member = (code, _step(*member[1], quint), code[0][2:], children.held[0])
     code, (_, reached, _), *_ = member
     if len(reached) < len(labels):
         raise ValueError("disconnected graph has no DFS code")

@@ -179,9 +179,10 @@ def _dynamic(session: _Session, sigma_min: int):
     patterns proving it exist, and raising sigma only drops patterns, so every
     sigma passed lies below the root. The miner prunes below the live sigma,
     which loses nothing at or above the root because support is anti-monotone.
-    The final sigma is therefore the root. The count there fits, so
-    ``_scan_up`` keeps it and the run's patterns at or above it, the testable
-    set. Above m the budget is flat and the same loop climbs on.
+    The final sigma is therefore the root. The raising loop leaves the count
+    there within budget, so no scan up is needed: the run's patterns at or
+    above it are the testable set. Above m the budget is flat and the same
+    loop climbs on.
     """
     histogram: Counter[int] = Counter()
     sigma, count, budget = sigma_min, 0, session.budget(sigma_min)
@@ -198,7 +199,7 @@ def _dynamic(session: _Session, sigma_min: int):
         return sigma
 
     patterns = session.mine_at(sigma_min, raise_sigma=raise_sigma)
-    return _scan_up(session, sigma, patterns)
+    return sigma, [p for p in patterns if p.frequency >= sigma]
 
 
 def _onepass(session: _Session, sigma_min: int):

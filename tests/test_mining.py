@@ -440,6 +440,32 @@ def test_raised_threshold_prunes_children_joined_with_earlier_siblings():
     assert any(batched)
 
 
+def test_join_lists_only_minimal_frequent_children(db):
+    # the join decides minimality, so no child it lists is dropped later
+    cycle = tuple((v, (v + 1) % 8, 0) for v in range(8))
+    cycles = GraphDatabase.from_graphs(
+        [LabeledGraph(g, (0,) * 8, cycle) for g in range(4)], (1, 1, 0, 0)
+    )
+    join = mining._Miner._children
+    listed = []
+
+    def spy(miner, members):
+        groups = join(miner, members)
+        for group in groups:
+            for quint, occ in zip(group.quints, group.occs):
+                listed.append((group.code + (quint,), len(occ), miner.sigma))
+        return groups
+
+    for database, sigma in ((db, 1), (planted_database(40, 3), 4), (cycles, 2)):
+        listed.clear()
+        with mock.patch.object(mining._Miner, "_children", spy):
+            mine(database, MinerConfig(sigma))
+        assert listed
+        for code, support, live in listed:
+            assert code == oracles.minimum_code_reference(oracles.code_to_graph(code))
+            assert support >= live
+
+
 def test_memory_is_bounded_on_twenty_thousand_graphs():
     # a miner that holds its embeddings as tuples needs 44 MiB here
     db = random_database(20000, 0)
