@@ -5,9 +5,8 @@ Patterns are represented by DFS codes: sequences of quintuples
 vertex ``to`` and backward edges close a cycle back onto the rightmost path.
 Each pattern is visited exactly once by pruning non-minimal codes. Support is
 the number of distinct transactions containing at least one embedding. An
-emitted pattern keeps those transactions as an ascending tuple of positions
-whose ints are shared by the database layout, so a kept family costs about
-one pointer per occurrence.
+emitted pattern keeps those transactions as its own read-only int32 array of
+ascending positions, the form every later stage reads.
 
 ``_step`` advances a code's rightmost path, vertex labels and edge set by
 one quint. The miner carries that state from parent to child instead of
@@ -75,21 +74,30 @@ class MinerConfig:
             raise ValueError("max_vertices must be at least 1 or None")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pattern:
     """A frequent pattern with its transaction-level occurrence data.
 
-    ``occurrences`` holds the 0-based transaction positions of the pattern as
-    a tuple of ascending, distinct positions; ``x`` of them belong to class 1
-    and ``x_prime`` to class 0. The vertex and edge counts are read off
-    ``code``: one vertex plus one per forward quint, and one edge per quint,
-    none for a singleton.
+    ``occurrences`` holds the 0-based transaction positions of the pattern,
+    ascending and distinct, as a 1-D read-only int32 numpy array; ``x`` of
+    them belong to class 1 and ``x_prime`` to class 0. The constructor
+    stores a fresh copy of whatever sequence it is given, so a caller's own
+    array stays writeable. The vertex and edge counts are read off ``code``:
+    one vertex plus one per forward quint, and one edge per quint, none for
+    a singleton. Patterns compare and hash by identity, since arrays have no
+    value equality; compare ``(code, occurrences.tolist(), x, x_prime)``
+    to compare by value.
     """
 
     code: tuple[Quint, ...]
-    occurrences: tuple[int, ...]
+    occurrences: np.ndarray
     x: int
     x_prime: int
+
+    def __post_init__(self) -> None:
+        occurrences = np.array(self.occurrences, np.int32)
+        occurrences.flags.writeable = False
+        object.__setattr__(self, "occurrences", occurrences)
 
     @property
     def frequency(self) -> int:
@@ -343,12 +351,10 @@ class _Miner:
         return order, pair_keys[key_pairs].tolist(), pairs - pair_keys * n, ob, rb
 
     def _emit(self, code: tuple[Quint, ...], occ: np.ndarray) -> None:
-        # the layout's shared ints, not fresh ones from tolist, fill the tuple
-        occurrences = tuple(map(self.layout.ints.__getitem__, occ.tolist()))
         x = int(self.layout.positive[occ].sum())
-        self.patterns.append(Pattern(code, occurrences, x, len(occurrences) - x))
+        self.patterns.append(Pattern(code, occ, x, len(occ) - x))
         if self.on_emit is not None:
-            self.sigma = max(self.sigma, self.on_emit(len(occurrences)))
+            self.sigma = max(self.sigma, self.on_emit(len(occ)))
 
     def run(self) -> None:
         layout = self.layout

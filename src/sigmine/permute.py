@@ -134,6 +134,25 @@ def _packed(slots: np.ndarray) -> np.ndarray:
     return np.packbits(slots, axis=1, bitorder="little").view(np.uint64)
 
 
+def _check_occurrences(pattern: Pattern, total: int) -> None:
+    """Raise ValueError for occurrences that do not fit ``total`` graphs.
+
+    They must be ``pattern.frequency`` positions, strictly ascending in
+    ``[0, total)``: a position past ``total`` would set a padding bit, which
+    counts as a hit once the masks are complemented, and a repeated one
+    would count once.
+    """
+    occ = pattern.occurrences
+    if len(occ) != pattern.frequency:
+        raise ValueError(
+            f"pattern has {len(occ)} occurrences but frequency {pattern.frequency}"
+        )
+    if len(occ) and not (occ[0] >= 0 and occ[-1] < total and (occ[1:] > occ[:-1]).all()):
+        raise ValueError(
+            f"pattern occurrences must be strictly ascending positions in [0, {total})"
+        )
+
+
 def min_p_distribution(
     testable: Sequence[Pattern],
     plan: PermutationPlan,
@@ -144,7 +163,10 @@ def min_p_distribution(
 
     Element j is reproducible from (seed, j) alone. Raises on an empty
     testable set: the minimum over nothing has no meaning and callers must
-    treat the estimate as unavailable rather than receive a vacuous one.
+    treat the estimate as unavailable rather than receive a vacuous one. Also
+    raises ValueError for a pattern whose occurrences do not fit ``db``:
+    their count is not its frequency, or its positions are not strictly
+    ascending within ``[0, db.size)``.
     """
     if not testable:
         raise ValueError("min-p distribution needs at least one testable pattern")
@@ -168,7 +190,8 @@ def min_p_distribution(
         rows = slots[: len(chunk)]
         rows[:] = 0
         for row, pattern in zip(rows, chunk):
-            row[list(pattern.occurrences)] = 1
+            _check_occurrences(pattern, total)
+            row[pattern.occurrences] = 1
         occ[:, first : first + len(chunk)] = _packed(rows).T
     groups = []
     start = 0

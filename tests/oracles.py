@@ -364,13 +364,13 @@ def layout_reference(db) -> dict:
         "pair_el": [el for el, _ in pairs],
         "pair_tl": [tl for _, tl in pairs],
         "largest": largest,
-        "ints": tuple(range(db.size)),
     }
 
 
 def occurrence_bits(positions) -> int:
     """Int bitmask with bit t set for every transaction position t."""
-    return sum(1 << t for t in set(positions))
+    # Python ints: a numpy int32 shifted past bit 31 overflows
+    return sum(1 << t for t in set(map(int, positions)))
 
 
 def permutation_mask(plan, index: int, n: int, total: int) -> int:

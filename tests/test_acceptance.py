@@ -52,7 +52,7 @@ def test_c1_miner_matches_bruteforce_oracle():
             for p in outcome.patterns:
                 g = oracles.code_to_graph(p.code)
                 key = oracles.canonical_key(g.vertex_labels, g.edges)
-                got[key] = (p.occurrences, p.vertex_count, p.edge_count)
+                got[key] = (tuple(p.occurrences.tolist()), p.vertex_count, p.edge_count)
             expected = {k: v for k, v in census.items() if len(v[0]) >= sigma}
             assert got == expected
     assert time.perf_counter() - started < 120.0
@@ -114,7 +114,7 @@ def test_c3_strategies_agree_and_satisfy_root_property():
                 (
                     r.status,
                     r.root_frequency,
-                    frozenset((p.code, p.occurrences) for p in r.testable),
+                    frozenset((p.code, tuple(p.occurrences.tolist())) for p in r.testable),
                 )
                 for r in results.values()
             }

@@ -570,7 +570,7 @@ def test_ids_labels_endpoints_and_classes_must_be_integers(field, value):
 
 LAYOUT_FIELDS = (
     "gpos", "vrank", "nbr", "nbr_off", "deg", "prank", "positive",
-    "vlabels", "pair_el", "pair_tl", "largest", "ints",
+    "vlabels", "pair_el", "pair_tl", "largest",
 )
 
 
@@ -679,7 +679,6 @@ def test_layout_build_peak_stays_near_what_it_holds():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(layout.ints) == 20000
     # the arrays kept are about 4.6 MB here; sort temporaries once tripled that
     assert peak <= 2 * held, (peak, held)
 

@@ -15,6 +15,7 @@ from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database
 from sigmine.mining import (
     NO_EDGE,
     MinerConfig,
+    Pattern,
     _root_state,
     _step,
     code_string,
@@ -61,7 +62,7 @@ def test_frequent_patterns_and_emission_order(db):
         ((0, 1, 1, 1, 2),),
     ]
     for p in outcome.patterns:
-        assert p.occurrences == (0, 1)
+        assert p.occurrences.tolist() == [0, 1]
         assert (p.x, p.x_prime) == (1, 1)
         assert p.frequency == 2
     path = outcome.patterns[4]
@@ -111,7 +112,7 @@ def test_cycle_counted_once_despite_symmetric_embeddings():
     triangle = ((0, 1, 0, 0, 1), (1, 2, 1, 1, 2), (2, 0, 2, 2, 0))
     assert triangle in codes
     for p in run.patterns:
-        assert p.occurrences == (0, 1)
+        assert p.occurrences.tolist() == [0, 1]
 
 
 def test_minimum_code_of_triangle():
@@ -253,7 +254,7 @@ def test_mines_a_path_deeper_than_the_recursion_limit():
         sys.setrecursionlimit(limit)
     longest = max(outcome.patterns, key=lambda p: p.edge_count)
     assert (longest.vertex_count, longest.edge_count) == (n, n - 1)
-    assert longest.occurrences == (0,)
+    assert longest.occurrences.tolist() == [0]
 
 
 def test_code_validation_rejects_malformed_codes():
@@ -285,9 +286,29 @@ def test_occurrences_verified_by_brute_force_isomorphism(db):
             assert (pos in p.occurrences) == present
 
 
+def test_pattern_holds_its_occurrences_as_a_read_only_int32_array():
+    given = np.array([1, 4, 9], np.int64)
+    for source in ((1, 4, 9), [1, 4, 9], given):
+        p = Pattern((), source, 2, 1)
+        assert p.occurrences.dtype == np.int32 and p.occurrences.ndim == 1
+        assert not p.occurrences.flags.writeable
+        assert p.occurrences.tolist() == [1, 4, 9]
+    # the stored array is a copy: the caller's own stays theirs to change
+    assert given.flags.writeable
+    given[0] = 0
+    assert p.occurrences.tolist() == [1, 4, 9]
+    # patterns compare and hash by identity
+    assert hash(p) == object.__hash__(p)
+    assert p != Pattern((), (1, 4, 9), 2, 1)
+
+
 def test_mining_is_deterministic(db):
     config = MinerConfig(min_frequency=1)
-    assert mine(db, config).patterns == mine(db, config).patterns
+
+    def values(outcome):
+        return [(p.code, p.occurrences.tolist(), p.x, p.x_prime) for p in outcome.patterns]
+
+    assert values(mine(db, config)) == values(mine(db, config))
 
 
 def test_layout_is_built_once_per_database(db):
@@ -367,7 +388,7 @@ def test_miner_matches_exhaustive_enumeration(db, sigma, max_vertices, singleton
         g = oracles.code_to_graph(p.code)
         key = oracles.canonical_key(g.vertex_labels, g.edges)
         assert key not in got, "pattern emitted twice"
-        got[key] = (p.occurrences, p.vertex_count, p.edge_count)
+        got[key] = (tuple(p.occurrences.tolist()), p.vertex_count, p.edge_count)
         assert p.x == sum(db.original_classes[t] for t in p.occurrences)
         assert p.x + p.x_prime == len(p.occurrences)
     assert got == expected
@@ -397,16 +418,20 @@ def test_miner_emits_in_the_order_of_the_scalar_reference(
             return raises.get(len(seen) - 1, sigma)
 
         outcome = miner(db, config, on_emit=on_emit)
-        emitted = [(p.code, p.occurrences, p.x, p.x_prime) for p in outcome.patterns]
-        return outcome.emitted_count, seen, emitted
+        emitted = [
+            (p.code, tuple(p.occurrences.tolist()), p.x, p.x_prime) for p in outcome.patterns
+        ]
+        return (outcome.emitted_count, seen, emitted), outcome.patterns
 
-    got = run(mine)
-    assert got == run(oracles.mine_reference)
+    got, patterns = run(mine)
+    assert got == run(oracles.mine_reference)[0]
     # one pattern per hook call, raised thresholds included
     assert got[0] == len(got[1]) == len(got[2])
-    for _, occurrences, _, _ in got[2]:
-        assert type(occurrences) is tuple
-        assert all(a < b for a, b in zip(occurrences, occurrences[1:]))
+    for p in patterns:
+        occurrences = p.occurrences
+        assert occurrences.dtype == np.int32 and occurrences.ndim == 1
+        assert not occurrences.flags.writeable
+        assert (occurrences[1:] > occurrences[:-1]).all()
 
 
 def test_raised_threshold_prunes_children_joined_with_earlier_siblings():
@@ -430,7 +455,8 @@ def test_raised_threshold_prunes_children_joined_with_earlier_siblings():
             return 8 if len(seen) - 1 == at else 4
 
         outcome = miner(db, MinerConfig(4), on_emit=on_emit)
-        return outcome.emitted_count, seen, [(p.code, p.occurrences) for p in outcome.patterns]
+        emitted = [(p.code, tuple(p.occurrences.tolist())) for p in outcome.patterns]
+        return outcome.emitted_count, seen, emitted
 
     for at in range(0, 40, 5):
         with mock.patch.object(mining._Miner, "_children", spy):
@@ -499,7 +525,8 @@ def test_peak_memory_at_the_root_frequency_of_twenty_thousand_graphs():
 
 def test_kept_family_memory_is_bounded_on_twenty_thousand_graphs():
     # the family bonferroni-full keeps: 134 patterns over 158,254 occurrence
-    # entries; frozensets hold 7 MiB of it, tuples of fresh ints 5.5 MiB
+    # entries; frozensets hold 7 MiB of it, tuples of fresh ints 5.5 MiB,
+    # tuples of shared ints 1.26 MiB and one int32 array per pattern 0.67 MiB
     db = random_database(20000, 7)
     db.layout  # built before tracing, as it is by a run's earlier mines
     tracemalloc.start()
@@ -510,7 +537,7 @@ def test_kept_family_memory_is_bounded_on_twenty_thousand_graphs():
         tracemalloc.stop()
     assert len(family) == 134
     assert sum(p.frequency for p in family) == 158254
-    assert held < 3 * 2**20
+    assert held < 2**20
 
 
 @st.composite

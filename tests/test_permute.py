@@ -129,6 +129,23 @@ class TestMinPDistribution:
         with pytest.raises(ValueError):
             min_p_distribution((), plan, enriched_db, "right")
 
+    @pytest.mark.parametrize(
+        "occurrences, x, x_prime",
+        [
+            # a position past the last graph: a padding bit, counted once
+            # the masks are complemented
+            ((0, 1, 7), 2, 1),
+            # a repeated position
+            ((0, 0, 1), 2, 1),
+            # more positions than the frequency
+            ((0, 1), 1, 0),
+        ],
+    )
+    def test_occurrences_that_do_not_fit_the_database_rejected(self, occurrences, x, x_prime):
+        db = unlabeled_db((1, 1, 1, 0, 0))
+        with pytest.raises(ValueError, match="occurrences"):
+            min_p_distribution([Pattern((), occurrences, x, x_prime)], PermutationPlan(5, 1), db)
+
     def test_reproducible_and_bounded_below(self, enriched_db, enriched_result):
         plan = PermutationPlan(200, 7)
         samples = min_p_distribution(enriched_result.testable, plan, enriched_db, "right")
@@ -161,7 +178,7 @@ class TestMinPDistribution:
 
         for j, sample in enumerate(samples):
             mask = oracles.permutation_mask(plan, j, 10, 20)
-            x = sum(1 for t in pattern.occurrences if mask >> t & 1)
+            x = sum(1 for t in pattern.occurrences.tolist() if mask >> t & 1)
             assert x == (bits & mask).bit_count()
             assert sample == row[x - lo]
             exact = oracles.fisher(x, pattern.frequency, 10, 10, "right")

@@ -57,13 +57,18 @@ def codes(result, db):
     return [code_string(p.code, db) for p in result.testable]
 
 
+def value(p):
+    """A pattern's fields by value; patterns themselves compare by identity."""
+    return (p.code, p.occurrences.tolist(), p.x, p.x_prime)
+
+
 def result_fingerprint(result):
     return (
         result.status,
         result.min_testable_frequency,
         result.root_frequency,
         frozenset(
-            (p.code, p.occurrences, p.x, p.x_prime) for p in result.testable
+            (p.code, tuple(p.occurrences.tolist()), p.x, p.x_prime) for p in result.testable
         ),
     )
 
@@ -252,7 +257,7 @@ def test_full_family_is_every_pattern_of_support_two(name, max_vertices, singlet
         g = oracles.code_to_graph(p.code)
         key = oracles.canonical_key(g.vertex_labels, g.edges)
         assert key not in got, "pattern emitted twice"
-        got[key] = (p.occurrences, p.vertex_count, p.edge_count)
+        got[key] = (tuple(p.occurrences.tolist()), p.vertex_count, p.edge_count)
     assert got == oracles.mine_exhaustively(db, 2, max_vertices, singletons)
 
 
@@ -261,7 +266,8 @@ def test_full_family_stops_at_its_timeout():
     assert full_family(db, CONFIG, timeout=1e-9) is None
     family = full_family(db, CONFIG)
     assert len(family) == 133
-    assert full_family(db, CONFIG, timeout=math.inf) == family
+    again = full_family(db, CONFIG, timeout=math.inf)
+    assert [value(p) for p in again] == [value(p) for p in family]
 
 
 @pytest.mark.parametrize("timeout", [math.nan, -1.0, 0.0])
@@ -541,9 +547,9 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
 
     # the testable set is exactly the census filtered at the root
     expected = frozenset(
-        (p.code, p.occurrences) for p in census if p.frequency >= sigma_rt
+        (p.code, tuple(p.occurrences.tolist())) for p in census if p.frequency >= sigma_rt
     )
-    assert frozenset((p.code, p.occurrences) for p in r.testable) == expected
+    assert frozenset((p.code, tuple(p.occurrences.tolist())) for p in r.testable) == expected
     assert len(r.testable) <= count(r.min_testable_frequency)
     assert len(r.testable) <= alpha / bound(sigma_rt)
 
