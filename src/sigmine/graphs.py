@@ -868,14 +868,45 @@ def parse_database(
 def serialize_database(db: GraphDatabase) -> str:
     """Render a database back to the transaction format with inline classes.
 
-    Re-parsing the result yields a database equal to the original.
+    Each graph is its ``t # id class`` line, its vertices in order, then its
+    edges as ``LabeledGraph`` holds them, each written with u < v and sorted.
+    The lines are made from the flat arrays, ``_GRAPHS`` graphs at a time,
+    so no graph record is built. Re-parsing the result yields a database
+    equal to the original.
     """
-    out: list[str] = []
-    for g, cls in zip(db.graphs, db.original_classes):
-        out.append(f"t # {g.graph_id} {cls}")
-        for vid, lbl in enumerate(g.vertex_labels):
-            out.append(f"v {vid} {db.vertex_tokens[lbl]}")
-        for u, v, lbl in g.edges:
-            out.append(f"e {u} {v} {db.edge_tokens[lbl]}")
-    return "\n".join(out) + "\n"
+    blocks = range(0, db.size, _GRAPHS)
+    return "".join(_render(db, g0, min(g0 + _GRAPHS, db.size)) for g0 in blocks)
 
+
+# graphs serialize_database writes at a time; its temporaries scale with it
+_GRAPHS = 1 << 12
+
+
+def _render(db: GraphDatabase, g0: int, g1: int) -> str:
+    """The lines of graphs ``g0`` to ``g1`` (exclusive), each ending in a newline."""
+    voff = db.vertex_offsets[g0 : g1 + 1] - db.vertex_offsets[g0]
+    eoff = db.edge_offsets[g0 : g1 + 1] - db.edge_offsets[g0]
+    vcounts, ecounts = np.diff(voff), np.diff(eoff)
+    labels = db.vertex_labels[db.vertex_offsets[g0] : db.vertex_offsets[g1]]
+    u, v, label = db.edges[db.edge_offsets[g0] : db.edge_offsets[g1]].T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # the edges stay with their graph, sorted within it
+    order = np.lexsort((hi, lo, np.repeat(np.arange(g1 - g0), ecounts)))
+    lo, hi, label = lo[order], hi[order], label[order]
+    # graph i's lines follow i header lines, voff[i] vertex and eoff[i] edge lines
+    head = np.arange(g1 - g0) + voff[:-1] + eoff[:-1]
+    lines = np.empty(g1 - g0 + len(labels) + len(lo), object)
+    lines[head] = np.fromiter(
+        map("t # {} {}".format, db.graph_ids[g0:g1], db.original_classes[g0:g1]), object, g1 - g0
+    )
+    within = np.arange(len(labels)) - np.repeat(voff[:-1], vcounts)
+    vertex_tokens = np.array(db.vertex_tokens, object)[labels]
+    lines[np.repeat(head + 1, vcounts) + within] = np.fromiter(
+        map("v {} {}".format, within.tolist(), vertex_tokens), object, len(within)
+    )
+    edge_line = np.arange(len(lo)) + np.repeat(head + 1 + vcounts - eoff[:-1], ecounts)
+    edge_tokens = np.array(db.edge_tokens, object)[label]
+    lines[edge_line] = np.fromiter(
+        map("e {} {} {}".format, lo.tolist(), hi.tolist(), edge_tokens), object, len(lo)
+    )
+    return "\n".join(lines.tolist()) + "\n"

@@ -4,9 +4,16 @@ Patterns are represented by DFS codes: sequences of quintuples
 ``(frm, to, frm_label, edge_label, to_label)`` where forward edges introduce
 vertex ``to`` and backward edges close a cycle back onto the rightmost path.
 Each pattern is visited exactly once by pruning non-minimal codes. Support is
-the number of distinct transactions containing at least one embedding. An
-emitted pattern keeps those transactions as its own read-only int32 array of
-ascending positions, the form every later stage reads.
+the number of distinct transactions containing at least one embedding.
+
+A run keeps what it emits as columns (``PatternStore``): the codes, one
+read-only int32 buffer holding every pattern's transaction positions
+end to end, each pattern's in ascending order, with int64 offsets, and the
+class-1 count of each pattern. The miner appends each emission's positions
+to that buffer, written in chunks that the store joins when positions are
+first read, and every later stage reads the columns; indexing a store gives
+a ``Pattern`` whose occurrences are a view of the buffer. Only this module
+knows the buffer's layout.
 
 ``_step`` advances a code's rightmost path, vertex labels and edge set by
 one quint. The miner carries that state from parent to child instead of
@@ -42,11 +49,13 @@ raising, the pattern budget and a deadline in its one hook.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+import operator
+from array import array
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graphs import GraphDatabase, LabeledGraph, _integral_fields
+from .graphs import GraphDatabase, LabeledGraph, _as_int, _integral_fields
 
 Quint = tuple[int, int, int, int, int]
 
@@ -82,11 +91,12 @@ class Pattern:
     ascending and distinct, as a 1-D read-only int32 numpy array; ``x`` of
     them belong to class 1 and ``x_prime`` to class 0. The constructor
     stores a fresh copy of whatever sequence it is given, so a caller's own
-    array stays writeable. The vertex and edge counts are read off ``code``:
-    one vertex plus one per forward quint, and one edge per quint, none for
-    a singleton. Patterns compare and hash by identity, since arrays have no
-    value equality; compare ``(code, occurrences.tolist(), x, x_prime)``
-    to compare by value.
+    array stays writeable; it raises TypeError unless the entries are
+    integers (bools are not), as the database's arrays must be. The vertex
+    and edge counts are read off ``code``: one vertex plus one per forward
+    quint, and one edge per quint, none for a singleton. Patterns compare
+    and hash by identity, since arrays have no value equality; compare
+    ``(code, occurrences.tolist(), x, x_prime)`` to compare by value.
     """
 
     code: tuple[Quint, ...]
@@ -95,9 +105,7 @@ class Pattern:
     x_prime: int
 
     def __post_init__(self) -> None:
-        occurrences = np.array(self.occurrences, np.int32)
-        occurrences.flags.writeable = False
-        object.__setattr__(self, "occurrences", occurrences)
+        object.__setattr__(self, "occurrences", _int32_positions(self.occurrences))
 
     @property
     def frequency(self) -> int:
@@ -105,16 +113,192 @@ class Pattern:
 
     @property
     def vertex_count(self) -> int:
-        return 1 + sum(1 for frm, to, *_ in self.code if frm < to)
+        return _vertex_count(self.code)
 
     @property
     def edge_count(self) -> int:
-        return 0 if _is_singleton(self.code) else len(self.code)
+        return _edge_count(self.code)
+
+
+def _int32_positions(value) -> np.ndarray:
+    """``value`` as a fresh read-only 1-D int32 array.
+
+    Raises TypeError unless its entries are integers (bools are not), and
+    ValueError for an entry that int32 cannot hold.
+    """
+    out = np.array(value)
+    if out.size and out.dtype.kind not in "iu":
+        raise TypeError(f"occurrences must hold integers, got {out.dtype}")
+    if out.ndim != 1:
+        raise ValueError(f"occurrences must be one-dimensional, got shape {out.shape}")
+    if out.size and not (_INT32.min <= out.min() and out.max() <= _INT32.max):
+        raise ValueError("occurrences must fit int32")
+    out = out.astype(np.int32)
+    out.flags.writeable = False
+    return out
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _pattern(code: tuple[Quint, ...], occurrences: np.ndarray, x: int, x_prime: int) -> Pattern:
+    """A ``Pattern`` around a read-only int32 view, with no copy or check."""
+    pattern = object.__new__(Pattern)
+    object.__setattr__(pattern, "code", code)
+    object.__setattr__(pattern, "occurrences", occurrences)
+    object.__setattr__(pattern, "x", x)
+    object.__setattr__(pattern, "x_prime", x_prime)
+    return pattern
+
+
+class PatternStore(Sequence[Pattern]):
+    """A family of patterns held as columns, in the order they were emitted.
+
+    ``codes`` holds each pattern's DFS code, ``x`` (an int64 array) its
+    class-1 count, and ``frequency`` is derived from the occurrences. The
+    occurrences themselves are one read-only int32 buffer, each pattern's
+    positions ascending, with int64 offsets; only this module reads that
+    buffer directly. Indexing and iteration give ``Pattern``
+    records whose occurrences are read-only views of it, and a slice (step
+    1 only) is a store that shares it.
+
+    A mining run writes the buffer in chunks and joins them the first time
+    a reader asks for positions (``_buffer``), so a run whose family is
+    only scored and rendered never holds its positions twice. Stores
+    converted from one another share the chunks and the joined buffer.
+
+    ``PatternStore(patterns)`` is the one conversion from any sequence of
+    patterns, and the one place hand-built occurrences are checked: entries
+    must be integers (TypeError otherwise), strictly ascending and
+    non-negative, and as many as ``x + x_prime`` (ValueError otherwise).
+    A store passed in shares its columns with the result. Stores compare by
+    identity.
+    """
+
+    __slots__ = ("codes", "x", "_chunks", "_offsets")
+
+    def __init__(self, patterns: Iterable[Pattern] = ()):
+        if isinstance(patterns, PatternStore):
+            self._set(patterns.codes, patterns._chunks, patterns._offsets, patterns.x)
+            return
+        patterns = tuple(patterns)
+        occs = [_int32_positions(p.occurrences) for p in patterns]
+        xs = [_as_int(p.x, "x") for p in patterns]
+        for p, occ, x in zip(patterns, occs, xs):
+            frequency = x + _as_int(p.x_prime, "x_prime")
+            if len(occ) != frequency:
+                raise ValueError(f"pattern has {len(occ)} occurrences but frequency {frequency}")
+            if len(occ) and (occ[0] < 0 or (occ[1:] <= occ[:-1]).any()):
+                raise ValueError("pattern occurrences must be strictly ascending positions >= 0")
+        offsets = np.zeros(len(occs) + 1, np.int64)
+        np.cumsum([len(occ) for occ in occs], out=offsets[1:])
+        codes = tuple(p.code for p in patterns)
+        positions = np.concatenate([np.empty(0, np.int32), *occs])
+        self._set(codes, [positions], offsets, np.array(xs, np.int64))
+
+    @classmethod
+    def _of(cls, codes, chunks, offsets, x) -> PatternStore:
+        """A store over columns already known to be consistent, not copied."""
+        store = cls.__new__(cls)
+        store._set(codes, chunks, offsets, x)
+        return store
+
+    def _set(self, codes, chunks: list[np.ndarray], offsets, x) -> None:
+        for column in (*chunks, offsets, x):
+            column.flags.writeable = False
+        self.codes, self._chunks, self._offsets, self.x = codes, chunks, offsets, x
+
+    def _buffer(self) -> np.ndarray:
+        """The position buffer, its chunks joined on the first call."""
+        chunks = self._chunks
+        if len(chunks) != 1:
+            joined = np.concatenate(chunks)
+            joined.flags.writeable = False
+            # in place, so every store sharing the chunks sees the buffer
+            chunks[:] = [joined]
+        return chunks[0]
+
+    @property
+    def frequency(self) -> np.ndarray:
+        return np.diff(self._offsets)
+
+    def _frequency(self, rows: np.ndarray) -> np.ndarray:
+        """The frequency of the patterns ``rows`` alone."""
+        return self._offsets[rows + 1] - self._offsets[rows]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("a pattern store slices with step 1 only")
+            stop = max(start, stop)
+            a, b = self._offsets[start], self._offsets[stop]
+            return PatternStore._of(
+                self.codes[start:stop],
+                [self._buffer()[a:b]],
+                self._offsets[start : stop + 1] - a,
+                self.x[start:stop],
+            )
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("pattern index out of range")
+        a, b = self._offsets[i : i + 2].tolist()
+        x = int(self.x[i])
+        return _pattern(self.codes[i], self._buffer()[a:b], x, b - a - x)
+
+    def _occurrences(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the patterns ``rows``, end to end, and for each
+        position the index in ``rows`` of the pattern it belongs to."""
+        starts = self._offsets[rows]
+        counts = self._frequency(rows)
+        owner = np.repeat(np.arange(len(rows)), counts)
+        index = np.arange(len(owner))
+        index += (starts - np.cumsum(counts) + counts).repeat(counts)
+        return owner, self._buffer()[index]
+
+    def _select(self, keep: np.ndarray) -> PatternStore:
+        """The patterns where the bool array ``keep`` is True, in order.
+
+        Uses this store, and every store sharing its chunks, up unless it
+        keeps every pattern: each chunk is let go once its kept positions
+        are copied out, so at no time is more than one chunk held twice.
+        """
+        if keep.all():
+            return self
+        frequency = self.frequency
+        mask = np.repeat(keep, frequency)
+        chunks, self._chunks = self._chunks, None
+        chunks.reverse()
+        kept, start = [], 0
+        while chunks:
+            chunk = chunks.pop()
+            kept.append(chunk[mask[start : start + len(chunk)]])
+            start += len(chunk)
+            del chunk
+        offsets = np.zeros(np.count_nonzero(keep) + 1, np.int64)
+        np.cumsum(frequency[keep], out=offsets[1:])
+        codes = tuple(code for code, k in zip(self.codes, keep.tolist()) if k)
+        return PatternStore._of(codes, kept, offsets, self.x[keep])
+
+
+def _vertex_count(code: Sequence[Quint]) -> int:
+    return 1 + sum(1 for frm, to, *_ in code if frm < to)
+
+
+def _edge_count(code: Sequence[Quint]) -> int:
+    return 0 if _is_singleton(code) else len(code)
 
 
 @dataclass(frozen=True)
 class MiningOutcome:
-    patterns: tuple[Pattern, ...]
+    """A mining run's emissions, in emission order, as a ``PatternStore``."""
+
+    patterns: PatternStore
 
     @property
     def emitted_count(self) -> int:
@@ -256,6 +440,9 @@ def is_canonical(code: Sequence[Quint]) -> bool:
     return True
 
 
+# Positions in one chunk of the miner's position buffer, 1 MiB
+_CHUNK = 1 << 18
+
 # Candidate cells one join holds at once: a candidate extension of an
 # embedding of a k-vertex code carries k + 1 vertices. It bounds the
 # temporaries of a join that batches siblings to about those of the largest
@@ -268,17 +455,19 @@ class _Siblings:
     """The minimal children of one code, grown one at a time in extension order.
 
     Child i is ``code + (quints[i],)``, supported by the distinct graph
-    positions ``occs[i]``. ``held[i]`` is the child's projection until the
-    child is joined, then its own ``_Siblings``, and None once it is emitted.
+    positions ``occs[i]``, ``ones[i]`` of them in class 1. ``held[i]`` is the
+    child's projection until the child is joined, then its own
+    ``_Siblings``, and None once it is emitted.
     """
 
-    __slots__ = ("code", "state", "quints", "occs", "held", "next")
+    __slots__ = ("code", "state", "quints", "occs", "ones", "held", "next")
 
     def __init__(self, code: tuple[Quint, ...], state: _State):
         self.code = code
         self.state = state
         self.quints: list[Quint] = []
         self.occs: list[np.ndarray] = []
+        self.ones: list[int] = []
         self.held: list[np.ndarray | _Siblings | None] = []
         self.next = 0
 
@@ -295,6 +484,13 @@ class _Miner:
     shared by every run over it. A projection is an int32 ``(k, m)`` array
     with one embedding of a k-vertex code per column: entry ``[c, i]`` is
     the global vertex that embedding i maps pattern vertex c to.
+
+    What it emits goes straight into the columns of its ``PatternStore``:
+    the codes, each pattern's end in the position buffer and its class-1
+    count, and the positions themselves, written end to end into chunks
+    that double in length up to ``_CHUNK`` entries, the last one filled up
+    to ``fill``. The store joins the chunks when positions are first read;
+    a single array grown as the run goes would be moved and copied.
     """
 
     def __init__(
@@ -306,7 +502,11 @@ class _Miner:
         self.config = config
         self.on_emit = on_emit
         self.sigma = config.min_frequency
-        self.patterns: list[Pattern] = []
+        self.codes: list[tuple[Quint, ...]] = []
+        self.chunks = [np.empty(0, np.int32)]
+        self.fill = 0
+        self.ends = array("q", [0])
+        self.ones = array("q")
 
         self.layout = layout = db.layout
         self.n = db.size
@@ -324,9 +524,10 @@ class _Miner:
 
         Returns ``order`` (item indices sorted by key, then position), the
         distinct keys in ascending order as a list, ``occ`` (the distinct
-        positions of each key in turn, ascending) and two lists of
-        boundaries, one longer than the keys: key i owns ``occ[ob[i]:ob[i+1]]``
-        and ``order[rb[i]:rb[i+1]]``. Keys stay below ``slots`` times the
+        positions of each key in turn, ascending), the class-1 count of each
+        key's positions as a list, and two lists of boundaries, one longer
+        than the keys: key i owns ``occ[ob[i]:ob[i+1]]`` and
+        ``order[rb[i]:rb[i+1]]``. Keys stay below ``slots`` times the
         label pairs, which ``__init__`` and ``_children`` see to, so
         ``key * n + pos`` fits int64.
         """
@@ -344,26 +545,49 @@ class _Miner:
         step = step[: len(pairs)]
         np.not_equal(pair_keys[1:], pair_keys[:-1], out=step[1:])
         key_pairs = step.nonzero()[0]
+        occ = pairs - pair_keys * n
+        ones = np.add.reduceat(self.layout.positive[occ], key_pairs).tolist()
         ob = key_pairs.tolist()
         rb = pair_items[key_pairs].tolist()
         ob.append(len(pairs))
         rb.append(len(combined))
-        return order, pair_keys[key_pairs].tolist(), pairs - pair_keys * n, ob, rb
+        return order, pair_keys[key_pairs].tolist(), occ, ones, ob, rb
 
-    def _emit(self, code: tuple[Quint, ...], occ: np.ndarray) -> None:
-        x = int(self.layout.positive[occ].sum())
-        self.patterns.append(Pattern(code, occ, x, len(occ) - x))
+    def _emit(self, code: tuple[Quint, ...], occ: np.ndarray, ones: int) -> None:
+        frequency = len(occ)
+        self.codes.append(code)
+        self.ends.append(self.ends[-1] + frequency)
+        self.ones.append(ones)
+        chunk = self.chunks[-1]
+        if self.fill + len(occ) > len(chunk):
+            # the rest of this chunk, then a new one twice as long, up to _CHUNK
+            head = len(chunk) - self.fill
+            chunk[self.fill :] = occ[:head]
+            occ = occ[head:]
+            size = min(max(2 * len(chunk), 1 << 12), _CHUNK)
+            chunk = np.empty(max(len(occ), size), np.int32)
+            self.chunks.append(chunk)
+            self.fill = 0
+        chunk[self.fill : self.fill + len(occ)] = occ
+        self.fill += len(occ)
         if self.on_emit is not None:
-            self.sigma = max(self.sigma, self.on_emit(len(occ)))
+            self.sigma = max(self.sigma, self.on_emit(frequency))
+
+    def store(self) -> PatternStore:
+        """Everything emitted, the last chunk cut to the positions it holds."""
+        chunks, self.chunks = self.chunks, []
+        chunks[-1] = chunks[-1][: self.fill].copy()
+        ones = np.array(self.ones, np.int64)
+        return PatternStore._of(tuple(self.codes), chunks, np.array(self.ends, np.int64), ones)
 
     def run(self) -> None:
         layout = self.layout
-        order, keys, occ, ob, rb = self._group(layout.vrank, layout.gpos)
+        order, keys, occ, ones, ob, rb = self._group(layout.vrank, layout.gpos)
         if self.config.count_singletons:
             for i, key in enumerate(keys):
                 if ob[i + 1] - ob[i] >= self.sigma:
                     lbl = layout.vlabels[key]
-                    self._emit(((0, 0, lbl, NO_EDGE, lbl),), occ[ob[i] : ob[i + 1]])
+                    self._emit(((0, 0, lbl, NO_EDGE, lbl),), occ[ob[i] : ob[i + 1]], ones[i])
         if self.config.max_vertices is not None and self.config.max_vertices < 2:
             return
         # each frequent label's vertices are a one-vertex code whose children
@@ -407,7 +631,7 @@ class _Miner:
                 self._batch(group, i)
             children = group.held[i]
             group.held[i] = None
-            self._emit(group.code + (group.quints[i],), occ)
+            self._emit(group.code + (group.quints[i],), occ, group.ones[i])
             if len(occ) >= self.sigma and children.quints:
                 stack.append(children)
 
@@ -525,7 +749,7 @@ class _Miner:
         keep = (keys >= 0).nonzero()[0]
         keys = keys[keep]
         keys += layout.prank[edge[keep]]
-        order, keys, occ, ob, rb = self._group(keys, layout.gpos[new[keep]])
+        order, keys, occ, ones, ob, rb = self._group(keys, layout.gpos[new[keep]])
 
         sigma = self.sigma
         groups = [_Siblings(code, state) for code, state, *_ in members[:joined]]
@@ -546,6 +770,7 @@ class _Miner:
             group = groups[r]
             group.quints.append(quint)
             group.occs.append(occ[ob[i] : ob[i + 1]])
+            group.ones.append(ones[i])
             # a backward child keeps the k rows, a forward one the new vertex too
             rows_kept = grown[:k] if slot < k else grown
             group.held.append(rows_kept.take(chosen[rb[i] : rb[i + 1]], axis=1))
@@ -618,4 +843,4 @@ def mine(
     """
     miner = _Miner(db, config, on_emit)
     miner.run()
-    return MiningOutcome(tuple(miner.patterns))
+    return MiningOutcome(miner.store())

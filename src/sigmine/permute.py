@@ -1,8 +1,10 @@
 """Class-label permutation machinery for empirical multiplicity estimates.
 
 Occurrence sets never change under permutation, only which transactions count
-as positive. Each pattern's occurrences are packed once into a row of uint64
-words, one bit per transaction. Permutation masks are drawn a block at a time
+as positive. The family arrives as a ``PatternStore`` (any other sequence of
+patterns is converted through it once), and its position buffer is packed
+once, a block of patterns at a time, into one row of uint64 words per
+pattern, one bit per transaction. Permutation masks are drawn a block at a time
 and packed the same way; every permuted positive count in a block is then a
 word-by-word AND and popcount, and one table lookup per margin turns the
 counts into p-values. This packed form is the only occurrence representation
@@ -26,13 +28,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .graphs import GraphDatabase, _integral_fields
-from .mining import Pattern
+from .mining import Pattern, PatternStore
 from .stats import TailMode, _check_tail, pvalues_over_support
 
 # Pattern x permutation cells evaluated per block. It bounds the count and
@@ -134,25 +135,6 @@ def _packed(slots: np.ndarray) -> np.ndarray:
     return np.packbits(slots, axis=1, bitorder="little").view(np.uint64)
 
 
-def _check_occurrences(pattern: Pattern, total: int) -> None:
-    """Raise ValueError for occurrences that do not fit ``total`` graphs.
-
-    They must be ``pattern.frequency`` positions, strictly ascending in
-    ``[0, total)``: a position past ``total`` would set a padding bit, which
-    counts as a hit once the masks are complemented, and a repeated one
-    would count once.
-    """
-    occ = pattern.occurrences
-    if len(occ) != pattern.frequency:
-        raise ValueError(
-            f"pattern has {len(occ)} occurrences but frequency {pattern.frequency}"
-        )
-    if len(occ) and not (occ[0] >= 0 and occ[-1] < total and (occ[1:] > occ[:-1]).all()):
-        raise ValueError(
-            f"pattern occurrences must be strictly ascending positions in [0, {total})"
-        )
-
-
 def min_p_distribution(
     testable: Sequence[Pattern],
     plan: PermutationPlan,
@@ -165,9 +147,12 @@ def min_p_distribution(
     testable set: the minimum over nothing has no meaning and callers must
     treat the estimate as unavailable rather than receive a vacuous one. Also
     raises ValueError for a pattern whose occurrences do not fit ``db``:
-    their count is not its frequency, or its positions are not strictly
-    ascending within ``[0, db.size)``.
+    a position at or past ``db.size`` would set a padding bit, which counts
+    as a hit once the masks are complemented. Occurrences that are not
+    ``frequency`` strictly ascending positions are rejected by
+    ``PatternStore``, which the family is converted through.
     """
+    testable = PatternStore(testable)
     if not testable:
         raise ValueError("min-p distribution needs at least one testable pattern")
     from numpy.random.bit_generator import ISeedSequence
@@ -181,25 +166,25 @@ def min_p_distribution(
     slots = np.zeros((block, 64 * width), dtype=np.uint8)
 
     # Rows sorted by frequency, so the patterns sharing one p-value table are
-    # a contiguous slice; occ[w] is word w of every row. They are packed a
-    # block of rows at a time through the slot matrix.
-    patterns = sorted(testable, key=lambda p: p.frequency)
-    occ = np.empty((width, len(patterns)), dtype=np.uint64)
-    for first in range(0, len(patterns), block):
-        chunk = patterns[first : first + block]
-        rows = slots[: len(chunk)]
+    # a contiguous slice; occ[w] is word w of every row. The buffer is
+    # checked and packed a block of rows at a time through the slot matrix.
+    frequency = testable.frequency
+    by_frequency = np.argsort(frequency, kind="stable")
+    occ = np.empty((width, len(testable)), dtype=np.uint64)
+    for first in range(0, len(testable), block):
+        owner, positions = testable._occurrences(by_frequency[first : first + block])
+        if positions.size and positions.max() >= total:
+            raise ValueError(f"pattern occurrences must be positions in [0, {total})")
+        rows = slots[: min(block, len(testable) - first)]
         rows[:] = 0
-        for row, pattern in zip(rows, chunk):
-            _check_occurrences(pattern, total)
-            row[pattern.occurrences] = 1
-        occ[:, first : first + len(chunk)] = _packed(rows).T
-    groups = []
-    start = 0
-    for f, members in groupby(patterns, key=lambda p: p.frequency):
-        stop = start + sum(1 for _ in members)
-        lo, pvals = pvalues_over_support(f, db.n, db.n_prime, tail)
-        groups.append((start, stop, lo, pvals))
-        start = stop
+        rows[owner, positions] = 1
+        occ[:, first : first + len(rows)] = _packed(rows).T
+    margins, starts = np.unique(frequency[by_frequency], return_index=True)
+    bounds = [*starts.tolist(), len(testable)]
+    groups = [
+        (start, stop, *pvalues_over_support(f, db.n, db.n_prime, tail))
+        for f, start, stop in zip(margins.tolist(), bounds, bounds[1:])
+    ]
 
     # numpy shuffles 8-byte items about 40% faster than single bytes, so each
     # mask is shuffled as int64 and then copied into its slot row
@@ -218,7 +203,7 @@ def min_p_distribution(
         if db.n > db.n_prime:
             # the ones mark class 0; occurrences are 0 past N, so ~ adds no count
             masks = ~masks
-        counts = np.zeros((len(patterns), len(best)), dtype=np.intp)
+        counts = np.zeros((len(testable), len(best)), dtype=np.intp)
         for w in range(width):
             counts += np.bitwise_count(occ[w][:, None] & masks[w][None, :])
         best[:] = math.inf
@@ -271,6 +256,7 @@ def empirical_fwer(
     # a cut outside the p-values' range means nothing; NaN fails this test too
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    testable = PatternStore(testable)
     if not testable:
         return 0.0
     samples = min_p_distribution(testable, plan, db, tail)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .graphs import ParseError, _integral_fields, parse_database
-from .mining import MinerConfig, Pattern
+from .mining import MinerConfig, Pattern, _edge_count, _vertex_count
 from .permute import (
     PermutationPlan,
     effective_num_tests,
@@ -32,6 +32,7 @@ from .search import (
     STRATEGIES,
     RootSearchResult,
     SignificanceRecord,
+    SignificanceRecords,
     Strategy,
     TraceEntry,
     find_root,
@@ -101,12 +102,19 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """A run's summary, its records in report order, its root search and min-p samples."""
+    """A run's summary, its records in report order, its root search and min-p samples.
+
+    ``records`` is stored as ``SignificanceRecords``, whatever sequence of
+    records it is given as.
+    """
 
     summary: dict
-    records: tuple[SignificanceRecord, ...]
+    records: SignificanceRecords
     search: RootSearchResult
     min_p_samples: tuple[float, ...] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", SignificanceRecords(self.records))
 
 
 def _read_text(path: str) -> str:
@@ -160,7 +168,7 @@ def run_pipeline(config: RunConfig) -> Report:
             min_p_samples = min_p_distribution(result.testable, plan, db, config.tail)
             factor = effective_num_tests(min_p_samples, config.alpha, len(result.testable))
 
-    records: tuple[SignificanceRecord, ...] = ()
+    records: Sequence[SignificanceRecord] = ()
     if factor is not None:
         records = score_patterns(family, db, config.alpha, config.tail, float(factor))
 
@@ -194,11 +202,29 @@ def run_pipeline(config: RunConfig) -> Report:
     )
 
 
-def _cells(rec: SignificanceRecord) -> tuple:
-    """The record's values in ``CSV_HEADER`` order."""
-    p = rec.pattern
-    return (rec.code_string, p.vertex_count, p.edge_count, p.frequency,
-            p.x, p.x_prime, rec.p_value, rec.min_p, rec.significant)
+# records whose cells are read off the columns at a time
+_CELL_BLOCK = 128
+
+
+def _cells(records: SignificanceRecords) -> Iterator[tuple]:
+    """Each record's values in ``CSV_HEADER`` order, read off the columns."""
+    store = records.patterns
+    for start in range(0, len(records), _CELL_BLOCK):
+        block = slice(start, start + _CELL_BLOCK)
+        rows = records.order[block]
+        codes = [store.codes[row] for row in rows.tolist()]
+        frequency, ones = store._frequency(rows), store.x[rows]
+        yield from zip(
+            records.code_strings[block],
+            map(_vertex_count, codes),
+            map(_edge_count, codes),
+            frequency.tolist(),
+            ones.tolist(),
+            (frequency - ones).tolist(),
+            records.p_values[block].tolist(),
+            records.min_p[block].tolist(),
+            records.significant[block].tolist(),
+        )
 
 
 def _format_cell(value) -> str:
@@ -238,8 +264,8 @@ def _csv_pieces(report: Report) -> Iterator[str]:
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     yield target.line
-    for rec in report.records:
-        writer.writerow(map(_format_cell, _cells(rec)))
+    for cells in _cells(report.records):
+        writer.writerow(map(_format_cell, cells))
         yield target.line
 
 
@@ -251,8 +277,8 @@ def _json_pieces(report: Report) -> Iterator[str]:
     # the text ends '"records": []\n}'; records go between the brackets
     yield text[: -len("]\n}")]
     separator = "\n"
-    for rec in report.records:
-        yield separator + _JSON_RECORD.format(*map(_json_value, _cells(rec)))
+    for cells in _cells(report.records):
+        yield separator + _JSON_RECORD.format(*map(_json_value, cells))
         separator = ",\n"
     yield "\n  ]\n}\n"
 

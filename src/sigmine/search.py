@@ -14,6 +14,12 @@ is bonferroni-full's family. Every mining run goes through ``_run``, whose one
 ``on_emit`` hook carries the pattern budget of the probes, the sigma raising
 of ``dynamic`` and a deadline, so the miner knows neither budget nor clock.
 
+A family travels as the mining run's ``PatternStore``: ``dynamic`` and the
+scan up pick the root's patterns from its frequency column, and
+``score_patterns`` reads one p-value row per margin, gathers every pattern's
+p-value from it and returns ``SignificanceRecords``, the scored columns in
+report order.
+
 Because psi plateaus once sigma exceeds the smaller class size m, the root can
 lie above m on degenerate inputs; every strategy escalates upward past m in
 that corner instead of assuming the answer lives in [sigma_min, m]. Class
@@ -24,14 +30,14 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Callable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
+
+import numpy as np
 
 from .graphs import GraphDatabase
-from .mining import MinerConfig, Pattern, code_string, mine
+from .mining import MinerConfig, Pattern, PatternStore, code_string, mine
 from .stats import (
     TailMode,
     _check_tail,
@@ -61,14 +67,15 @@ class RootSearchResult:
     status "no_testable" means no frequency up to m clears alpha; the numeric
     fields are then None and ``testable`` is empty. The testable patterns are
     exactly those with frequency >= root_frequency, and at most
-    alpha / psi(root_frequency) of them. ``trace`` records every mining run
-    with its cost; the run and emission counts are read from it.
+    alpha / psi(root_frequency) of them, held as one ``PatternStore`` in
+    emission order. ``trace`` records every mining run with its cost; the
+    run and emission counts are read from it.
     """
 
     status: Literal["ok", "no_testable"]
     min_testable_frequency: int | None
     root_frequency: int | None
-    testable: tuple[Pattern, ...]
+    testable: PatternStore
     trace: tuple[TraceEntry, ...]
 
     @property
@@ -91,6 +98,62 @@ class SignificanceRecord:
     code_string: str
 
 
+class SignificanceRecords(Sequence[SignificanceRecord]):
+    """Scored patterns in report order, held as columns.
+
+    ``patterns`` is the scored ``PatternStore`` and ``order`` an int array
+    of its rows in report order; ``p_values``, ``min_p`` and ``significant``
+    are read-only arrays and ``code_strings`` a tuple, all in report order.
+    Indexing and iteration give ``SignificanceRecord`` items.
+
+    ``SignificanceRecords(records)`` converts any sequence of records, kept
+    in the order given, their patterns through ``PatternStore``; records
+    passed in as a ``SignificanceRecords`` share its columns. Compared by
+    identity.
+    """
+
+    __slots__ = ("patterns", "order", "p_values", "min_p", "significant", "code_strings")
+
+    def __init__(self, records: Iterable[SignificanceRecord] = ()):
+        if isinstance(records, SignificanceRecords):
+            self._set(records.patterns, records.order, records.p_values, records.min_p,
+                      records.significant, records.code_strings)
+            return
+        records = tuple(records)
+        self._set(
+            PatternStore(r.pattern for r in records),
+            np.arange(len(records)),
+            np.array([r.p_value for r in records], float),
+            np.array([r.min_p for r in records], float),
+            np.array([r.significant for r in records], bool),
+            tuple(r.code_string for r in records),
+        )
+
+    @classmethod
+    def _of(cls, *columns) -> SignificanceRecords:
+        records = cls.__new__(cls)
+        records._set(*columns)
+        return records
+
+    def _set(self, patterns, order, p_values, min_p, significant, code_strings) -> None:
+        for column in (order, p_values, min_p, significant):
+            column.flags.writeable = False
+        self.patterns, self.order, self.code_strings = patterns, order, code_strings
+        self.p_values, self.min_p, self.significant = p_values, min_p, significant
+
+    def __len__(self) -> int:
+        return len(self.code_strings)
+
+    def __getitem__(self, index: int) -> SignificanceRecord:
+        return SignificanceRecord(
+            self.patterns[int(self.order[index])],
+            float(self.p_values[index]),
+            float(self.min_p[index]),
+            bool(self.significant[index]),
+            self.code_strings[index],
+        )
+
+
 class _Stopped(Exception):
     """A run emitted one pattern more than its budget, or passed its deadline."""
 
@@ -98,7 +161,7 @@ class _Stopped(Exception):
 def _run(
     db: GraphDatabase, config: MinerConfig, sigma: int, budget: int | None = None,
     raise_sigma: Callable[[int], int] | None = None, deadline: float | None = None,
-) -> tuple[tuple[Pattern, ...] | None, int]:
+) -> tuple[PatternStore | None, int]:
     """Mine at ``sigma``: the patterns (None if stopped) and the emission count.
 
     The run stops at its ``budget + 1``-th emission or at the first one past
@@ -149,7 +212,7 @@ class _Session:
 
     def mine_at(
         self, sigma: int, budget: int | None = None, raise_sigma: Callable[[int], int] | None = None
-    ) -> tuple[Pattern, ...] | None:
+    ) -> PatternStore | None:
         """``_run`` at ``sigma``, recorded in the trace; None when the budget tripped."""
         t0 = time.perf_counter()
         patterns, emitted = _run(self.db, self.config, sigma, budget, raise_sigma)
@@ -159,16 +222,19 @@ class _Session:
         return patterns
 
 
-def _scan_up(session: _Session, sigma: int, patterns: Sequence[Pattern]):
-    """Walk sigma upward over an already-mined multiset until the count fits.
+def _scan_up(session: _Session, sigma: int, patterns: PatternStore):
+    """Walk sigma upward over an already-mined store until the count fits.
 
-    Requires ``patterns`` to be complete for frequencies >= sigma. Terminates
-    because the count reaches zero once sigma passes the largest frequency.
+    Requires ``patterns`` to be complete for frequencies >= sigma, and uses
+    it up (``PatternStore._select``). Terminates because the count reaches
+    zero once sigma passes the largest frequency.
     """
-    freqs = sorted(p.frequency for p in patterns)
-    while not session.fits(len(freqs) - bisect_left(freqs, sigma), sigma):
+    frequency = patterns.frequency
+    # at_least[f] counts the patterns of frequency f or more
+    at_least = np.bincount(frequency)[::-1].cumsum()[::-1].tolist()
+    while sigma < len(at_least) and not session.fits(at_least[sigma], sigma):
         sigma += 1
-    return sigma, [p for p in patterns if p.frequency >= sigma]
+    return sigma, patterns._select(frequency >= sigma)
 
 
 def _dynamic(session: _Session, sigma_min: int):
@@ -199,7 +265,7 @@ def _dynamic(session: _Session, sigma_min: int):
         return sigma
 
     patterns = session.mine_at(sigma_min, raise_sigma=raise_sigma)
-    return sigma, [p for p in patterns if p.frequency >= sigma]
+    return sigma, patterns._select(patterns.frequency >= sigma)
 
 
 def _onepass(session: _Session, sigma_min: int):
@@ -244,9 +310,9 @@ def _bisection(session: _Session, sigma_min: int):
     After the interval closes, unprobed endpoints are probed directly; if even
     sigma = m fails, the search escalates above m where the budget is flat.
     """
-    memo: dict[int, tuple[Pattern, ...] | None] = {}
+    memo: dict[int, PatternStore | None] = {}
 
-    def probe(sigma: int) -> tuple[Pattern, ...] | None:
+    def probe(sigma: int) -> PatternStore | None:
         if sigma not in memo:
             memo[sigma] = session.mine_at(sigma, session.budget(sigma))
         return memo[sigma]
@@ -266,7 +332,7 @@ def _bisection(session: _Session, sigma_min: int):
 
 # Each policy takes the session and sigma_min and returns the root frequency
 # with the patterns at or above it.
-_FINDERS: dict[str, Callable[[_Session, int], tuple[int, Sequence[Pattern]]]] = {
+_FINDERS: dict[str, Callable[[_Session, int], tuple[int, PatternStore]]] = {
     "dynamic": _dynamic,
     "onepass": _onepass,
     "decremental": _decremental,
@@ -297,21 +363,21 @@ def find_root(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}") from None
     session = _Session(db, alpha, config, tail)
     sigma_min = min_testable_frequency(alpha, db.n, db.n_prime, session.tail)
-    sigma_rt, testable = None, ()
+    sigma_rt, testable = None, PatternStore()
     if sigma_min is not None:
         sigma_rt, testable = policy(session, sigma_min)
     return RootSearchResult(
         status="ok" if sigma_min is not None else "no_testable",
         min_testable_frequency=sigma_min,
         root_frequency=sigma_rt,
-        testable=tuple(testable),
+        testable=testable,
         trace=tuple(session.trace),
     )
 
 
 def full_family(
     db: GraphDatabase, config: MinerConfig, timeout: float | None = None
-) -> tuple[Pattern, ...] | None:
+) -> PatternStore | None:
     """Every pattern with support >= 2, bonferroni-full's family; None past ``timeout``.
 
     ``config`` sets the vertex cap and singleton rule, as for ``find_root``.
@@ -330,14 +396,15 @@ def score_patterns(
     alpha: float,
     tail: TailMode = "two",
     correction_factor: float = 1.0,
-) -> tuple[SignificanceRecord, ...]:
+) -> SignificanceRecords:
     """Exact-test each pattern against alpha / correction_factor.
 
     Significance is a strict comparison. Records are sorted by ascending
     p-value with ties broken by the pattern's code string, so output order is
-    reproducible across runs and strategies. Patterns are scored in
-    ascending frequency, one row of p-values and one psi per margin, as the
-    permutation stage reads them.
+    reproducible across runs and strategies. The margins are read in
+    ascending frequency, one row of p-values and one psi each, as the
+    permutation stage reads them, and every pattern's p-value is gathered
+    from its margin's row.
     """
     # checked before the family is looked at: an empty one reads no table
     _check_tail(tail)
@@ -347,19 +414,29 @@ def score_patterns(
     if not correction_factor >= 1.0:
         raise ValueError(f"correction_factor must be >= 1, got {correction_factor}")
     threshold = alpha / correction_factor
-    records = []
-    ordered = sorted(patterns, key=lambda p: p.frequency)
-    for f, members in groupby(ordered, key=lambda p: p.frequency):
+    store = PatternStore(patterns)
+    frequency, ones = store.frequency, store.x
+    by_frequency = np.argsort(frequency, kind="stable")
+    margins, firsts = np.unique(frequency[by_frequency], return_index=True)
+    p_values = np.empty(len(store))
+    min_p = np.empty(len(store))
+    for f, rows in zip(margins.tolist(), np.split(by_frequency, firsts[1:])):
         lo, row = pvalues_over_support(f, db.n, db.n_prime, tail)
-        min_p = min_attainable_pvalue(f, db.n, db.n_prime, tail)
-        for pattern in members:
-            i = pattern.x - lo
-            if not 0 <= i < len(row):
-                raise ValueError(
-                    f"x={pattern.x}, x_prime={pattern.x_prime} do not fit the class sizes"
-                )
-            p = float(row[i])
-            code = code_string(pattern.code, db)
-            records.append(SignificanceRecord(pattern, p, min_p, p < threshold, code))
-    records.sort(key=lambda r: (r.p_value, r.code_string))
-    return tuple(records)
+        i = ones[rows] - lo
+        bad = np.flatnonzero((i < 0) | (i >= len(row)))
+        if bad.size:
+            r = rows[bad[0]]
+            raise ValueError(
+                f"x={ones[r]}, x_prime={frequency[r] - ones[r]} do not fit the class sizes"
+            )
+        p_values[rows] = row[i]
+        min_p[rows] = min_attainable_pvalue(f, db.n, db.n_prime, tail)
+    codes = [code_string(code, db) for code in store.codes]
+    keys = list(zip(p_values.tolist(), codes))
+    # ties in both keep ascending frequency
+    order = np.array(sorted(by_frequency.tolist(), key=keys.__getitem__), np.intp)
+    p_values = p_values[order]
+    return SignificanceRecords._of(
+        store, order, p_values, min_p[order], p_values < threshold,
+        tuple(codes[i] for i in order.tolist()),
+    )

@@ -35,7 +35,13 @@ must agree with exactly:
 
 ``layout_reference`` builds the miner's ``ArrayLayout`` fields from the
 graphs read back as records, with plain lists and sorting, to judge the
-layout the package derives from its flat storage.
+layout the package derives from its flat storage. ``serialize_reference``
+writes the transaction format from those records, one line at a time, to
+judge ``serialize_database``, which writes it from the flat arrays.
+
+``score_reference`` is the scoring loop the package's column scoring
+replaced: patterns grouped by frequency, one table row and one psi per
+margin, one record per pattern, sorted by (p-value, code string).
 
 ``code_to_graph`` turns a DFS code back into a graph, after checking that
 the code is well formed, for the isomorphism oracles above.
@@ -502,7 +508,9 @@ def mine_reference(db, config, on_emit=None):
     Emits what ``mining.mine`` emits, in the same order, returns every
     emission, and steers the same way through ``on_emit``; it has no deadline.
     """
-    from sigmine.mining import NO_EDGE, MiningOutcome, Pattern, _root_state, _step, is_canonical
+    from sigmine.mining import (
+        NO_EDGE, MiningOutcome, Pattern, PatternStore, _root_state, _step, is_canonical,
+    )
 
     sigma = config.min_frequency
     patterns = []
@@ -523,7 +531,7 @@ def mine_reference(db, config, on_emit=None):
             if len(by_label[lbl]) >= sigma:
                 emit(((0, 0, lbl, NO_EDGE, lbl),), tuple(sorted(by_label[lbl])))
     if config.max_vertices is not None and config.max_vertices < 2:
-        return MiningOutcome(tuple(patterns))
+        return MiningOutcome(PatternStore(patterns))
     roots = {}
     for pos, g in enumerate(db.graphs):
         vl = g.vertex_labels
@@ -552,7 +560,46 @@ def mine_reference(db, config, on_emit=None):
             _extend(children, adjacencies[pos], graph_labels, pos, assign, *state, forward)
         for quint in sorted(children, key=_extension_key, reverse=True):
             stack.append((code + (quint,), children[quint], state))
-    return MiningOutcome(tuple(patterns))
+    return MiningOutcome(PatternStore(patterns))
+
+
+def serialize_reference(db) -> str:
+    """The transaction format from the graphs read back as ``LabeledGraph`` records."""
+    out = []
+    for g, cls in zip(db.graphs, db.original_classes):
+        out.append(f"t # {g.graph_id} {cls}")
+        for vid, lbl in enumerate(g.vertex_labels):
+            out.append(f"v {vid} {db.vertex_tokens[lbl]}")
+        for u, v, lbl in g.edges:
+            out.append(f"e {u} {v} {db.edge_tokens[lbl]}")
+    return "\n".join(out) + "\n"
+
+
+def score_reference(patterns, db, alpha, tail="two", correction_factor=1.0):
+    """``score_patterns`` one pattern at a time: a tuple of ``SignificanceRecord``."""
+    from itertools import groupby
+
+    from sigmine.mining import code_string
+    from sigmine.search import SignificanceRecord
+    from sigmine.stats import min_attainable_pvalue, pvalues_over_support
+
+    threshold = alpha / correction_factor
+    records = []
+    ordered = sorted(patterns, key=lambda p: p.frequency)
+    for f, members in groupby(ordered, key=lambda p: p.frequency):
+        lo, row = pvalues_over_support(f, db.n, db.n_prime, tail)
+        min_p = min_attainable_pvalue(f, db.n, db.n_prime, tail)
+        for pattern in members:
+            i = pattern.x - lo
+            if not 0 <= i < len(row):
+                raise ValueError(
+                    f"x={pattern.x}, x_prime={pattern.x_prime} do not fit the class sizes"
+                )
+            p = float(row[i])
+            code = code_string(pattern.code, db)
+            records.append(SignificanceRecord(pattern, p, min_p, p < threshold, code))
+    records.sort(key=lambda r: (r.p_value, r.code_string))
+    return tuple(records)
 
 
 def _reference_lines(source):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -11,7 +12,8 @@ from typing import get_args
 import numpy as np
 import pytest
 
-from sigmine.graphs import GraphDatabase, LabeledGraph, serialize_database
+from sigmine.graphs import GraphDatabase, LabeledGraph, parse_database, serialize_database
+from sigmine.mining import MinerConfig
 from sigmine.report import (
     CSV_HEADER,
     RunConfig,
@@ -21,7 +23,7 @@ from sigmine.report import (
 )
 from sigmine import cli
 from sigmine.cli import build_parser, main
-from sigmine.search import STRATEGIES
+from sigmine.search import STRATEGIES, find_root, score_patterns
 from sigmine.synth import planted_database
 
 
@@ -160,7 +162,7 @@ class TestPipeline:
         assert report.summary["status"] == "bf_timeout"
         assert report.summary["sigma_rt"] is not None
         assert report.summary["correction_factor"] is None
-        assert report.records == ()
+        assert len(report.records) == 0
 
     def test_bf_timeout_fires_promptly(self, tmp_path):
         # the full sigma-2 enumeration of this database takes several
@@ -220,7 +222,7 @@ class TestPipeline:
         # the toy database has no edges at all, so nothing remains
         assert off.summary["num_testable"] == 0
         assert off.summary["correction_factor"] is None
-        assert off.records == ()
+        assert len(off.records) == 0
 
     def test_labels_file_overrides_classes(self, toy_path, tmp_path):
         labels = tmp_path / "flip.labels"
@@ -297,7 +299,7 @@ class TestPipeline:
         assert report.summary["status"] == "no_testable"
         assert report.summary["sigma_rt"] is None
         assert report.summary["correction_factor"] is None
-        assert report.records == ()
+        assert len(report.records) == 0
 
 
 class TestRendering:
@@ -569,6 +571,18 @@ class TestCommandLine:
         # the toy database has one significant pattern, A at p = 2 / C(10, 5)
         (line,) = capsys.readouterr().out.splitlines()
         assert float(line.split()[-1]) == pytest.approx(2 / 252, rel=1e-12)
+        # and on a copy of the planted golden input it prints what the same
+        # calls made here find significant
+        planted = Path(__file__).resolve().parent / "golden" / "planted.graphs"
+        shutil.copy(planted, tmp_path / "graphs.txt")
+        exec(compile(snippet, "README.md", "exec"), {})
+        db = parse_database(planted.read_text(encoding="utf-8"))
+        result = find_root(db, 0.05, MinerConfig(min_frequency=1))
+        records = score_patterns(result.testable, db, 0.05,
+                                 correction_factor=len(result.testable))
+        expected = [f"{rec.code_string} {rec.p_value}" for rec in records if rec.significant]
+        assert expected
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_module_entry_point(self, toy_path):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -649,6 +649,31 @@ def test_parsed_layout_equals_from_graphs_layout(db, rng):
     assert_same_layout(scrambled.layout, rebuilt.layout)
 
 
+@settings(max_examples=60, deadline=None)
+@given(first_appearance_db(), st.randoms(use_true_random=False))
+def test_serialization_from_the_flat_arrays_agrees_with_the_records(db, rng):
+    # the same storage with every edge row's place in its graph and its
+    # orientation scrambled: written normalised and sorted, as the records
+    # hold the edges, and without reading the records back
+    rows = db.edges.tolist()
+    for g0, g1 in zip(db.edge_offsets[:-1].tolist(), db.edge_offsets[1:].tolist()):
+        block = [[v, u, lbl] if rng.random() < 0.5 else [u, v, lbl] for u, v, lbl in rows[g0:g1]]
+        rng.shuffle(block)
+        rows[g0:g1] = block
+    scrambled = GraphDatabase(
+        db.graph_ids, db.original_classes, db.vertex_tokens, db.edge_tokens,
+        db.vertex_labels, db.vertex_offsets, np.array(rows, np.int64).reshape(-1, 3),
+        db.edge_offsets,
+    )
+    # two graphs written at a time, so lines are joined across blocks
+    with mock.patch.object(graphs, "_GRAPHS", 2):
+        text = serialize_database(scrambled)
+    assert "graphs" not in scrambled.__dict__
+    assert scrambled == db
+    assert "graphs" not in scrambled.__dict__
+    assert text == oracles.serialize_reference(scrambled) == oracles.serialize_reference(db)
+
+
 @pytest.mark.parametrize("shape", ["unused tokens", "distinct labels"])
 def test_layout_ranks_sparse_labels_like_the_reference(shape):
     # labels are ranked by a table as long as the token list, or sorted when

@@ -16,6 +16,7 @@ from sigmine.mining import (
     NO_EDGE,
     MinerConfig,
     Pattern,
+    PatternStore,
     _root_state,
     _step,
     code_string,
@@ -73,7 +74,7 @@ def test_frequent_patterns_and_emission_order(db):
 
 def test_threshold_above_database_size(db):
     run = mine(db, MinerConfig(min_frequency=3))
-    assert run.patterns == ()
+    assert len(run.patterns) == 0
     assert run.emitted_count == 0
 
 
@@ -90,7 +91,7 @@ def test_max_vertices_caps_pattern_size(db):
     ]
 
     run = mine(db, MinerConfig(min_frequency=1, max_vertices=1, count_singletons=False))
-    assert run.patterns == ()
+    assert len(run.patterns) == 0
 
 
 def test_singletons_can_be_excluded(db):
@@ -300,6 +301,75 @@ def test_pattern_holds_its_occurrences_as_a_read_only_int32_array():
     # patterns compare and hash by identity
     assert hash(p) == object.__hash__(p)
     assert p != Pattern((), (1, 4, 9), 2, 1)
+
+
+@pytest.mark.parametrize("source", [(0.5, 1.7), (True, False), np.array([0.0, 1.0])])
+def test_pattern_rejects_occurrences_that_are_not_integers(source):
+    # they would be truncated or read as 0 and 1 without a word
+    with pytest.raises(TypeError, match="integers"):
+        Pattern((), source, 1, 1)
+
+
+def test_pattern_rejects_occurrences_that_int32_cannot_hold():
+    with pytest.raises(ValueError, match="int32"):
+        Pattern((), (1, 2**31), 1, 1)
+
+
+class HandBuilt:
+    """A pattern-like record whose occurrences nothing has converted."""
+
+    def __init__(self, occurrences, x, x_prime):
+        self.code, self.occurrences, self.x, self.x_prime = (), occurrences, x, x_prime
+
+
+@pytest.mark.parametrize(
+    "occurrences, x, x_prime, error, match",
+    [
+        ((0.5, 1.7), 1, 1, TypeError, "integers"),
+        ((True, False), 1, 1, TypeError, "integers"),
+        ((0, 1), 1.0, 1, TypeError, "x"),
+        ((0, 1), 1, 0, ValueError, "2 occurrences but frequency 1"),
+        ((1, 1), 1, 1, ValueError, "ascending"),
+        ((2, 1), 1, 1, ValueError, "ascending"),
+        ((-1, 1), 1, 1, ValueError, "ascending"),
+    ],
+)
+def test_store_checks_hand_built_occurrences(occurrences, x, x_prime, error, match):
+    with pytest.raises(error, match=match):
+        PatternStore([HandBuilt(occurrences, x, x_prime)])
+
+
+def test_store_items_and_slices_read_the_columns(db):
+    store = mine(db, MinerConfig(min_frequency=1)).patterns
+    listed = [(p.code, p.occurrences.tolist(), p.x, p.x_prime) for p in store]
+    assert [store[i].occurrences.tolist() for i in range(len(store))] == [o for _, o, *_ in listed]
+    assert (store[-1].code, store[-1].x) == listed[-1][::2]
+    with pytest.raises(IndexError):
+        store[len(store)]
+    assert store.frequency.tolist() == [len(o) for _, o, *_ in listed]
+    assert store.x.tolist() == [x for *_, x, _ in listed]
+    for sliced, expected in ((store[2:7], listed[2:7]), (store[5:2], []),
+                             (PatternStore(store), listed)):
+        assert [(p.code, p.occurrences.tolist(), p.x, p.x_prime) for p in sliced] == expected
+    rebuilt = PatternStore(list(store))
+    assert [(p.code, p.occurrences.tolist(), p.x, p.x_prime) for p in rebuilt] == listed
+    assert not store[0].occurrences.flags.writeable
+
+
+def test_select_keeps_the_chosen_patterns_chunk_by_chunk(db):
+    # chunks of five positions: patterns straddle them
+    with mock.patch.object(mining, "_CHUNK", 5):
+        store = mine(db, MinerConfig(min_frequency=1)).patterns
+        assert len(store._chunks) > 2
+    listed = [(p.code, p.occurrences.tolist(), p.x, p.x_prime) for p in store]
+    keep = np.arange(len(store)) % 3 != 1
+    with mock.patch.object(mining, "_CHUNK", 5):
+        fresh = mine(db, MinerConfig(min_frequency=1)).patterns
+    kept = fresh._select(keep)
+    assert [(p.code, p.occurrences.tolist(), p.x, p.x_prime) for p in kept] == [
+        row for row, k in zip(listed, keep) if k
+    ]
+    assert kept._select(np.ones(len(kept), bool)) is kept
 
 
 def test_mining_is_deterministic(db):
@@ -526,7 +596,8 @@ def test_peak_memory_at_the_root_frequency_of_twenty_thousand_graphs():
 def test_kept_family_memory_is_bounded_on_twenty_thousand_graphs():
     # the family bonferroni-full keeps: 134 patterns over 158,254 occurrence
     # entries; frozensets hold 7 MiB of it, tuples of fresh ints 5.5 MiB,
-    # tuples of shared ints 1.26 MiB and one int32 array per pattern 0.67 MiB
+    # tuples of shared ints 1.26 MiB, one int32 array per pattern 0.67 MiB
+    # and one store of columns 641,549 bytes, 633,016 of them positions
     db = random_database(20000, 7)
     db.layout  # built before tracing, as it is by a run's earlier mines
     tracemalloc.start()
@@ -537,7 +608,7 @@ def test_kept_family_memory_is_bounded_on_twenty_thousand_graphs():
         tracemalloc.stop()
     assert len(family) == 134
     assert sum(p.frequency for p in family) == 158254
-    assert held < 2**20
+    assert held < 1.1 * 641549
 
 
 @st.composite

@@ -97,13 +97,14 @@ floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 quints = st.tuples(*[st.integers(0, 5)] * 5)
+# a pattern's occurrences are as many as x + x_prime, so the counts stay small
 records = st.builds(
     lambda code, x, x_prime, p, min_p, significant, token: SignificanceRecord(
-        Pattern(tuple(code), (), x, x_prime), p, min_p, significant, token
+        Pattern(tuple(code), range(x + x_prime), x, x_prime), p, min_p, significant, token
     ),
     st.lists(quints, min_size=1, max_size=4),
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
+    st.integers(0, 40),
+    st.integers(0, 40),
     floats,
     floats,
     st.booleans(),
@@ -132,7 +133,7 @@ def test_drawn_reports_render_as_one_dump(summary, drawn):
 @pytest.mark.parametrize("field", ["p_value", "min_p"])
 def test_json_rejects_nan_and_infinity(bad, field):
     values = {"p_value": 0.5, "min_p": 0.25, field: bad}
-    rec = SignificanceRecord(Pattern(((0, 1, 0, 0, 0),), (), 1, 2),
+    rec = SignificanceRecord(Pattern(((0, 1, 0, 0, 0),), (0, 1, 2), 1, 2),
                              values["p_value"], values["min_p"], False, "A")
     report = Report({"status": "ok"}, (rec,), NO_SEARCH)
     with pytest.raises(ValueError):
@@ -151,7 +152,7 @@ def test_writer_memory_follows_one_record(fmt, tmp_path):
     # a report of 12,000 records, about 100 to 250 bytes each in the file
     recs = tuple(
         SignificanceRecord(
-            Pattern(((0, 1, i % 7, i % 3, i % 5),) * 3, (), i, 12000 - i),
+            Pattern(((0, 1, i % 7, i % 3, i % 5),) * 3, range(i % 40), i % 40 // 2, i % 40 - i % 40 // 2),
             i / 12000, 1.0 / (i + 1), i % 2 == 0, f"{i % 7} {i % 3} {i % 5} {i}",
         )
         for i in range(12000)

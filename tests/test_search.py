@@ -287,9 +287,9 @@ class TestDegenerateInputs:
             assert r.status == "no_testable"
             assert r.min_testable_frequency is None
             assert r.root_frequency is None
-            assert r.testable == ()
+            assert len(r.testable) == 0
             assert r.fsm_invocations == 0
-        assert score_patterns(r.testable, db, 0.05, "two", 1.0) == ()
+        assert len(score_patterns(r.testable, db, 0.05, "two", 1.0)) == 0
 
     def test_nothing_frequent_at_sigma_min(self):
         # eight graphs with eight distinct labels: every frequency is 1,
@@ -302,7 +302,7 @@ class TestDegenerateInputs:
             r = find_root(db, 0.05, CONFIG, "two", strategy)
             assert r.status == "ok"
             assert r.root_frequency == r.min_testable_frequency == 4
-            assert r.testable == ()
+            assert len(r.testable) == 0
 
     def test_unknown_strategy_rejected(self, toy_db):
         with pytest.raises(ValueError, match="strategy"):
@@ -389,7 +389,7 @@ class TestSignificantSet:
     def test_counts_beyond_the_class_sizes_rejected(self, enriched_db):
         # a hand-built pattern's x must index its margin's row, never wrap
         for x, x_prime in ((11, 0), (0, 11), (12, 3)):
-            pattern = Pattern(((0, 0, 0, NO_EDGE, 0),), (), x, x_prime)
+            pattern = Pattern(((0, 0, 0, NO_EDGE, 0),), range(x + x_prime), x, x_prime)
             with pytest.raises(ValueError, match="class sizes"):
                 score_patterns([pattern], enriched_db, 0.05, "two", 1.0)
 
@@ -474,7 +474,7 @@ def test_scoring_memory_is_bounded_over_many_margins():
     margins = list(range(5, 605, 3))
     random.Random(0).shuffle(margins)
     patterns = [
-        Pattern(((0, 0, i, NO_EDGE, i),), (), f // 2, f - f // 2)
+        Pattern(((0, 0, i, NO_EDGE, i),), range(f), f // 2, f - f // 2)
         for i, f in enumerate(margins)
     ]
     tracemalloc.start()
@@ -564,3 +564,59 @@ def test_strategies_agree_and_satisfy_root_property(db, alpha, tail):
         assert type(rec.significant) is bool
         exact = oracles.fisher(rec.pattern.x, rec.pattern.frequency, db.n, db.n_prime, tail)
         assert rec.p_value == pytest.approx(float(exact), rel=1e-12)
+
+
+SCORED_CODES = (
+    ((0, 0, 0, NO_EDGE, 0),),
+    ((0, 0, 1, NO_EDGE, 1),),
+    ((0, 1, 0, 0, 1),),
+    ((0, 1, 0, 0, 1), (1, 2, 1, 0, 0)),
+)
+
+
+@st.composite
+def scored_family(draw, class_1_larger):
+    """A database of edgeless graphs and a hand-built family over it.
+
+    Patterns share codes and supports often, so p-values, code strings and
+    margins repeat; the family may be empty.
+    """
+    small, large = sorted(draw(st.lists(st.integers(1, 9), min_size=2, max_size=2)))
+    assume(small < large)
+    n, n_prime = (large, small) if class_1_larger else (small, large)
+    classes = draw(st.permutations((1,) * n + (0,) * n_prime))
+    db = GraphDatabase.from_graphs(
+        [edgeless(i, (0,)) for i in range(n + n_prime)], classes,
+        vertex_tokens=("A", "B"), edge_tokens=("x",),
+    )
+    supports = draw(st.lists(
+        st.sets(st.integers(0, n + n_prime - 1), max_size=n + n_prime), max_size=4,
+    ))
+    patterns = []
+    for _ in range(draw(st.integers(0, 12))):
+        occurrences = sorted(draw(st.sampled_from(supports))) if supports else []
+        x = sum(classes[t] for t in occurrences)
+        code = draw(st.sampled_from(SCORED_CODES))
+        patterns.append(Pattern(code, occurrences, x, len(occurrences) - x))
+    return db, patterns
+
+
+@pytest.mark.parametrize("class_1_larger", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scoring_agrees_with_the_reference_loop(class_1_larger, data):
+    db, patterns = data.draw(scored_family(class_1_larger))
+    tail = data.draw(st.sampled_from(["left", "right", "two"]))
+    alpha = data.draw(st.sampled_from([0.05, 0.3, 0.9]))
+    factor = data.draw(st.sampled_from([1.0, 2.5, float(max(1, len(patterns)))]))
+    records = score_patterns(patterns, db, alpha, tail, factor)
+    expected = oracles.score_reference(patterns, db, alpha, tail, factor)
+    assert len(records) == len(expected)
+    for rec, ref in zip(records, expected):
+        assert (rec.code_string, rec.p_value, rec.min_p, rec.significant) == (
+            ref.code_string, ref.p_value, ref.min_p, ref.significant
+        )
+        got, want = rec.pattern, ref.pattern
+        assert (got.code, got.occurrences.tolist(), got.x, got.x_prime) == (
+            want.code, want.occurrences.tolist(), want.x, want.x_prime
+        )
