@@ -10,9 +10,16 @@ of memory, and 130 when it was interrupted. No failure prints a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+# sigmine makes no BLAS call, yet on import numpy's OpenBLAS starts one worker
+# thread per extra core, and each spins for a while before it sleeps: CPU time
+# the run pays for nothing. OpenBLAS reads this once, when numpy first loads,
+# so it is set before the imports below (``import sigmine`` loads no numpy).
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .graphs import LabelError, ParseError, ValidityError
 from .report import (

@@ -65,13 +65,35 @@ def _running_tail(masses: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, total + np.add.accumulate(error))
 
 
+def _normaliser(weights: np.ndarray, cut: float = 2.0**-80) -> float:
+    """``math.fsum(weights)`` of non-negative weights, bit for bit, from those >= cut.
+
+    Weights below the cut sum to at most their count times the largest of
+    them, taken here rounded up. Correct rounding is monotone, so when adding
+    that bound to the kept weights' exact sum rounds to the same float as
+    their sum alone, the full sum rounds to it too; otherwise this falls back
+    to summing every weight. With the mode's weight at 1, the default cut
+    leaves only the weights that can move the rounded result.
+    """
+    small = weights < cut
+    kept = weights[~small].tolist()
+    total = math.fsum(kept)
+    if small.any():
+        dropped = weights[small]
+        bound = math.nextafter(len(dropped) * float(dropped.max()), math.inf)
+        if math.fsum(kept + [bound]) != total:
+            return math.fsum(weights.tolist())
+    return total
+
+
 @lru_cache(maxsize=4)
 def _support_tables(f: int, n: int, n_prime: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(lo, left, right): the cumulative tails over the support of one margin, indexed x - lo.
 
     Weights are the exact ratio recurrence outward from the mode, one
     ``np.multiply.accumulate`` each way, and masses the weights over their
-    ``math.fsum``, kept because the normaliser must be correctly rounded.
+    ``math.fsum`` (``_normaliser``), kept because the normaliser must be
+    correctly rounded.
     This keeps relative error near machine precision even for margins in the
     tens of thousands, where log-space summation loses a couple of digits.
     Every ratio operand is at most f * (max(n, n') + 1); a margin where that
@@ -93,7 +115,7 @@ def _support_tables(f: int, n: int, n_prime: int) -> tuple[int, np.ndarray, np.n
     weights = np.concatenate(
         (np.multiply.accumulate(down_ratios)[::-1], [1.0], np.multiply.accumulate(up_ratios))
     )
-    masses = weights / math.fsum(weights.tolist())
+    masses = weights / _normaliser(weights)
     left = _running_tail(masses)
     right = _running_tail(masses[::-1])[::-1]
     left.flags.writeable = right.flags.writeable = False

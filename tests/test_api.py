@@ -64,6 +64,11 @@ def test_exported_names():
     assert sigmine.__all__ == EXPORTED
     for name in EXPORTED:
         assert hasattr(sigmine, name)
+    # the names load on first use, so star-import and dir() must see them too
+    star = {}
+    exec("from sigmine import *", star)
+    assert set(EXPORTED) <= set(star)
+    assert set(EXPORTED) <= set(dir(sigmine))
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)

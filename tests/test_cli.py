@@ -585,19 +585,48 @@ class TestCommandLine:
         assert capsys.readouterr().out.splitlines() == expected
 
     def test_module_entry_point(self, toy_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "sigmine", "--input", toy_path],
             capture_output=True,
             text=True,
-            env=env,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("pattern,")
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
+    )
+    def test_cli_runs_one_os_thread(self):
+        # The variable is set explicitly: importing sigmine.cli in this process
+        # has already pinned it to 1 here. A bare `import sigmine` must load no
+        # numpy and leave it alone; the entry point (its `main` call guarded by
+        # __name__) must then start numpy without an OpenBLAS worker.
+        child = (
+            "import json, os, sys\n"
+            "import sigmine\n"
+            "bare = ['numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS']]\n"
+            "import sigmine.__main__\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    (threads,) = [l.split()[1] for l in fh if l.startswith('Threads:')]\n"
+            "print(json.dumps(bare + [threads]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env=src_env(OPENBLAS_NUM_THREADS="4"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, "4", "1"]
+
+
+def src_env(**extra):
+    """This environment with the checkout's src/ first on PYTHONPATH, plus extra."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sigmine import stats
 from sigmine.stats import (
     min_attainable_pvalue,
     min_testable_frequency,
@@ -273,6 +276,30 @@ def test_tables_equal_the_scalar_loop_on_large_margins():
     # than math.fsum's changes about a third of the tables
     for f in range(18, 14001, 215):
         assert_tables_equal_the_loop(f, 10_000, 10_000)
+
+
+@pytest.mark.parametrize(
+    "cut, sides",
+    [(2.0**-80, {"kept"}), (2.0**-60, {"kept", "full"}), (2.0**-20, {"full"})],
+    ids=["cut-2^-80", "cut-2^-60", "cut-2^-20"],
+)
+def test_normaliser_equals_the_full_fsum(monkeypatch, cut, sides):
+    # the tables' weights over a sweep of margins, each normalised at this
+    # cut; "kept" sums only the weights >= cut, "full" is the fallback
+    fsum, normaliser = math.fsum, stats._normaliser
+    weights = []
+    monkeypatch.setattr(stats, "_normaliser", lambda w: weights.append(w) or fsum(w.tolist()))
+    for n, n_prime in ((30, 50), (1_000, 1_000), (10_000, 10_000)):
+        for f in range(0, n + n_prime + 1, (n + n_prime) // 40):
+            stats._support_tables.__wrapped__(f, n, n_prime)
+    calls = []
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(xs) or fsum(xs))
+    seen = set()
+    for w in weights:
+        calls.clear()
+        assert normaliser(w, cut) == fsum(w.tolist())
+        seen.add({1: "none dropped", 2: "kept", 3: "full"}[len(calls)])
+    assert seen - {"none dropped"} == sides
 
 
 def test_large_margin_attainable_bound_accurate():
