@@ -163,14 +163,14 @@ class ArrayLayout:
     neighbours in ascending order, and ``prank`` gives the dense rank of each
     (edge label, neighbour label) pair in it, ``pair_el`` and ``pair_tl``
     listing the pairs by rank; ranks sort like the labels they stand for.
-    ``positive`` is each position's class (1 or 0) and ``largest`` is
+    ``positive`` is each position's class (1 or 0, int8) and ``largest`` is
     the vertex count of the largest graph.
     Nothing here depends on the order or orientation of the stored edges.
     """
 
     def __init__(self, db: "GraphDatabase"):
         n = db.size
-        self.positive = np.array(db.original_classes, np.int64)
+        self.positive = np.array(db.original_classes, np.int8)
         offsets = db.vertex_offsets
         vcounts = np.diff(offsets)
         num_v = int(offsets[-1])

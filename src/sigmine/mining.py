@@ -546,7 +546,7 @@ class _Miner:
         np.not_equal(pair_keys[1:], pair_keys[:-1], out=step[1:])
         key_pairs = step.nonzero()[0]
         occ = pairs - pair_keys * n
-        ones = np.add.reduceat(self.layout.positive[occ], key_pairs).tolist()
+        ones = np.add.reduceat(self.layout.positive[occ], key_pairs, dtype=np.int64).tolist()
         ob = key_pairs.tolist()
         rb = pair_items[key_pairs].tolist()
         ob.append(len(pairs))

@@ -6,9 +6,11 @@ patterns is converted through it once), and its position buffer is packed
 once, a block of patterns at a time, into one row of uint64 words per
 pattern, one bit per transaction. Permutation masks are drawn a block at a time
 and packed the same way; every permuted positive count in a block is then a
-word-by-word AND and popcount, and one table lookup per margin turns the
-counts into p-values. This packed form is the only occurrence representation
-the permutation stage reads.
+word-by-word AND and popcount, and one lookup in a single table, every
+margin's row of p-values end to end, turns the counts into p-values. So a
+block makes the same numpy calls however many margins the family has, and
+writes into buffers allocated once. This packed form is the only occurrence
+representation the permutation stage reads.
 
 The stream is fixed: mask j is numpy's
 ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(j,))))`` shuffling m
@@ -36,10 +38,12 @@ from .graphs import GraphDatabase, _integral_fields
 from .mining import Pattern, PatternStore
 from .stats import TailMode, _check_tail, pvalues_over_support
 
-# Pattern x permutation cells evaluated per block. It bounds the count and
-# lookup arrays of a block, and (through the word count) its slot matrix and
-# packed masks, to a few MB whatever the database size or the size of the
-# family.
+# Pattern x permutation cells evaluated per block. It sizes the block
+# buffers, held from the first block to the last: 11 bytes a cell (a uint64
+# word, a uint8 popcount and a uint16 count), 0.69 MiB at 2**16 cells, or 17
+# bytes a cell once a count can pass 16 bits. Through the word count it also
+# bounds a block's slot matrix and packed masks, so a block takes a few MB
+# whatever the database size or the size of the family.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -130,6 +134,17 @@ class _Seeded:
         return self.state
 
 
+def _cells(buffer: np.ndarray, patterns: int, count: int) -> np.ndarray:
+    """The leading ``patterns * count`` cells of a block buffer as a
+    (patterns, count) array, patterns innermost in memory.
+
+    A ufunc over a 2D array that does not collapse to 1D pays for each row
+    of its inner axis, and the families of a permutation run hold more
+    patterns than a block holds permutations.
+    """
+    return buffer[: patterns * count].reshape(count, patterns).T
+
+
 def _packed(slots: np.ndarray) -> np.ndarray:
     """uint64 words of each row of a 0/1 uint8 matrix; bit t is position t."""
     return np.packbits(slots, axis=1, bitorder="little").view(np.uint64)
@@ -155,37 +170,66 @@ def min_p_distribution(
     testable = PatternStore(testable)
     if not testable:
         raise ValueError("min-p distribution needs at least one testable pattern")
+    # the block buffers are let go on return, before the tuple is built
+    return tuple(_minima(testable, plan, db, tail).tolist())
+
+
+def _minima(
+    testable: PatternStore, plan: PermutationPlan, db: GraphDatabase, tail: TailMode
+) -> np.ndarray:
+    """``min_p_distribution``'s samples as a float64 array."""
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_Seeded)
     total = db.size
     width = -(-total // 64)
-    block = max(1, _BLOCK_CELLS // max(len(testable), width))
+    patterns = len(testable)
+    block = max(1, _BLOCK_CELLS // max(patterns, width))
     # one row of 0/1 slots per permutation of a block, reused by every block;
     # the padding past ``total`` is never written and stays 0
     slots = np.zeros((block, 64 * width), dtype=np.uint8)
 
-    # Rows sorted by frequency, so the patterns sharing one p-value table are
-    # a contiguous slice; occ[w] is word w of every row. The buffer is
-    # checked and packed a block of rows at a time through the slot matrix.
+    # Rows sorted by frequency, so the patterns sharing a margin are a
+    # contiguous run and read the table in ascending order; occ[w] is word w
+    # of every row. The buffer is checked and packed a block of rows at a
+    # time through the slot matrix.
     frequency = testable.frequency
     by_frequency = np.argsort(frequency, kind="stable")
-    occ = np.empty((width, len(testable)), dtype=np.uint64)
-    for first in range(0, len(testable), block):
+    occ = np.empty((width, patterns), dtype=np.uint64)
+    for first in range(0, patterns, block):
         owner, positions = testable._occurrences(by_frequency[first : first + block])
         if positions.size and positions.max() >= total:
             raise ValueError(f"pattern occurrences must be positions in [0, {total})")
-        rows = slots[: min(block, len(testable) - first)]
+        rows = slots[: min(block, patterns - first)]
         rows[:] = 0
         rows[owner, positions] = 1
         occ[:, first : first + len(rows)] = _packed(rows).T
-    margins, starts = np.unique(frequency[by_frequency], return_index=True)
-    bounds = [*starts.tolist(), len(testable)]
-    groups = [
-        (start, stop, *pvalues_over_support(f, db.n, db.n_prime, tail))
-        for f, start, stop in zip(margins.tolist(), bounds, bounds[1:])
-    ]
 
+    # Every margin's p-value row end to end in one table, filled a margin at
+    # a time: margin f's row spans its attainable x, [max(0, f - n'),
+    # min(f, n)]. Row r of occ reads the p-value of count x at
+    # table[base[r] + x].
+    margins, sharing = np.unique(frequency[by_frequency], return_counts=True)
+    ends = np.cumsum(np.minimum(margins, db.n) - np.maximum(0, margins - db.n_prime) + 1)
+    table = np.empty(int(ends[-1]))
+    bases = np.empty(len(margins), dtype=np.intp)
+    offset = 0
+    for i, (f, end) in enumerate(zip(margins.tolist(), ends.tolist())):
+        lo, row = pvalues_over_support(f, db.n, db.n_prime, tail)
+        table[offset:end] = row
+        bases[i], offset = offset - lo, end
+    base = np.repeat(bases, sharing)[:, None]
+
+    # Block buffers, held across blocks and sliced to a block's leading
+    # patterns x permutations cells: ``words`` takes each word's AND, then
+    # the table indices, then the p-values they read; ``bits`` takes each
+    # word's popcount and ``tally`` the counts, which are at most
+    # min(largest margin, n).
+    cells = patterns * block
+    words = np.empty(cells, dtype=np.uint64)
+    bits = np.empty(cells, dtype=np.uint8)
+    narrow = min(int(margins[-1]), db.n) < 1 << 16
+    tally = np.empty(cells, dtype=np.uint16 if narrow else np.intp)
     # numpy shuffles 8-byte items about 40% faster than single bytes, so each
     # mask is shuffled as int64 and then copied into its slot row
     ordered = np.zeros(total, dtype=np.int64)
@@ -203,13 +247,31 @@ def min_p_distribution(
         if db.n > db.n_prime:
             # the ones mark class 0; occurrences are 0 past N, so ~ adds no count
             masks = ~masks
-        counts = np.zeros((len(testable), len(best)), dtype=np.intp)
+        step = _cells(words, patterns, len(best))
+        popcount = _cells(bits, patterns, len(best))
+        counts = _cells(tally, patterns, len(best))
         for w in range(width):
-            counts += np.bitwise_count(occ[w][:, None] & masks[w][None, :])
-        best[:] = math.inf
-        for start, stop, lo, pvals in groups:
-            np.minimum(best, pvals[counts[start:stop] - lo].min(axis=0), out=best)
-    return tuple(minima.tolist())
+            np.bitwise_and(occ[w][:, None], masks[w], out=step)
+            if w:
+                np.bitwise_count(step, out=popcount)
+                np.add(counts, popcount, out=counts)
+            else:
+                np.bitwise_count(step, out=counts)
+        np.add(counts, base, out=_cells(words.view(np.intp), patterns, len(best)))
+        # The p-values overwrite the indices they are read by. numpy does not
+        # document this overlap as safe: it holds because take's loop reads
+        # index j before it writes cell j, and take checks ``out`` for overlap
+        # with the table only (numpy >= 2.0 as pyproject requires, checked
+        # on 2.4). "clip" writes into ``out`` directly ("raise" buffers it)
+        # and turns off the bounds check, so a wrong index would be clipped
+        # quietly; none is, as every index lies in its margin's row.
+        # test_take_looks_up_in_place checks numpy's side of this, and
+        # test_matches_scalar_reference and test_many_margins_through_one_table
+        # the results.
+        index = words[: step.size].view(np.intp)
+        np.take(table, index, out=index.view(np.float64), mode="clip")
+        np.min(_cells(words.view(np.float64), patterns, len(best)), axis=0, out=best)
+    return minima
 
 
 def effective_num_tests(
@@ -259,6 +321,7 @@ def empirical_fwer(
     testable = PatternStore(testable)
     if not testable:
         return 0.0
-    samples = min_p_distribution(testable, plan, db, tail)
-    return sum(1 for s in samples if s < threshold) / len(samples)
+    # counted off the array, so the samples never become Python floats
+    beaten = np.count_nonzero(_minima(testable, plan, db, tail) < threshold)
+    return int(beaten) / plan.iterations
 

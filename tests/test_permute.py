@@ -216,6 +216,59 @@ class TestMinPDistribution:
             rnd=random.Random(size),
         )
 
+    @pytest.mark.parametrize("positives", [13, 47])
+    @pytest.mark.parametrize("tail", ["left", "right", "two"])
+    def test_many_margins_through_one_table(self, positives, tail):
+        # one pattern of every frequency 0..60, listed out of order, so 61
+        # rows lie end to end in the table, with 23 permutations in blocks of 5
+        size = 60
+        rnd = random.Random(positives)
+        classes = [1] * positives + [0] * (size - positives)
+        rnd.shuffle(classes)
+        db = unlabeled_db(classes)
+        frequencies = list(range(size + 1))
+        rnd.shuffle(frequencies)
+        testable = [pattern_at(db, rnd.sample(range(size), f)) for f in frequencies]
+        plan = PermutationPlan(23, 11)
+        with mock.patch.object(permute, "_BLOCK_CELLS", 5 * len(testable)):
+            engine = min_p_distribution(testable, plan, db, tail)
+        assert engine == oracles.min_p_reference(testable, plan, db, tail)
+
+    def test_take_looks_up_in_place(self):
+        # the kernel reads its p-values over the indices that select them,
+        # with take(mode="clip"); that is right only while numpy reads each
+        # index before it writes its cell, and saves memory only while it
+        # writes into ``out`` without a copy
+        rnd = np.random.default_rng(3)
+        table = rnd.random(1000)
+        index = rnd.integers(0, len(table), 2**16).astype(np.intp)
+        expected = table[index]
+        tracemalloc.start()
+        try:
+            np.take(table, index, out=index.view(np.float64), mode="clip")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(index.view(np.float64), expected)
+        assert peak < index.nbytes // 4
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16])
+    def test_counts_on_each_side_of_sixteen_bits(self, n):
+        # the all-graphs pattern counts exactly n under every mask: 16 bits
+        # hold it below 2**16 and intp from there. A count wrapped to 0
+        # would read the one-graph pattern's row first in the table, whose
+        # left-tail p-value at 0 is far below the 1.0 that both rows give
+        # in most of these permutations
+        size = n + 20
+        classes = [1] * n + [0] * (size - n)
+        random.Random(n).shuffle(classes)
+        db = unlabeled_db(classes)
+        testable = [pattern_at(db, range(size)), pattern_at(db, [classes.index(1)])]
+        plan = PermutationPlan(6, 2)
+        engine = min_p_distribution(testable, plan, db, "left")
+        assert engine == oracles.min_p_reference(testable, plan, db, "left")
+        assert max(engine) == 1.0
+
     def test_memory_is_bounded_by_the_block(self):
         # 20000 graphs, 400 patterns and 1500 permutations (several blocks):
         # unblocked, the count and AND arrays alone would take about 10 MB
@@ -251,6 +304,27 @@ class TestMinPDistribution:
             tracemalloc.stop()
         assert len(samples) == 2000
         assert peak < 16 * 2**20
+
+    def test_memory_of_the_kernel_on_the_planted_family(self):
+        # 378 patterns of 200 graphs, 10000 permutations: the block buffers,
+        # held across blocks, take 0.69 MiB
+        db = planted_database(
+            200, 7, motif_size=5, background_vertices=16, edge_probability=0.12,
+            num_vertex_labels=4,
+        )
+        testable = find_root(db, 0.05, CONFIG, "two").testable
+        assert len(testable) == 378
+        # the first call imports numpy.random, which is not the kernel's memory
+        min_p_distribution(testable, PermutationPlan(1, 7), db, "two")
+        plan = PermutationPlan(10000, 7)
+        tracemalloc.start()
+        try:
+            samples = min_p_distribution(testable, plan, db, "two")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 10000
+        assert peak < 1.25 * 2**20
 
 
 class TestEffectiveNumTests:

@@ -12,14 +12,17 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigmine.report
 from sigmine import cli
 from sigmine.graphs import parse_database
 from sigmine.mining import Pattern, code_string
+from sigmine.permute import PermutationPlan
 from sigmine.report import (
     CSV_HEADER,
     Report,
@@ -88,6 +91,33 @@ def test_golden_reports_render_as_one_dump(case):
     assert all(rec.code_string == code_string(rec.pattern.code, db) for rec in report.records)
     assert render_report(report, "json") == whole_json(report)
     assert render_report(report, "csv") == whole_csv(report)
+
+
+def test_pipeline_calls_the_permutation_stages_by_position():
+    # bench/traced.py wraps both names in ``sigmine.report`` and reads these
+    # positional arguments to count the permutations each stage drew
+    config = case_config("planted-efftests-two")
+    with (
+        mock.patch.object(
+            sigmine.report, "min_p_distribution", wraps=sigmine.report.min_p_distribution
+        ) as min_p,
+        mock.patch.object(
+            sigmine.report, "empirical_fwer", wraps=sigmine.report.empirical_fwer
+        ) as fwer,
+    ):
+        report = run_pipeline(config)
+    family = report.search.testable
+    assert len(family) > 0
+    assert min_p.call_count == fwer.call_count == 1
+    assert min_p.call_args.kwargs == fwer.call_args.kwargs == {}
+    got_family, plan, db, tail = min_p.call_args.args
+    assert got_family is family and tail == config.tail
+    assert plan == PermutationPlan(config.permutations, config.seed)
+    assert db.size == report.summary["n"] + report.summary["n_prime"]
+    got_family, threshold, plan, got_db, tail = fwer.call_args.args
+    assert got_family is family and got_db is db and tail == config.tail
+    assert threshold == config.alpha / report.summary["correction_factor"]
+    assert plan == PermutationPlan(config.fwer_permutations, config.seed + 1)
 
 
 SPECIAL = '"\\\x00\x01\x1f\x7f\n\r\t,é€ 😀'
